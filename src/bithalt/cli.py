@@ -1,9 +1,12 @@
 """Command-line surface: simulate, replay, report, sweep.
 
 Config resolution is layered: built-in defaults <- optional JSON config file
-(--config) <- explicit command-line flags, highest wins. All outputs are
-deterministic: no timestamps in payload files, episode records sorted by
-example id, stable float formatting.
+(--config) <- explicit command-line flags, highest wins. The built-in defaults
+are the field defaults of CalibratorConfig, PolicyConfig and EngineConfig,
+read through CONFIG_FIELDS. Episodes run serially; --jobs is still accepted
+for compatibility and changes nothing. All outputs are deterministic: no
+timestamps in payload files, episode records sorted by example id, stable
+float formatting.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error.
 """
@@ -11,41 +14,49 @@ Exit codes: 0 success, 1 usage/config error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .calibrate import CalibratorConfig
-from .engine import EngineConfig, EpisodeRecord, Method, run_episode
+from .engine import EngineConfig, Method, run_episode
 from .errors import BithaltError, ConfigError, EmptyRunError, TraceParseError
 from .metrics import RunSummary, emit_summary_table, summarize_all
 from .policy import PolicyConfig
 from .simulate import load_scenario_dir, scenario_source, scenario_suite_canonical
 from .trace_io import ReplaySource, read_records, read_trace, write_records
 
-VALID_METHODS = ("fixed", "adaptive", "bitcal")
+VALID_METHODS = tuple(m.value for m in Method)
+
+# CLI/config key -> (config dataclass, field, help text). Each key's default and
+# flag type come from the dataclass field, so every default is stated once.
+CONFIG_FIELDS = {
+    "bits": (EngineConfig, "served_bits", "served weight precision b in bits"),
+    "chunk_size": (EngineConfig, "chunk_size", "tokens per controller step k"),
+    "h_max": (CalibratorConfig, "h_max", "entropy normalization ceiling"),
+    "w_entropy": (CalibratorConfig, "w_entropy", "entropy signal weight"),
+    "w_trace": (CalibratorConfig, "w_trace", "trace-stability signal weight"),
+    "w_hidden": (CalibratorConfig, "w_hidden", "hidden-stability signal weight"),
+    "temperature": (CalibratorConfig, "temperature", "confidence temperature gamma"),
+    "theta_h": (PolicyConfig, "theta_h", "entropy-stop threshold"),
+    "theta_c": (PolicyConfig, "theta_c", "confidence-stop threshold"),
+    "theta_e": (PolicyConfig, "theta_e", "entropy-escalate threshold"),
+    "floor": (PolicyConfig, "floor_tokens", "min tokens before halting m"),
+    "buffer": (PolicyConfig, "budget_buffer", "min remaining budget to continue"),
+    "marker": (PolicyConfig, "marker", "answer delimiter"),
+}
+
+
+def _field_default(cls, name: str):
+    return next(f.default for f in dataclasses.fields(cls) if f.name == name)
+
 
 DEFAULTS = {
-    "methods": "fixed,adaptive,bitcal",
+    "methods": ",".join(VALID_METHODS),
     "budgets": "512",
-    "bits": 4,
-    "chunk_size": 16,
-    "h_max": 10.0,
-    "w_entropy": 0.40,
-    "w_trace": 0.35,
-    "w_hidden": 0.25,
-    "temperature": 1.0,
-    "theta_h": 2.0,
-    "theta_c": 0.75,
-    "theta_e": 4.0,
-    "floor": 128,
-    "buffer": 32,
-    "marker": "####",
-    "jobs": os.cpu_count() or 1,
-    "seed": 42,  # forward compatibility; nothing here consumes randomness
+    **{key: _field_default(cls, name) for key, (cls, name, _) in CONFIG_FIELDS.items()},
 }
 
 
@@ -59,42 +70,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: _Parser) -> None:
-    d = DEFAULTS
     p.add_argument("--config", metavar="PATH", help="JSON config file layered under flags")
     p.add_argument("--methods", metavar="LIST",
-                   help=f"comma-separated controller methods (default: {d['methods']})")
+                   help=f"comma-separated controller methods (default: {DEFAULTS['methods']})")
     p.add_argument("--budgets", metavar="LIST",
-                   help=f"comma-separated token budgets B (default: {d['budgets']})")
-    p.add_argument("--bits", type=int, metavar="N",
-                   help=f"served weight precision b in bits (default: {d['bits']})")
-    p.add_argument("--chunk-size", type=int, metavar="K",
-                   help=f"tokens per controller step k (default: {d['chunk_size']})")
-    p.add_argument("--h-max", type=float, metavar="NATS",
-                   help=f"entropy normalization ceiling (default: {d['h_max']})")
-    p.add_argument("--w-entropy", type=float, metavar="W",
-                   help=f"entropy signal weight (default: {d['w_entropy']})")
-    p.add_argument("--w-trace", type=float, metavar="W",
-                   help=f"trace-stability signal weight (default: {d['w_trace']})")
-    p.add_argument("--w-hidden", type=float, metavar="W",
-                   help=f"hidden-stability signal weight (default: {d['w_hidden']})")
-    p.add_argument("--temperature", type=float, metavar="G",
-                   help=f"confidence temperature gamma (default: {d['temperature']})")
-    p.add_argument("--theta-h", type=float, metavar="NATS",
-                   help=f"entropy-stop threshold (default: {d['theta_h']})")
-    p.add_argument("--theta-c", type=float, metavar="C",
-                   help=f"confidence-stop threshold (default: {d['theta_c']})")
-    p.add_argument("--theta-e", type=float, metavar="NATS",
-                   help=f"entropy-escalate threshold (default: {d['theta_e']})")
-    p.add_argument("--floor", type=int, metavar="TOKENS",
-                   help=f"min tokens before halting m (default: {d['floor']})")
-    p.add_argument("--buffer", type=int, metavar="TOKENS",
-                   help=f"min remaining budget to continue (default: {d['buffer']})")
-    p.add_argument("--marker", metavar="TEXT",
-                   help=f"answer delimiter (default: {d['marker']!r})")
+                   help=f"comma-separated token budgets B (default: {DEFAULTS['budgets']})")
+    for key, (_, _, text) in CONFIG_FIELDS.items():
+        default = DEFAULTS[key]
+        p.add_argument("--" + key.replace("_", "-"), type=type(default),
+                       help=f"{text} (default: {default!r})")
     p.add_argument("--jobs", type=int, metavar="N",
-                   help=f"parallel episode workers (default: {d['jobs']})")
-    p.add_argument("--seed", type=int, metavar="N",
-                   help=f"reserved; no randomness is consumed (default: {d['seed']})")
+                   help="accepted for compatibility; episodes run serially")
     p.add_argument("--out", metavar="DIR", required=True, help="output directory")
 
 
@@ -169,38 +155,17 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def build_engine_config(cfg: dict, method: str, budget: int, served_bits: int) -> EngineConfig:
-    calibrator = CalibratorConfig(
-        h_max=cfg["h_max"],
-        w_entropy=cfg["w_entropy"],
-        w_trace=cfg["w_trace"],
-        w_hidden=cfg["w_hidden"],
-        temperature=cfg["temperature"],
-    )
-    policy = PolicyConfig(
-        theta_h=cfg["theta_h"],
-        theta_c=cfg["theta_c"],
-        theta_e=cfg["theta_e"],
-        floor_tokens=cfg["floor"],
-        budget_buffer=cfg["buffer"],
-        marker=cfg["marker"],
-    )
+    kwargs = {EngineConfig: {}, CalibratorConfig: {}, PolicyConfig: {}}
+    for key, (cls, name, _) in CONFIG_FIELDS.items():
+        kwargs[cls][name] = cfg[key]
+    kwargs[EngineConfig]["served_bits"] = served_bits
     return EngineConfig(
         method=Method(method),
         budget=budget,
-        chunk_size=cfg["chunk_size"],
-        served_bits=served_bits,
-        calibrator=calibrator,
-        policy=policy,
+        calibrator=CalibratorConfig(**kwargs[CalibratorConfig]),
+        policy=PolicyConfig(**kwargs[PolicyConfig]),
+        **kwargs[EngineConfig],
     )
-
-
-def _run_parallel(tasks, jobs: int) -> List[EpisodeRecord]:
-    if jobs <= 1 or len(tasks) <= 1:
-        records = [t() for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(lambda t: t(), tasks))
-    return sorted(records, key=lambda r: r.example_id)
 
 
 def _records_path(out_dir: Path, method: str, budget: int) -> Path:
@@ -226,17 +191,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for budget in cfg["budgets"]:
         for method in cfg["methods"]:
             engine_cfg = build_engine_config(cfg, method, budget, cfg["bits"])
-            tasks = [
-                (lambda s=s: run_episode(
-                    scenario_source(s, engine_cfg.chunk_size),
-                    engine_cfg,
-                    gold=s.gold_answer,
-                    example_id=s.scenario_id,
-                    model="sim",
-                ))
-                for s in scenarios
-            ]
-            records = _run_parallel(tasks, cfg["jobs"])
+            records = sorted(
+                (run_episode(scenario_source(s, engine_cfg.chunk_size), engine_cfg,
+                             gold=s.gold_answer, example_id=s.scenario_id, model="sim")
+                 for s in scenarios),
+                key=lambda r: r.example_id,
+            )
             write_records(records, _records_path(out_dir, method, budget),
                           metadata={"command": "simulate", "method": method, "budget": budget})
             n_correct = sum(r.correct for r in records)

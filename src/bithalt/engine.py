@@ -10,8 +10,9 @@ from enum import Enum
 from typing import List, Optional, Protocol, Tuple
 
 from .calibrate import CalibratorConfig, confidence
-from .errors import ConfigError
+from .errors import BithaltError, ConfigError
 from .policy import (
+    DEFAULT_MARKER,
     ActionKind,
     MarkerState,
     PolicyConfig,
@@ -39,18 +40,16 @@ class StopCause(str, Enum):
     TAIL_STOP = "tail_stop"
 
 
-# Controller-initiated terminations; EOS and budget exhaustion are excluded,
-# so fixed decoding can never register an early halt.
-CONTROLLER_STOPS = frozenset(
-    {StopCause.BUFFER_STOP, StopCause.CONFIDENT_STOP, StopCause.ESCALATE, StopCause.TAIL_STOP}
-)
-
 _STOP_REASON_CAUSE = {
     Reason.BUFFER_STOP: StopCause.BUFFER_STOP,
     Reason.CONFIDENT_STOP: StopCause.CONFIDENT_STOP,
     Reason.ENTROPY_ESCALATE: StopCause.ESCALATE,
     Reason.TAIL_STOP: StopCause.TAIL_STOP,
 }
+
+# Controller-initiated terminations; EOS and budget exhaustion are excluded,
+# so fixed decoding can never register an early halt.
+CONTROLLER_STOPS = frozenset(_STOP_REASON_CAUSE.values())
 
 
 class TokenSource(Protocol):
@@ -125,7 +124,7 @@ _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)")
 _CURRENCY = "$€£"
 
 
-def extract_answer(full_text: str, marker: str = "####") -> Optional[float]:
+def extract_answer(full_text: str, marker: str = DEFAULT_MARKER) -> Optional[float]:
     """Parse the number after the final marker occurrence.
 
     Commas are stripped (GSM8K gold answers use digit grouping) and a leading
@@ -204,7 +203,7 @@ def run_episode(
                 continue
             stop = _STOP_REASON_CAUSE[action.reason]
             break
-    except Exception as exc:  # source failure: keep the episode, flag it
+    except (BithaltError, OSError) as exc:  # source failure: keep the episode, flag it
         logger.warning("episode %s errored mid-run: %s", example_id, exc)
         error = f"{type(exc).__name__}: {exc}"
         stop = stop or StopCause.EOS

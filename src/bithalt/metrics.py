@@ -13,13 +13,13 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .engine import EpisodeRecord
+from .engine import EpisodeRecord, Method
 from .errors import EmptyRunError, GroupingError
 
 # Standard normal quantile at 97.5%; below printed precision vs plain 1.96.
 Z95 = 1.959964
 
-_METHOD_ORDER = {"fixed": 0, "adaptive": 1, "bitcal": 2}
+_METHOD_ORDER = {m.value: i for i, m in enumerate(Method)}
 
 
 def wilson_interval(successes: int, n: int, z: float = Z95) -> Tuple[float, float]:

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .errors import ConfigError, TraceParseError
+from .policy import DEFAULT_MARKER
 from .signals import StepSignals
 
-MARKER = "####"
+MARKER = DEFAULT_MARKER
 
 
 @dataclass(frozen=True)
@@ -58,22 +59,9 @@ class Scenario:
         return sum(s.length for s in self.segments)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "segments": [
-                {
-                    "length": s.length,
-                    "entropy": s.entropy,
-                    "text_template": s.text_template,
-                    "hidden_rotation": s.hidden_rotation,
-                }
-                for s in self.segments
-            ],
-            "gold_answer": self.gold_answer,
-            "emitted_answer": self.emitted_answer,
-            "marker_at": self.marker_at,
-            "eos_at": self.eos_at,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["segments"] = [{f.name: getattr(s, f.name) for f in fields(s)} for s in self.segments]
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":

@@ -18,7 +18,7 @@ Record file (schema ``records/v1``):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -85,7 +85,7 @@ def read_trace(path) -> Tuple[TraceMeta, List[StepSignals]]:
             example_id=str(header["example_id"]),
             gold_answer=float(header["gold_answer"]),
             model=str(header.get("model", "")),
-            served_bits=int(header.get("served_bits", 4)),
+            served_bits=int(header.get("served_bits", TraceMeta.served_bits)),
             prompt_digest=str(header.get("prompt_digest", "")),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -132,18 +132,8 @@ def read_trace(path) -> Tuple[TraceMeta, List[StepSignals]]:
 
 
 def write_trace(meta: TraceMeta, steps: List[StepSignals], path) -> None:
-    lines = [
-        json.dumps(
-            {
-                "schema": TRACE_SCHEMA,
-                "example_id": meta.example_id,
-                "gold_answer": meta.gold_answer,
-                "model": meta.model,
-                "served_bits": meta.served_bits,
-                "prompt_digest": meta.prompt_digest,
-            }
-        )
-    ]
+    header = {"schema": TRACE_SCHEMA, **{f.name: getattr(meta, f.name) for f in fields(meta)}}
+    lines = [json.dumps(header)]
     for i, s in enumerate(steps):
         obj = {"step": i, "chunk_text": s.chunk_text, "tokens": s.tokens_in_chunk}
         if s.entropy is not None:
@@ -159,23 +149,8 @@ def write_trace(meta: TraceMeta, steps: List[StepSignals], path) -> None:
 
 
 def record_to_dict(rec: EpisodeRecord) -> dict:
-    return {
-        "example_id": rec.example_id,
-        "method": rec.method,
-        "budget": rec.budget,
-        "tokens_used": rec.tokens_used,
-        "steps": rec.steps,
-        "actions": [list(a) for a in rec.actions],
-        "stop_cause": rec.stop_cause,
-        "first_marker_tokens": rec.first_marker_tokens,
-        "generated_text": rec.generated_text,
-        "predicted_answer": rec.predicted_answer,
-        "gold_answer": rec.gold_answer,
-        "correct": rec.correct,
-        "early_halt": rec.early_halt,
-        "model": rec.model,
-        "error": rec.error,
-    }
+    # Shallow on purpose: asdict would deep-copy every actions tuple.
+    return {f.name: getattr(rec, f.name) for f in fields(rec)}
 
 
 def record_from_dict(d: dict) -> EpisodeRecord:

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from bithalt.cli import DEFAULTS, main
+from bithalt.cli import DEFAULTS, build_engine_config, build_parser, main, resolve_config
+from bithalt.engine import EngineConfig, Method
 from bithalt.signals import StepSignals
 from bithalt.trace_io import TraceMeta, read_records, write_trace
 
@@ -184,7 +185,14 @@ class TestConfigLayering:
         assert (DEFAULTS["w_entropy"], DEFAULTS["w_trace"], DEFAULTS["w_hidden"]) == (
             0.40, 0.35, 0.25)
         assert DEFAULTS["temperature"] == 1.0
-        assert DEFAULTS["seed"] == 42
+
+    @pytest.mark.parametrize("method", [m.value for m in Method])
+    def test_unflagged_config_builds_dataclass_defaults(self, method):
+        cfg = resolve_config(build_parser().parse_args(["simulate", "--out", "o"]))
+        assert build_engine_config(cfg, method, 512, 4) == EngineConfig(Method(method), 512)
+
+    def test_seed_flag_is_usage_error(self, tmp_path):
+        assert run_cli("simulate", "--seed", "42", "--out", str(tmp_path / "o")) == 1
 
 
 class TestDeterminism:
@@ -197,3 +205,26 @@ class TestDeterminism:
         assert names == sorted(p.name for p in out2.iterdir())
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_jobs_flag_changes_no_output(self, tmp_path):
+        outs = [tmp_path / "j1", tmp_path / "j4"]
+        for jobs, out in zip(("1", "4"), outs):
+            assert run_cli("sweep", "--budgets", "256,512", "--jobs", jobs,
+                           "--out", str(out)) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+GOLDEN_RECORDS = Path(__file__).resolve().parent / "data" / "golden_records_b512"
+
+
+class TestGoldenRecords:
+    def test_canonical_suite_reproduces_golden_records(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--bits", "4", "--out", str(out)) == 0
+        golden = sorted(GOLDEN_RECORDS.glob("records_*.jsonl"))
+        assert [p.name for p in golden] == sorted(p.name for p in out.glob("records_*.jsonl"))
+        for path in golden:
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name

@@ -11,7 +11,7 @@ from bithalt.engine import (
     extract_answer,
     run_episode,
 )
-from bithalt.errors import ConfigError
+from bithalt.errors import ConfigError, InvalidInputError
 from bithalt.signals import StepSignals
 from bithalt.simulate import Scenario, Segment, scenario_source
 
@@ -181,13 +181,39 @@ class TestRunEpisode:
             def next_chunk(self, max_tokens):
                 self.calls += 1
                 if self.calls > 2:
-                    raise RuntimeError("backend fell over")
+                    raise ConnectionError("backend fell over")
                 return StepSignals(chunk_text="x" * 10, tokens_in_chunk=16, entropy=3.0)
 
         rec = run_episode(FailingSource(), engine_cfg("adaptive"), 1.0, "err")
         assert rec.error is not None
         assert rec.correct is False
         assert rec.tokens_used == 32
+
+    def test_invalid_source_input_flagged(self):
+        class BadInputSource:
+            def next_chunk(self, max_tokens):
+                raise InvalidInputError("entropy must be finite")
+
+        rec = run_episode(BadInputSource(), engine_cfg("bitcal"), 1.0, "bad")
+        assert rec.error == "InvalidInputError: entropy must be finite"
+        assert rec.stop_cause == StopCause.EOS.value
+
+    def test_source_bug_propagates(self):
+        class BuggySource:
+            def next_chunk(self, max_tokens):
+                return 1 / 0
+
+        with pytest.raises(ZeroDivisionError):
+            run_episode(BuggySource(), engine_cfg("fixed"), 1.0, "bug")
+
+    def test_controller_bug_propagates(self, monkeypatch):
+        def broken_decide(*args):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr("bithalt.engine.decide", broken_decide)
+        source = ScriptedSource([("step", 16, 1.0, False)] * 4)
+        with pytest.raises(ZeroDivisionError):
+            run_episode(source, engine_cfg("adaptive"), 1.0, "bug")
 
     def test_invalid_budget_rejected(self):
         with pytest.raises(ConfigError):
