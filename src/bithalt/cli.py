@@ -1,5 +1,10 @@
 """Command-line surface: simulate, replay, report, sweep.
 
+simulate and replay differ only in how they load examples (scenarios or
+recorded traces); one runner scores both over the method x budget grid, and
+sweep runs either one, then report. A replayed trace runs at the bit width in
+its header unless bits is set by a flag or the config file.
+
 Config resolution is layered: built-in defaults <- optional JSON config file
 (--config) <- explicit command-line flags, highest wins. The built-in defaults
 are the field defaults of CalibratorConfig, PolicyConfig and EngineConfig,
@@ -17,11 +22,12 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .calibrate import CalibratorConfig
-from .engine import EngineConfig, Method, run_episode
+from .engine import EngineConfig, Method, TokenSource, run_episode
 from .errors import BithaltError, ConfigError, EmptyRunError, TraceParseError
 from .metrics import RunSummary, emit_summary_table, summarize_all
 from .policy import PolicyConfig
@@ -128,14 +134,18 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        cfg.update(_load_config_file(args.config))
+def _user_config(args: argparse.Namespace) -> dict:
+    """The keys set by the config file or by flags, flags winning."""
+    cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
     for key in DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
+    return cfg
+
+
+def resolve_config(args: argparse.Namespace) -> dict:
+    cfg = {**DEFAULTS, **_user_config(args)}
 
     methods = [m.strip() for m in str(cfg["methods"]).split(",") if m.strip()]
     for m in methods:
@@ -168,11 +178,37 @@ def build_engine_config(cfg: dict, method: str, budget: int, served_bits: int) -
     )
 
 
-def _records_path(out_dir: Path, method: str, budget: int) -> Path:
-    return out_dir / f"records_{method}_b{budget}.jsonl"
+class Example(NamedTuple):
+    """One row of the grid: how to stream it, and how to score it."""
+
+    source: Callable[[int], TokenSource]  # chunk size -> a fresh token stream
+    gold: float
+    example_id: str
+    model: str
+    served_bits: Optional[int]  # the trace's recorded precision; None takes cfg["bits"]
 
 
-def _write_sidecar(out_dir: Path, cfg: dict, command: str) -> None:
+def _run_grid(examples: Sequence[Example], cfg: dict, out_dir: Path, command: str,
+              **header) -> None:
+    """Run every example under each method x budget cell, one record file per cell."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for budget in cfg["budgets"]:
+        for method in cfg["methods"]:
+            records = []
+            for ex in examples:
+                served = cfg["bits"] if ex.served_bits is None else ex.served_bits
+                engine_cfg = build_engine_config(cfg, method, budget, served)
+                records.append(run_episode(ex.source(engine_cfg.chunk_size), engine_cfg,
+                                           gold=ex.gold, example_id=ex.example_id,
+                                           model=ex.model))
+            records.sort(key=lambda r: r.example_id)
+            write_records(records, out_dir / f"records_{method}_b{budget}.jsonl",
+                          metadata={"command": command, "method": method, "budget": budget,
+                                    **header})
+            n_correct = sum(r.correct for r in records)
+            avg = sum(r.tokens_used for r in records) / len(records)
+            print(f"{method} B={budget}: n={len(records)} correct={n_correct} "
+                  f"avg_tokens={avg:.1f}")
     meta = {"command": command, "config": {k: cfg[k] for k in sorted(cfg, key=str)}}
     (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2, default=str) + "\n")
 
@@ -185,25 +221,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise TraceParseError(args.scenarios, "no scenario files found")
     else:
         scenarios = scenario_suite_canonical()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    for budget in cfg["budgets"]:
-        for method in cfg["methods"]:
-            engine_cfg = build_engine_config(cfg, method, budget, cfg["bits"])
-            records = sorted(
-                (run_episode(scenario_source(s, engine_cfg.chunk_size), engine_cfg,
-                             gold=s.gold_answer, example_id=s.scenario_id, model="sim")
-                 for s in scenarios),
-                key=lambda r: r.example_id,
-            )
-            write_records(records, _records_path(out_dir, method, budget),
-                          metadata={"command": "simulate", "method": method, "budget": budget})
-            n_correct = sum(r.correct for r in records)
-            avg = sum(r.tokens_used for r in records) / len(records)
-            print(f"{method} B={budget}: n={len(records)} correct={n_correct} "
-                  f"avg_tokens={avg:.1f}")
-    _write_sidecar(out_dir, cfg, "simulate")
+    examples = [Example(partial(scenario_source, s), s.gold_answer, s.scenario_id, "sim", None)
+                for s in scenarios]
+    _run_grid(examples, cfg, Path(args.out), "simulate")
     return 0
 
 
@@ -213,80 +233,45 @@ def cmd_replay(args: argparse.Namespace) -> int:
     paths = sorted(trace_dir.glob("*.jsonl"))
     if not paths:
         raise TraceParseError(trace_dir, "no trace files found")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    traces = []
-    failures = []
+    # bits from a flag or the config file overrides every trace header's.
+    recorded_bits = "bits" not in _user_config(args)
+    examples = []
     for path in paths:
         try:
-            traces.append(read_trace(path))
+            meta, steps = read_trace(path)
         except TraceParseError as exc:
-            failures.append(str(exc))
             print(f"error: {exc}", file=sys.stderr)
-    if not traces:
+            continue
+        examples.append(Example(lambda _, steps=steps: ReplaySource(steps), meta.gold_answer,
+                                meta.example_id, meta.model,
+                                meta.served_bits if recorded_bits else None))
+    if not examples:
         raise TraceParseError(trace_dir, "every trace file failed to parse")
-
-    bits_flag = getattr(args, "bits", None)
-    for budget in cfg["budgets"]:
-        for method in cfg["methods"]:
-            records = []
-            for meta, steps in traces:
-                served = bits_flag if bits_flag is not None else meta.served_bits
-                engine_cfg = build_engine_config(cfg, method, budget, served)
-                records.append(
-                    run_episode(ReplaySource(steps), engine_cfg,
-                                gold=meta.gold_answer, example_id=meta.example_id,
-                                model=meta.model)
-                )
-            records.sort(key=lambda r: r.example_id)
-            write_records(
-                records, _records_path(out_dir, method, budget),
-                metadata={
-                    "command": "replay",
-                    "method": method,
-                    "budget": budget,
-                    # Post-divergence chunks come from the producing run and
-                    # are counterfactual under this controller.
-                    "counterfactual_replay": True,
-                },
-            )
-            n_correct = sum(r.correct for r in records)
-            print(f"{method} B={budget}: n={len(records)} correct={n_correct}")
-    _write_sidecar(out_dir, cfg, "replay")
-    if failures:
-        return 2
-    return 0
+    # Post-divergence chunks come from the producing run and are counterfactual
+    # under this controller.
+    _run_grid(examples, cfg, Path(args.out), "replay", counterfactual_replay=True)
+    return 2 if len(examples) < len(paths) else 0
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
+# Each plot CSV is method,budget,<columns>,model, one row per RunSummary. A
+# column is the RunSummary attribute of that name unless _PLOT_ATTR renames it,
+# printed with six decimals.
+_PLOT_COLUMNS = {
+    "accuracy_ci.csv": ("accuracy", "ci_low", "ci_high"),
+    "premature_stop.csv": ("premature_stop",),
+    "pareto.csv": ("avg_tokens", "accuracy"),
+    "budget_sweep.csv": ("accuracy", "avg_tokens"),
+}
+_PLOT_ATTR = {"premature_stop": "premature_stop_pct"}
 
 
 def _emit_plot_data(summaries: Sequence[RunSummary], out_dir: Path) -> None:
-    def rows(header, fields):
-        lines = [header]
+    for name, columns in _PLOT_COLUMNS.items():
+        lines = [",".join(["method", "budget", *columns, "model"])]
         for s in summaries:
-            lines.append(",".join(fields(s)))
-        return "\n".join(lines) + "\n"
-
-    (out_dir / "accuracy_ci.csv").write_text(rows(
-        "method,budget,accuracy,ci_low,ci_high,model",
-        lambda s: [s.method, str(s.budget), _fmt(s.accuracy), _fmt(s.ci_low),
-                   _fmt(s.ci_high), s.model],
-    ))
-    (out_dir / "premature_stop.csv").write_text(rows(
-        "method,budget,premature_stop,model",
-        lambda s: [s.method, str(s.budget), _fmt(s.premature_stop_pct), s.model],
-    ))
-    (out_dir / "pareto.csv").write_text(rows(
-        "method,budget,avg_tokens,accuracy,model",
-        lambda s: [s.method, str(s.budget), _fmt(s.avg_tokens), _fmt(s.accuracy), s.model],
-    ))
-    (out_dir / "budget_sweep.csv").write_text(rows(
-        "method,budget,accuracy,avg_tokens,model",
-        lambda s: [s.method, str(s.budget), _fmt(s.accuracy), _fmt(s.avg_tokens), s.model],
-    ))
+            values = [f"{getattr(s, _PLOT_ATTR.get(c, c)):.6f}" for c in columns]
+            lines.append(",".join([s.method, str(s.budget), *values, s.model]))
+        (out_dir / name).write_text("\n".join(lines) + "\n")
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -314,13 +299,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if getattr(args, "traces", None):
-        code = cmd_replay(args)
-    else:
-        code = cmd_simulate(args)
-    report_args = argparse.Namespace(records=args.out, out=args.out)
-    report_code = cmd_report(report_args)
-    return max(code, report_code)
+    code = (cmd_replay if getattr(args, "traces", None) else cmd_simulate)(args)
+    return max(code, cmd_report(argparse.Namespace(records=args.out, out=args.out)))
 
 
 _COMMANDS = {
@@ -332,18 +312,13 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, ConfigError) as exc:
+    except ConfigError as exc:  # includes UsageError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TraceParseError, EmptyRunError, BithaltError, OSError) as exc:
+    except (BithaltError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,7 @@ from typing import List, Optional, Tuple
 from .errors import ConfigError, TraceParseError
 from .policy import DEFAULT_MARKER
 from .signals import StepSignals
+from .trace_io import from_fields
 
 MARKER = DEFAULT_MARKER
 
@@ -65,25 +66,8 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
-        segments = tuple(
-            Segment(
-                length=int(s["length"]),
-                entropy=float(s["entropy"]),
-                text_template=str(s["text_template"]),
-                hidden_rotation=(
-                    None if s.get("hidden_rotation") is None else float(s["hidden_rotation"])
-                ),
-            )
-            for s in d["segments"]
-        )
-        return cls(
-            scenario_id=str(d["scenario_id"]),
-            segments=segments,
-            gold_answer=float(d["gold_answer"]),
-            emitted_answer=float(d["emitted_answer"]),
-            marker_at=None if d.get("marker_at") is None else int(d["marker_at"]),
-            eos_at=None if d.get("eos_at") is None else int(d["eos_at"]),
-        )
+        return from_fields(cls, d, segments=lambda segs: tuple(
+            from_fields(Segment, seg) for seg in segs))
 
 
 def save_scenario(scenario: Scenario, path) -> None:

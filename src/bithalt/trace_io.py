@@ -13,14 +13,18 @@ Trace file (schema ``trace/v1``):
 Record file (schema ``records/v1``):
   header: {"schema", ...free-form run metadata (no timestamps)}
   record: EpisodeRecord fields in fixed order.
+
+Records, trace headers and scenario files are read by ``from_fields``, which
+follows the dataclass fields: a field added to one is read back with no new code.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from .engine import EpisodeRecord
 from .errors import TraceParseError, UnsupportedSchemaError
@@ -55,6 +59,44 @@ class ReplaySource:
         return step
 
 
+@functools.cache
+def _field_plan(cls) -> Tuple[Tuple[str, bool, bool, type], ...]:
+    """(name, required, nullable, type) for each field of dataclass ``cls``."""
+    hints = get_type_hints(cls)
+    plan = []
+    for f in fields(cls):
+        tp = hints[f.name]
+        nullable = get_origin(tp) is Union and type(None) in get_args(tp)
+        if nullable:
+            tp = next(a for a in get_args(tp) if a is not type(None))
+        required = f.default is MISSING and f.default_factory is MISSING
+        plan.append((f.name, required, nullable, tp))
+    return tuple(plan)
+
+
+def from_fields(cls, obj: dict, **convert):
+    """Build dataclass ``cls`` from one parsed JSON object, field by field.
+
+    A missing key takes the field default, or raises KeyError if the field has
+    none. None is accepted only for Optional fields. Any other value goes
+    through ``convert[name]`` when given, else is coerced to the field's type.
+    Keys that are not fields are ignored.
+    """
+    kwargs = {}
+    for name, required, nullable, tp in _field_plan(cls):
+        if name not in obj:
+            if required:
+                raise KeyError(name)
+            continue
+        value = obj[name]
+        if value is not None:
+            value = convert[name](value) if name in convert else tp(value)
+        elif not nullable:
+            raise TypeError(f"{name} must not be null")
+        kwargs[name] = value
+    return cls(**kwargs)
+
+
 def _parse_json_line(path, lineno: int, line: str) -> dict:
     try:
         obj = json.loads(line)
@@ -65,69 +107,55 @@ def _parse_json_line(path, lineno: int, line: str) -> dict:
     return obj
 
 
+def _read_jsonl(path, schema: str) -> Tuple[dict, Iterator[Tuple[int, dict]]]:
+    """A JSONL file's header, checked against ``schema``, and the (line number,
+    object) pairs of its non-blank body lines, parsed as they are iterated."""
+    lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise TraceParseError(path, "empty file", line=1)
+    header = _parse_json_line(path, 1, lines[0])
+    if header.get("schema") != schema:
+        raise UnsupportedSchemaError(path, f"unsupported schema {header.get('schema')!r}", line=1)
+    return header, ((n, _parse_json_line(path, n, raw))
+                    for n, raw in enumerate(lines[1:], start=2) if raw.strip())
+
+
 def read_trace(path) -> Tuple[TraceMeta, List[StepSignals]]:
     """Parse a trace file into its header metadata and ordered steps.
 
     Wrap the steps in a ReplaySource to feed them to the engine; build a
     fresh source per episode.
     """
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines:
-        raise TraceParseError(path, "empty file", line=1)
-
-    header = _parse_json_line(path, 1, lines[0])
-    schema = header.get("schema")
-    if schema != TRACE_SCHEMA:
-        raise UnsupportedSchemaError(path, f"unsupported schema {schema!r}", line=1)
+    header, body = _read_jsonl(path, TRACE_SCHEMA)
     try:
-        meta = TraceMeta(
-            example_id=str(header["example_id"]),
-            gold_answer=float(header["gold_answer"]),
-            model=str(header.get("model", "")),
-            served_bits=int(header.get("served_bits", TraceMeta.served_bits)),
-            prompt_digest=str(header.get("prompt_digest", "")),
-        )
+        meta = from_fields(TraceMeta, header)
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceParseError(path, f"invalid header: {exc}", line=1)
 
     steps: List[StepSignals] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        obj = _parse_json_line(path, lineno, raw)
+    for lineno, obj in body:
+        if steps and steps[-1].eos:
+            raise TraceParseError(path, "steps follow an eos-flagged step", line=lineno)
         if obj.get("step") != len(steps):
             raise TraceParseError(
                 path, f"non-contiguous step index {obj.get('step')!r}, expected {len(steps)}",
                 line=lineno,
             )
-        has_entropy = "entropy" in obj and obj["entropy"] is not None
-        has_probs = "probs" in obj and obj["probs"] is not None
-        if has_entropy == has_probs:
-            raise TraceParseError(
-                path, "exactly one of 'entropy' and 'probs' must be present", line=lineno
-            )
         try:
+            # StepSignals rejects a step with both or neither of entropy and probs.
+            entropy, probs, hidden = obj.get("entropy"), obj.get("probs"), obj.get("hidden")
             steps.append(
                 StepSignals(
                     chunk_text=str(obj["chunk_text"]),
                     tokens_in_chunk=int(obj["tokens"]),
-                    entropy=float(obj["entropy"]) if has_entropy else None,
-                    distribution=[float(p) for p in obj["probs"]] if has_probs else None,
-                    hidden=(
-                        tuple(float(h) for h in obj["hidden"])
-                        if obj.get("hidden") is not None
-                        else None
-                    ),
+                    entropy=None if entropy is None else float(entropy),
+                    distribution=None if probs is None else [float(p) for p in probs],
+                    hidden=None if hidden is None else tuple(float(h) for h in hidden),
                     eos=bool(obj.get("eos", False)),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceParseError(path, f"invalid step: {exc}", line=lineno)
-        if steps[-1].eos and lineno - 1 < len(lines) - 1:
-            remainder = [l for l in lines[lineno:] if l.strip()]
-            if remainder:
-                raise TraceParseError(path, "steps follow an eos-flagged step", line=lineno + 1)
     return meta, steps
 
 
@@ -153,28 +181,8 @@ def record_to_dict(rec: EpisodeRecord) -> dict:
     return {f.name: getattr(rec, f.name) for f in fields(rec)}
 
 
-def record_from_dict(d: dict) -> EpisodeRecord:
-    return EpisodeRecord(
-        example_id=str(d["example_id"]),
-        method=str(d["method"]),
-        budget=int(d["budget"]),
-        tokens_used=int(d["tokens_used"]),
-        steps=int(d["steps"]),
-        actions=tuple((str(a), str(r), int(t)) for a, r, t in d["actions"]),
-        stop_cause=str(d["stop_cause"]),
-        first_marker_tokens=(
-            None if d["first_marker_tokens"] is None else int(d["first_marker_tokens"])
-        ),
-        generated_text=str(d["generated_text"]),
-        predicted_answer=(
-            None if d["predicted_answer"] is None else float(d["predicted_answer"])
-        ),
-        gold_answer=float(d["gold_answer"]),
-        correct=bool(d["correct"]),
-        early_halt=bool(d["early_halt"]),
-        model=str(d.get("model", "")),
-        error=d.get("error"),
-    )
+def _actions(value) -> Tuple[Tuple[str, str, int], ...]:
+    return tuple((str(a), str(r), int(t)) for a, r, t in value)
 
 
 def write_records(records: List[EpisodeRecord], path, metadata: Optional[dict] = None) -> None:
@@ -192,20 +200,11 @@ def write_records(records: List[EpisodeRecord], path, metadata: Optional[dict] =
 
 
 def read_records(path) -> Tuple[dict, List[EpisodeRecord]]:
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines:
-        raise TraceParseError(path, "empty file", line=1)
-    header = _parse_json_line(path, 1, lines[0])
-    if header.get("schema") != RECORD_SCHEMA:
-        raise UnsupportedSchemaError(path, f"unsupported schema {header.get('schema')!r}", line=1)
+    header, body = _read_jsonl(path, RECORD_SCHEMA)
     records = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        obj = _parse_json_line(path, lineno, raw)
+    for lineno, obj in body:
         try:
-            records.append(record_from_dict(obj))
+            records.append(from_fields(EpisodeRecord, obj, actions=_actions))
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceParseError(path, f"invalid record: {exc}", line=lineno)
     return header, records

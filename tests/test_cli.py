@@ -6,6 +6,7 @@ import pytest
 from bithalt.cli import DEFAULTS, build_engine_config, build_parser, main, resolve_config
 from bithalt.engine import EngineConfig, Method
 from bithalt.signals import StepSignals
+from bithalt.simulate import ScenarioSource, scenario_suite_canonical
 from bithalt.trace_io import TraceMeta, read_records, write_trace
 
 
@@ -24,6 +25,18 @@ def make_trace_dir(tmp_path, n=3):
         meta = TraceMeta(example_id=f"gsm-{i:04d}", gold_answer=42.0, model="7b",
                         served_bits=4)
         write_trace(meta, steps, traces / f"gsm-{i:04d}.jsonl")
+    return traces
+
+
+def write_scenario_traces(traces, scenarios):
+    """Drain each scenario at k=16 into a 4-bit trace, as a served model would log it."""
+    traces.mkdir()
+    for s in scenarios:
+        source = ScenarioSource(s, 16)
+        steps = list(iter(lambda: source.next_chunk(16), None))
+        meta = TraceMeta(example_id=s.scenario_id, gold_answer=s.gold_answer, model="sim",
+                         served_bits=4)
+        write_trace(meta, steps, traces / f"{s.scenario_id}.jsonl")
     return traces
 
 
@@ -88,6 +101,23 @@ class TestReplay:
         assert "zz-broken" in capsys.readouterr().err
         _, records = read_records(out / "records_fixed_b512.jsonl")
         assert len(records) == 2
+
+    def test_config_file_bits_override_trace_header(self, tmp_path):
+        # At 4 bits (the trace header) bitcal stops marker-then-revision at
+        # 192 tokens; at 16 bits it stops at 160.
+        scenario = [s for s in scenario_suite_canonical()
+                    if s.scenario_id == "marker-then-revision"]
+        traces = write_scenario_traces(tmp_path / "traces", scenario)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bits": 16}))
+        runs = {"flag": ["--bits", "16"], "config": ["--config", str(cfg)], "header": []}
+        for name, extra in runs.items():
+            assert run_cli("replay", "--traces", str(traces), "--methods", "bitcal",
+                           "--out", str(tmp_path / name), *extra) == 0
+        records = {name: tmp_path / name / "records_bitcal_b512.jsonl" for name in runs}
+        assert records["config"].read_bytes() == records["flag"].read_bytes()
+        assert read_records(records["config"])[1][0].tokens_used == 160
+        assert read_records(records["header"])[1][0].tokens_used == 192
 
     def test_byte_identical_reruns(self, tmp_path):
         traces = make_trace_dir(tmp_path, n=2)
@@ -218,6 +248,7 @@ class TestDeterminism:
 
 
 GOLDEN_RECORDS = Path(__file__).resolve().parent / "data" / "golden_records_b512"
+GOLDEN_REPORT = Path(__file__).resolve().parent / "data" / "golden_report_b512"
 
 
 class TestGoldenRecords:
@@ -228,3 +259,21 @@ class TestGoldenRecords:
         assert [p.name for p in golden] == sorted(p.name for p in out.glob("records_*.jsonl"))
         for path in golden:
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_replay_of_simulated_traces_reproduces_golden_records(self, tmp_path):
+        traces = write_scenario_traces(tmp_path / "traces", scenario_suite_canonical())
+        out = tmp_path / "out"
+        assert run_cli("replay", "--traces", str(traces), "--out", str(out)) == 0
+        golden = sorted(GOLDEN_RECORDS.glob("records_*.jsonl"))
+        assert [p.name for p in golden] == sorted(p.name for p in out.glob("records_*.jsonl"))
+        for path in golden:
+            # The headers differ by command; every record line must match.
+            replayed = (out / path.name).read_text().splitlines()[1:]
+            assert replayed == path.read_text().splitlines()[1:], path.name
+
+    def test_report_reproduces_golden_report(self, tmp_path):
+        assert run_cli("report", "--records", str(GOLDEN_RECORDS), "--out", str(tmp_path)) == 0
+        golden = sorted(GOLDEN_REPORT.iterdir())
+        assert [p.name for p in golden] == sorted(p.name for p in tmp_path.iterdir())
+        for path in golden:
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from bithalt.signals import StepSignals
 from bithalt.trace_io import (
     ReplaySource,
     TraceMeta,
+    from_fields,
     read_records,
     read_trace,
     write_records,
@@ -70,14 +72,14 @@ class TestTraceValidation:
         return json.dumps({"schema": "trace/v1", "example_id": "e", "gold_answer": 1.0})
 
     def test_both_entropy_and_probs_rejected_with_line_number(self, tmp_path):
-        path = self._write_lines(tmp_path, [
-            self.header(),
-            json.dumps({"step": 0, "chunk_text": "x", "tokens": 4,
-                        "entropy": 1.0, "probs": [1.0]}),
-        ])
-        with pytest.raises(TraceParseError) as exc:
-            read_trace(path)
-        assert exc.value.line == 2
+        for signal in ({"entropy": 1.0, "probs": [1.0]}, {}):
+            path = self._write_lines(tmp_path, [
+                self.header(),
+                json.dumps({"step": 0, "chunk_text": "x", "tokens": 4, **signal}),
+            ])
+            with pytest.raises(TraceParseError) as exc:
+                read_trace(path)
+            assert exc.value.line == 2, signal
 
     def test_non_contiguous_steps_rejected(self, tmp_path):
         path = self._write_lines(tmp_path, [
@@ -140,6 +142,20 @@ def sample_record(i=0, **overrides):
     )
     base.update(overrides)
     return EpisodeRecord(**base)
+
+
+class TestFromFields:
+    def test_defaults_nulls_and_coercion_follow_the_fields(self):
+        header = {"schema": "trace/v1", "example_id": 7, "gold_answer": "42", "served_bits": "8"}
+        assert from_fields(TraceMeta, header) == TraceMeta("7", 42.0, served_bits=8)
+        with pytest.raises(KeyError):
+            from_fields(TraceMeta, {"example_id": "e"})
+        with pytest.raises(TypeError):
+            from_fields(TraceMeta, {"example_id": "e", "gold_answer": 1.0, "model": None})
+        rec = sample_record(first_marker_tokens=None, predicted_answer=None, model="")
+        obj = {f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)}
+        del obj["model"], obj["error"]
+        assert from_fields(EpisodeRecord, obj, actions=tuple) == rec
 
 
 class TestRecordFiles:
