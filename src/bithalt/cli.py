@@ -3,7 +3,8 @@
 simulate and replay differ only in how they load examples (scenarios or
 recorded traces); one runner scores both over the method x budget grid, and
 sweep runs either one, then report. A replayed trace runs at the bit width in
-its header unless bits is set by a flag or the config file.
+its header unless bits is set by a flag or the config file; if it is not,
+run_meta.json reads "bits": null.
 
 Config resolution is layered: built-in defaults <- optional JSON config file
 (--config) <- explicit command-line flags, highest wins. The built-in defaults
@@ -29,7 +30,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .calibrate import CalibratorConfig
 from .engine import EngineConfig, Method, TokenSource, run_episode
 from .errors import BithaltError, ConfigError, EmptyRunError, TraceParseError
-from .metrics import RunSummary, emit_summary_table, summarize_all
+from .metrics import emit_summary_table, summarize_all
 from .policy import PolicyConfig
 from .simulate import load_scenario_dir, scenario_source, scenario_suite_canonical
 from .trace_io import ReplaySource, read_records, read_trace, write_records
@@ -104,7 +105,7 @@ def build_parser() -> _Parser:
     p_rep.add_argument("--traces", metavar="DIR", required=True, help="trace JSONL directory")
     _add_common(p_rep)
 
-    p_rpt = sub.add_parser("report", help="aggregate record files into summary and plot data")
+    p_rpt = sub.add_parser("report", help="aggregate record files into summary.csv")
     p_rpt.add_argument("--records", metavar="DIR",
                        help="directory holding record JSONL files (default: --out)")
     p_rpt.add_argument("--out", metavar="DIR", required=True, help="output directory")
@@ -185,7 +186,7 @@ class Example(NamedTuple):
     gold: float
     example_id: str
     model: str
-    served_bits: Optional[int]  # the trace's recorded precision; None takes cfg["bits"]
+    served_bits: int  # a trace header's precision; bits, when set, overrides it
 
 
 def _run_grid(examples: Sequence[Example], cfg: dict, out_dir: Path, command: str,
@@ -196,7 +197,7 @@ def _run_grid(examples: Sequence[Example], cfg: dict, out_dir: Path, command: st
         for method in cfg["methods"]:
             records = []
             for ex in examples:
-                served = cfg["bits"] if ex.served_bits is None else ex.served_bits
+                served = ex.served_bits if cfg["bits"] is None else cfg["bits"]
                 engine_cfg = build_engine_config(cfg, method, budget, served)
                 records.append(run_episode(ex.source(engine_cfg.chunk_size), engine_cfg,
                                            gold=ex.gold, example_id=ex.example_id,
@@ -221,8 +222,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise TraceParseError(args.scenarios, "no scenario files found")
     else:
         scenarios = scenario_suite_canonical()
-    examples = [Example(partial(scenario_source, s), s.gold_answer, s.scenario_id, "sim", None)
-                for s in scenarios]
+    examples = [Example(partial(scenario_source, s), s.gold_answer, s.scenario_id, "sim",
+                        cfg["bits"]) for s in scenarios]
     _run_grid(examples, cfg, Path(args.out), "simulate")
     return 0
 
@@ -234,7 +235,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if not paths:
         raise TraceParseError(trace_dir, "no trace files found")
     # bits from a flag or the config file overrides every trace header's.
-    recorded_bits = "bits" not in _user_config(args)
+    if "bits" not in _user_config(args):
+        cfg["bits"] = None
     examples = []
     for path in paths:
         try:
@@ -243,35 +245,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             continue
         examples.append(Example(lambda _, steps=steps: ReplaySource(steps), meta.gold_answer,
-                                meta.example_id, meta.model,
-                                meta.served_bits if recorded_bits else None))
+                                meta.example_id, meta.model, meta.served_bits))
     if not examples:
         raise TraceParseError(trace_dir, "every trace file failed to parse")
     # Post-divergence chunks come from the producing run and are counterfactual
     # under this controller.
     _run_grid(examples, cfg, Path(args.out), "replay", counterfactual_replay=True)
     return 2 if len(examples) < len(paths) else 0
-
-
-# Each plot CSV is method,budget,<columns>,model, one row per RunSummary. A
-# column is the RunSummary attribute of that name unless _PLOT_ATTR renames it,
-# printed with six decimals.
-_PLOT_COLUMNS = {
-    "accuracy_ci.csv": ("accuracy", "ci_low", "ci_high"),
-    "premature_stop.csv": ("premature_stop",),
-    "pareto.csv": ("avg_tokens", "accuracy"),
-    "budget_sweep.csv": ("accuracy", "avg_tokens"),
-}
-_PLOT_ATTR = {"premature_stop": "premature_stop_pct"}
-
-
-def _emit_plot_data(summaries: Sequence[RunSummary], out_dir: Path) -> None:
-    for name, columns in _PLOT_COLUMNS.items():
-        lines = [",".join(["method", "budget", *columns, "model"])]
-        for s in summaries:
-            values = [f"{getattr(s, _PLOT_ATTR.get(c, c)):.6f}" for c in columns]
-            lines.append(",".join([s.method, str(s.budget), *values, s.model]))
-        (out_dir / name).write_text("\n".join(lines) + "\n")
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -289,7 +269,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise EmptyRunError(f"record files under {records_dir} hold no records")
     summaries = summarize_all(records)
     emit_summary_table(summaries, out_dir / "summary.csv")
-    _emit_plot_data(summaries, out_dir)
     for s in summaries:
         savings = "-" if s.savings_pct is None else f"{s.savings_pct:.1f}%"
         print(f"{s.method} B={s.budget}: acc={s.accuracy:.1f}% "

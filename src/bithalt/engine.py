@@ -16,7 +16,6 @@ from .policy import (
     ActionKind,
     MarkerState,
     PolicyConfig,
-    Reason,
     decide,
     update_marker,
 )
@@ -38,18 +37,6 @@ class StopCause(str, Enum):
     CONFIDENT_STOP = "confident_stop"
     ESCALATE = "escalate"
     TAIL_STOP = "tail_stop"
-
-
-_STOP_REASON_CAUSE = {
-    Reason.BUFFER_STOP: StopCause.BUFFER_STOP,
-    Reason.CONFIDENT_STOP: StopCause.CONFIDENT_STOP,
-    Reason.ENTROPY_ESCALATE: StopCause.ESCALATE,
-    Reason.TAIL_STOP: StopCause.TAIL_STOP,
-}
-
-# Controller-initiated terminations; EOS and budget exhaustion are excluded,
-# so fixed decoding can never register an early halt.
-CONTROLLER_STOPS = frozenset(_STOP_REASON_CAUSE.values())
 
 
 class TokenSource(Protocol):
@@ -201,7 +188,8 @@ def run_episode(
             actions.append((action.kind.value, action.reason.value, tokens_used))
             if action.kind is ActionKind.CONTINUE:
                 continue
-            stop = _STOP_REASON_CAUSE[action.reason]
+            named = action.reason if action.kind is ActionKind.STOP else action.kind
+            stop = StopCause(named.value)  # a STOP by its reason, the ESCALATE by its kind
             break
     except (BithaltError, OSError) as exc:  # source failure: keep the episode, flag it
         logger.warning("episode %s errored mid-run: %s", example_id, exc)
@@ -213,7 +201,8 @@ def run_episode(
 
     predicted = extract_answer(text, pol_cfg.marker)
     correct = error is None and predicted is not None and answers_match(predicted, gold)
-    early = stop in CONTROLLER_STOPS and tokens_used < cfg.budget
+    # EOS and budget exhaustion are not controller stops: fixed never halts early.
+    early = stop not in (StopCause.EOS, StopCause.BUDGET_EXHAUSTED) and tokens_used < cfg.budget
 
     return EpisodeRecord(
         example_id=example_id,

@@ -104,32 +104,25 @@ def summarize(
     )
 
 
-def group_records(
-    records: Sequence[EpisodeRecord],
-) -> Dict[Tuple[str, str, int], List[EpisodeRecord]]:
-    groups: Dict[Tuple[str, str, int], List[EpisodeRecord]] = {}
-    for r in records:
-        groups.setdefault((r.model, r.method, r.budget), []).append(r)
-    return groups
-
-
 def summarize_all(records: Sequence[EpisodeRecord]) -> List[RunSummary]:
     """Summarize every (model, method, budget) group, wiring each non-fixed
     group to its fixed baseline at the same (model, budget) for savings."""
     if not records:
         raise EmptyRunError("no records to summarize")
-    groups = group_records(records)
-    fixed_refs = {
-        (model, budget): summarize(recs)
-        for (model, method, budget), recs in groups.items()
-        if method == "fixed"
-    }
+    groups: Dict[Tuple[str, str, int], List[EpisodeRecord]] = {}
+    for r in records:
+        groups.setdefault((r.model, r.method, r.budget), []).append(r)
+    # Budget-major, fixed first: each fixed summary is the savings reference
+    # for the groups of its (model, budget) that follow it, and has none itself.
+    fixed_refs: Dict[Tuple[str, int], RunSummary] = {}
     summaries = []
     for (model, method, budget), recs in sorted(
         groups.items(), key=lambda kv: (kv[0][2], _METHOD_ORDER.get(kv[0][1], 99), kv[0][0])
     ):
-        ref = fixed_refs.get((model, budget)) if method != "fixed" else None
-        summaries.append(summarize(recs, fixed_reference=ref))
+        summary = summarize(recs, fixed_reference=fixed_refs.get((model, budget)))
+        if method == Method.FIXED:
+            fixed_refs[(model, budget)] = summary
+        summaries.append(summary)
     return summaries
 
 

@@ -19,8 +19,6 @@ from .policy import DEFAULT_MARKER
 from .signals import StepSignals
 from .trace_io import from_fields
 
-MARKER = DEFAULT_MARKER
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -129,7 +127,7 @@ class ScenarioSource:
         text = seg.text_template.replace("{i}", str(self._step))
         s = self.scenario
         if s.marker_at is not None and start < s.marker_at <= end:
-            text += f"\n{MARKER} {_format_answer(s.emitted_answer)}"
+            text += f"\n{DEFAULT_MARKER} {_format_answer(s.emitted_answer)}"
 
         hidden = None
         if seg.hidden_rotation is not None:
@@ -183,7 +181,7 @@ def scenario_suite_canonical() -> List[Scenario]:
             scenario_id="marker-then-revision",
             segments=(
                 Segment(144, 3.0, "Working through step {i} of the problem."),
-                Segment(16, 3.0, f"Intermediate tally {MARKER} 13"),
+                Segment(16, 3.0, f"Intermediate tally {DEFAULT_MARKER} 13"),
                 Segment(96, 1.0, "Wait, rechecking the arithmetic above."),
             ),
             gold_answer=42.0,

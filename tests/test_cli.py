@@ -5,6 +5,7 @@ import pytest
 
 from bithalt.cli import DEFAULTS, build_engine_config, build_parser, main, resolve_config
 from bithalt.engine import EngineConfig, Method
+from bithalt.metrics import SUMMARY_COLUMNS
 from bithalt.signals import StepSignals
 from bithalt.simulate import ScenarioSource, scenario_suite_canonical
 from bithalt.trace_io import TraceMeta, read_records, write_trace
@@ -119,6 +120,27 @@ class TestReplay:
         assert read_records(records["config"])[1][0].tokens_used == 160
         assert read_records(records["header"])[1][0].tokens_used == 192
 
+    def test_unset_bits_runs_each_trace_at_its_header_bits(self, tmp_path):
+        # bitcal stops marker-then-revision at 192 tokens at 4 bits, 176 at 8
+        # and 160 at 16. With bits unset, run_meta.json names no run-level bits.
+        scenario = next(s for s in scenario_suite_canonical()
+                        if s.scenario_id == "marker-then-revision")
+        source = ScenarioSource(scenario, 16)
+        steps = list(iter(lambda: source.next_chunk(16), None))
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        for bits in (4, 8, 16):
+            meta = TraceMeta(example_id=f"b{bits:02d}", gold_answer=scenario.gold_answer,
+                             model="sim", served_bits=bits)
+            write_trace(meta, steps, traces / f"b{bits:02d}.jsonl")
+        out = tmp_path / "out"
+        assert run_cli("replay", "--traces", str(traces), "--methods", "bitcal",
+                       "--out", str(out)) == 0
+        _, records = read_records(out / "records_bitcal_b512.jsonl")
+        assert [(r.example_id, r.tokens_used) for r in records] == [
+            ("b04", 192), ("b08", 176), ("b16", 160)]
+        assert json.loads((out / "run_meta.json").read_text())["config"]["bits"] is None
+
     def test_byte_identical_reruns(self, tmp_path):
         traces = make_trace_dir(tmp_path, n=2)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -133,28 +155,26 @@ class TestReport:
         out = tmp_path / "out"
         assert run_cli("simulate", "--out", str(out)) == 0
         assert run_cli("report", "--out", str(out)) == 0
-        for name in ("summary.csv", "accuracy_ci.csv", "premature_stop.csv",
-                     "pareto.csv", "budget_sweep.csv"):
-            assert (out / name).exists()
+        assert [p.name for p in out.glob("*.csv")] == ["summary.csv"]
         summary = (out / "summary.csv").read_text().splitlines()
         assert len(summary) == 4  # header + 3 methods
 
-    def test_pareto_shape_for_grid(self, tmp_path):
+    def test_summary_shape_for_grid(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("simulate", "--budgets", "256,512,1024", "--out", str(out)) == 0
         assert run_cli("report", "--out", str(out)) == 0
-        pareto = (out / "pareto.csv").read_text().splitlines()
-        assert pareto[0] == "method,budget,avg_tokens,accuracy,model"
-        assert len(pareto) == 10  # header + 3 methods x 3 budgets
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary[0] == SUMMARY_COLUMNS
+        assert len(summary) == 10  # header + 3 methods x 3 budgets
 
     def test_ci_columns_for_every_accuracy_cell(self, tmp_path):
         out = tmp_path / "out"
-        assert run_cli("simulate", "--out", str(out)) == 0
+        assert run_cli("simulate", "--budgets", "256,512,1024", "--out", str(out)) == 0
         assert run_cli("report", "--out", str(out)) == 0
-        rows = (out / "accuracy_ci.csv").read_text().splitlines()[1:]
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
         for row in rows:
-            fields = row.split(",")
-            assert float(fields[3]) <= float(fields[2]) <= float(fields[4])
+            accuracy, ci_low, ci_high = map(float, row.split(",")[3:6])
+            assert ci_low <= accuracy <= ci_high
 
     def test_empty_record_set_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "empty"

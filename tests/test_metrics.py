@@ -168,6 +168,26 @@ class TestSummarizeAll:
             100 * (255 - 243) / 255)
         assert summaries[("fixed", 512)].savings_pct is None
 
+    def test_two_models_with_fixed_groups_last(self):
+        fixed_tokens = {("7b", 512): 466, ("14b", 512): 400, ("7b", 256): 255,
+                        ("14b", 256): 250}
+        records = (
+            build_group("bitcal", 512, 10, 8, 1, 316, model="7b")
+            + build_group("adaptive", 256, 10, 5, 1, 200, model="14b")
+            + build_group("bitcal", 256, 10, 8, 1, 150, model="7b")
+            + build_group("bitcal", 512, 10, 8, 1, 300, model="14b")
+        )
+        for (model, budget), tokens in fixed_tokens.items():
+            records += build_group("fixed", budget, 10, 9, 0, tokens, model=model)
+        summaries = summarize_all(records)
+        assert len(summaries) == 8
+        for s in summaries:
+            if s.method == "fixed":
+                assert s.savings_pct is None
+            else:
+                ref = fixed_tokens[(s.model, s.budget)]
+                assert s.savings_pct == pytest.approx(100 * (ref - s.avg_tokens) / ref)
+
 
 class TestSummaryTable:
     def test_ordering_and_shape(self):
