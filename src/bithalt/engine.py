@@ -19,7 +19,7 @@ from .policy import (
     decide,
     update_marker,
 )
-from .signals import SignalReadout, StepSignals
+from .signals import RunningSignals, StepSignals
 
 logger = logging.getLogger(__name__)
 
@@ -144,16 +144,16 @@ def run_episode(
     """Run one example to termination and score it.
 
     Loop: request min(chunk_size, remaining budget) tokens, append, track the
-    first marker sighting, and (unless method is fixed) ask the policy for an
-    action. EOS from the source ends the episode before the policy is
-    consulted for that step; running out of budget ends it after the loop.
+    first marker sighting (scanning only text a new sighting can overlap), and
+    (unless method is fixed) ask the policy for an action on the episode's
+    RunningSignals readout. EOS from the source ends the episode before the
+    policy is consulted for that step; running out of budget ends it after the loop.
     """
     cal_cfg, pol_cfg = cfg.resolved()
     text = ""
     tokens_used = 0
     steps = 0
-    chunks: List[str] = []
-    hiddens: List = []
+    signals = RunningSignals()
     marker = MarkerState()
     actions: List[Tuple[str, str, int]] = []
     stop: Optional[StopCause] = None
@@ -171,16 +171,15 @@ def run_episode(
             tokens_used += min(step.tokens_in_chunk, request)
             steps += 1
             text += step.chunk_text
-            chunks.append(step.chunk_text)
-            if step.hidden is not None:
-                hiddens.append(step.hidden)
-            marker = update_marker(marker, text, tokens_used, pol_cfg.marker)
+            if marker.first_marker_tokens is None:
+                tail = text[max(0, len(text) - len(step.chunk_text) - len(pol_cfg.marker) + 1):]
+                marker = update_marker(marker, tail, tokens_used, pol_cfg.marker)
             if step.eos:
                 stop = StopCause.EOS
                 break
             if cfg.method is Method.FIXED:
                 continue
-            readout = SignalReadout.from_histories(step.step_entropy(), chunks, hiddens)
+            readout = signals.push(step.step_entropy(), step.chunk_text, step.hidden)
             conf = confidence(readout, cal_cfg)
             action = decide(
                 tokens_used, cfg.budget - tokens_used, readout.entropy, conf, marker, pol_cfg

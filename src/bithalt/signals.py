@@ -1,14 +1,15 @@
 """Online per-step signals: token entropy and the two stability proxies.
 
-All functions here are pure; the engine feeds them the accumulated chunk and
-hidden-state histories after every decoding step.
+The functions here are pure and read whole histories. The engine holds one
+RunningSignals per episode instead: the same readouts, with O(1) work per step.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +27,9 @@ HIDDEN_NORM_EPS = 1e-8
 # code points, after stripping leading/trailing whitespace) to count toward
 # trace stability.
 MIN_CHUNK_CHARS = 8
+
+# Built-in sum() compensates float sums (Neumaier) from Python 3.12 on.
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
 
 
 @dataclass(frozen=True)
@@ -52,10 +56,12 @@ class StepSignals:
             raise InvalidInputError("entropy must be finite")
 
     def step_entropy(self) -> float:
-        """Entropy in nats, computing it from the distribution if needed."""
+        """Entropy in nats, computed from the distribution at most once per step."""
         if self.entropy is not None:
             return self.entropy
-        return entropy(self.distribution)
+        if "_entropy" not in self.__dict__:  # a memo, not a field: out of == and files
+            object.__setattr__(self, "_entropy", entropy(self.distribution))
+        return self.__dict__["_entropy"]
 
 
 @dataclass(frozen=True)
@@ -80,6 +86,51 @@ class SignalReadout:
             hidden_stability=min(max(raw, 0.0), 1.0),
             hidden_stability_raw=raw,
         )
+
+
+class RunningSignals:
+    """``SignalReadout.from_histories`` over one episode's steps, updated with
+    O(1) work per step and bit-identical floats. Each hidden vector is validated
+    and normalized once, when hidden_stability would first read it."""
+
+    def __init__(self):
+        self._prev_chunk = ""  # shorter than MIN_CHUNK_CHARS: the first pair is not eligible
+        self._eligible = self._equal = self._n = 0
+        self._pending: List = []  # hidden vectors not yet read: the first, until a second
+        self._dim = self._prev_unit = None
+        self._sum = self._comp = 0.0  # cosine sum, and its compensation
+
+    def push(self, step_entropy: float, chunk_text: str, hidden) -> SignalReadout:
+        """Append one step to the histories and return the readout over them."""
+        cur = chunk_text.strip()
+        if min(len(self._prev_chunk), len(cur)) >= MIN_CHUNK_CHARS:
+            self._eligible += 1
+            self._equal += self._prev_chunk == cur
+        self._prev_chunk = cur
+        if hidden is not None:
+            self._pending.append(hidden)
+        if len(self._pending) > 1 or (self._pending and self._prev_unit is not None):
+            for v in [np.asarray(h, dtype=float) for h in self._pending]:
+                self._dim = v.shape if self._dim is None else self._dim
+                if v.ndim != 1 or v.shape != self._dim:
+                    raise InvalidInputError("hidden vectors must share one dimension")
+                if not np.all(np.isfinite(v)):
+                    raise InvalidInputError("hidden vector contains non-finite entries")
+                unit = v / (np.linalg.norm(v) + HIDDEN_NORM_EPS)
+                if self._prev_unit is not None:
+                    self._add(float(self._prev_unit @ unit))
+                self._prev_unit = unit
+            self._pending = []
+        raw = (self._sum + self._comp if self._comp else self._sum) / self._n if self._n else 1.0
+        trace = 1.0 if self._eligible < 2 else self._equal / self._eligible
+        return SignalReadout(step_entropy, trace, min(max(raw, 0.0), 1.0), raw)
+
+    def _add(self, x: float) -> None:
+        """Add one cosine exactly as built-in sum() would, in the same order."""
+        t = self._sum + x
+        if _COMPENSATED_SUM:
+            self._comp += (self._sum - t) + x if abs(self._sum) >= abs(x) else (x - t) + self._sum
+        self._sum, self._n = t, self._n + 1
 
 
 def entropy(distribution: Sequence[float]) -> float:

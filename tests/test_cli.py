@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from bithalt import signals
 from bithalt.cli import DEFAULTS, build_engine_config, build_parser, main, resolve_config
 from bithalt.engine import EngineConfig, Method
 from bithalt.metrics import SUMMARY_COLUMNS
@@ -82,6 +83,21 @@ class TestSimulate:
 
 
 class TestReplay:
+    def test_entropy_parsed_once_per_step_across_the_grid(self, tmp_path, monkeypatch):
+        # One parsed step object serves every method x budget cell.
+        vocab = 64
+        steps = [StepSignals(chunk_text=f"thinking {j}\n", tokens_in_chunk=16,
+                             distribution=[1.0 / vocab] * vocab) for j in range(12)]
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        write_trace(TraceMeta(example_id="p", gold_answer=42.0), steps, traces / "p.jsonl")
+        calls = []
+        real = signals.entropy
+        monkeypatch.setattr(signals, "entropy", lambda d: calls.append(1) or real(d))
+        assert run_cli("replay", "--traces", str(traces), "--budgets", "256,512",
+                       "--out", str(tmp_path / "out")) == 0
+        assert 0 < len(calls) <= len(steps)
+
     def test_replays_every_trace(self, tmp_path):
         traces = make_trace_dir(tmp_path, n=3)
         out = tmp_path / "out"
@@ -269,6 +285,7 @@ class TestDeterminism:
 
 GOLDEN_RECORDS = Path(__file__).resolve().parent / "data" / "golden_records_b512"
 GOLDEN_REPORT = Path(__file__).resolve().parent / "data" / "golden_report_b512"
+GOLDEN_RECORDS_K1 = Path(__file__).resolve().parent / "data" / "golden_records_k1_b2048"
 
 
 class TestGoldenRecords:
@@ -276,6 +293,17 @@ class TestGoldenRecords:
         out = tmp_path / "out"
         assert run_cli("simulate", "--bits", "4", "--out", str(out)) == 0
         golden = sorted(GOLDEN_RECORDS.glob("records_*.jsonl"))
+        assert [p.name for p in golden] == sorted(p.name for p in out.glob("records_*.jsonl"))
+        for path in golden:
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_canonical_suite_at_k1_reproduces_golden_records(self, tmp_path):
+        # Episodes of up to 2,017 one-token steps: the marker scan and the
+        # running signal state must give the batch readout's records exactly.
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--chunk-size", "1", "--budgets", "2048", "--bits", "4",
+                       "--out", str(out)) == 0
+        golden = sorted(GOLDEN_RECORDS_K1.glob("records_*.jsonl"))
         assert [p.name for p in golden] == sorted(p.name for p in out.glob("records_*.jsonl"))
         for path in golden:
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name

@@ -12,6 +12,7 @@ from bithalt.engine import (
     run_episode,
 )
 from bithalt.errors import ConfigError, InvalidInputError
+from bithalt.policy import PolicyConfig, update_marker
 from bithalt.signals import StepSignals
 from bithalt.simulate import Scenario, Segment, scenario_source
 
@@ -218,3 +219,51 @@ class TestRunEpisode:
     def test_invalid_budget_rejected(self):
         with pytest.raises(ConfigError):
             EngineConfig(method=Method.FIXED, budget=8, chunk_size=16)
+
+
+class TestMarkerWindow:
+    """The marker scan reads only the new chunk plus len(marker) - 1 characters
+    before it, and stops once the marker is seen."""
+
+    @pytest.mark.parametrize("method", ["fixed", "bitcal"])
+    @pytest.mark.parametrize("split", [1, 2, 3])
+    def test_marker_split_across_chunks(self, method, split):
+        # "... #" then "### 42", and the splits that leave more of it behind.
+        steps = [("so the total is 42 " + "#" * split, 16, 1.0, False),
+                 ("#" * (4 - split) + " 42\n", 16, 1.0, False),
+                 ("checking it again\n", 16, 1.0, True)]
+        rec = run_episode(ScriptedSource(steps), engine_cfg(method), 42.0, "split")
+        assert rec.first_marker_tokens == 32
+        assert rec.correct is True
+
+    def test_multi_character_custom_marker(self):
+        steps = [("reasoning step\n", 16, 1.0, False)] * 3 + [
+            ("so the ANS", 16, 1.0, False), ("WER: 7\n", 16, 1.0, False),
+            ("ANSWER: 9\n", 16, 1.0, True)]
+        cfg = engine_cfg("adaptive", policy=PolicyConfig(marker="ANSWER:"))
+        rec = run_episode(ScriptedSource(steps), cfg, 9.0, "custom")
+        assert rec.first_marker_tokens == 80
+        assert rec.predicted_answer == 9.0
+
+    def test_marker_in_first_chunk(self):
+        steps = [("#### 5\n", 12, 1.0, False), ("more text\n", 16, 1.0, True)]
+        rec = run_episode(ScriptedSource(steps), engine_cfg("fixed"), 5.0, "first")
+        assert rec.first_marker_tokens == 12
+
+    @pytest.mark.parametrize("method", ["fixed", "adaptive"])
+    def test_scan_window_is_flat_and_ends_at_the_sighting(self, monkeypatch, method):
+        scanned = []
+
+        def spy(state, full_text, cumulative_tokens, marker="####"):
+            scanned.append(len(full_text))
+            return update_marker(state, full_text, cumulative_tokens, marker)
+
+        monkeypatch.setattr("bithalt.engine.update_marker", spy)
+        chunk = "reasoning step {:03d}\n"
+        steps = [(chunk.format(i), 4, 1.0, False) for i in range(200)]
+        steps[150] = ("answer #### 7\n", 4, 1.0, False)
+        rec = run_episode(ScriptedSource(steps), engine_cfg(method, budget=1024, chunk_size=4),
+                          7.0, "window")
+        assert rec.first_marker_tokens == 151 * 4
+        assert len(scanned) == 151
+        assert max(scanned) <= len(chunk.format(0)) + len("####") - 1

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bithalt import signals
 from bithalt.errors import InvalidDistributionError, InvalidInputError
 from bithalt.signals import (
+    RunningSignals,
+    SignalReadout,
     StepSignals,
     entropy,
     hidden_stability,
@@ -189,3 +192,88 @@ class TestStepSignals:
     def test_non_finite_entropy_rejected(self):
         with pytest.raises(InvalidInputError):
             StepSignals(chunk_text="x", tokens_in_chunk=1, entropy=float("nan"))
+
+    def test_entropy_computed_once_per_step(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(signals, "entropy", lambda d: calls.append(d) or 1.25)
+        s = StepSignals(chunk_text="x", tokens_in_chunk=1, distribution=[0.5, 0.5])
+        assert [s.step_entropy() for _ in range(3)] == [1.25] * 3
+        assert len(calls) == 1
+        # The memo is not a field: equality and the stored distribution are unchanged.
+        assert s == StepSignals(chunk_text="x", tokens_in_chunk=1, distribution=[0.5, 0.5])
+        assert s.distribution == [0.5, 0.5]
+
+    def test_invalid_distribution_raises_on_every_read(self):
+        s = StepSignals(chunk_text="x", tokens_in_chunk=1, distribution=[0.5, 0.4])
+        for _ in range(2):
+            with pytest.raises(InvalidDistributionError):
+                s.step_entropy()
+
+
+# Chunks that are short, whitespace-padded or repeated, so that every trace
+# stability case occurs; hidden vectors include zero and anti-parallel ones.
+CHUNKS = st.one_of(
+    st.sampled_from(["abcdefgh", "  abcdefgh\n", "\tabcdefgh ", "ijklmnopq", "hi", "", " "]),
+    st.text(alphabet="ab \n", max_size=12),
+)
+BASE = (0.6, -0.8, 0.0)
+HIDDEN = st.one_of(
+    st.none(),
+    st.sampled_from([BASE, tuple(-x for x in BASE), (0.0, 0.0, 0.0), (2.0, 0.0, -1.0)]),
+    st.tuples(*[st.floats(min_value=-5, max_value=5)] * 3),
+)
+STEPS = st.lists(st.tuples(st.floats(min_value=0, max_value=12), CHUNKS, HIDDEN), max_size=25)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+class TestRunningSignals:
+    @given(STEPS)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_batch_readout_at_every_prefix(self, steps):
+        running = RunningSignals()
+        chunks, hiddens = [], []
+        for h, chunk, hidden in steps:
+            chunks.append(chunk)
+            if hidden is not None:
+                hiddens.append(hidden)
+            assert running.push(h, chunk, hidden) == SignalReadout.from_histories(
+                h, chunks, hiddens)
+
+    @given(st.lists(st.tuples(CHUNKS, st.one_of(
+        HIDDEN, st.sampled_from([(float("nan"), 1.0, 0.0), (1.0, 0.0), ((1.0, 0.0, 0.0),)]))),
+        max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_malformed_hidden_fails_at_the_same_prefix(self, steps):
+        running = RunningSignals()
+        chunks, hiddens = [], []
+        for chunk, hidden in steps:
+            chunks.append(chunk)
+            if hidden is not None:
+                hiddens.append(hidden)
+            expected = _outcome(lambda: SignalReadout.from_histories(1.0, chunks, hiddens))
+            assert _outcome(lambda: running.push(1.0, chunk, hidden)) == expected
+            if isinstance(expected, str):
+                break
+
+    def test_anti_parallel_raw_is_clipped(self):
+        running = RunningSignals()
+        running.push(1.0, "a", BASE)
+        readout = running.push(1.0, "b", tuple(-x for x in BASE))
+        assert readout.hidden_stability_raw < 0
+        assert readout.hidden_stability == 0.0
+
+    def test_compensated_sum_matches_python_312_sum(self, monkeypatch):
+        # From Python 3.12 on, sum([0.1] * 10) == 1.0 and sum([1e16, 1.0, -1e16]) == 1.0;
+        # a plain left-to-right sum gives 0.9999999999999999 and 0.0.
+        monkeypatch.setattr(signals, "_COMPENSATED_SUM", True)
+        for xs in ([0.1] * 10, [1e16, 1.0, -1e16]):
+            running = RunningSignals()
+            for x in xs:
+                running._add(x)
+            assert running._sum + running._comp == 1.0

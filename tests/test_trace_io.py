@@ -122,6 +122,50 @@ class TestTraceValidation:
         assert rec.correct is True
 
 
+def _working(i, hidden=None):
+    return StepSignals(chunk_text=f"working line {i}\n", tokens_in_chunk=16, entropy=3.0,
+                       hidden=hidden)
+
+
+class TestMalformedHidden:
+    """A malformed hidden vector errors an adaptive or bitcal episode at the
+    first decision with two or more hidden vectors, never on an eos step, and
+    never a fixed one. Expected values were taken from the batch signal path."""
+
+    CASES = {
+        # NaN in the first vector: read only once a second vector arrives.
+        "nan": ([_working(0, (float("nan"), 1.0)), _working(1), _working(2, (1.0, 0.0))]
+                + [_working(i, (1.0, 0.0)) for i in range(3, 10)],
+                3, 48, "InvalidInputError: hidden vector contains non-finite entries"),
+        "dim": ([_working(i, (1.0, 0.0)) for i in range(5)] + [_working(5, (1.0, 0.0, 0.0))]
+                + [_working(i, (1.0, 0.0)) for i in range(6, 10)],
+                6, 96, "InvalidInputError: hidden vectors must share one dimension"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_error_step_matches_batch_path(self, tmp_path, name):
+        steps, n_steps, tokens, error = self.CASES[name]
+        write_trace(TraceMeta(example_id=name, gold_answer=42.0), steps, tmp_path / "t.jsonl")
+        _, got = read_trace(tmp_path / "t.jsonl")
+        for method in Method:
+            rec = run_episode(ReplaySource(got), EngineConfig(method, 512), 42.0, name)
+            if method is Method.FIXED:
+                assert (rec.steps, rec.tokens_used, rec.error) == (10, 160, None)
+            else:
+                assert (rec.steps, rec.tokens_used, rec.error) == (n_steps, tokens, error)
+                assert rec.stop_cause == "eos" and rec.correct is False
+
+    def test_malformed_vector_on_eos_step_is_never_read(self, tmp_path):
+        steps = [_working(0, (1.0, 0.0))] + [_working(i) for i in range(1, 9)] + [
+            StepSignals(chunk_text="#### 42\n", tokens_in_chunk=8, entropy=0.5,
+                        hidden=(float("nan"), 0.0), eos=True)]
+        write_trace(TraceMeta(example_id="eos", gold_answer=42.0), steps, tmp_path / "t.jsonl")
+        _, got = read_trace(tmp_path / "t.jsonl")
+        for method in Method:
+            rec = run_episode(ReplaySource(got), EngineConfig(method, 512), 42.0, "eos")
+            assert (rec.steps, rec.tokens_used, rec.error, rec.correct) == (10, 152, None, True)
+
+
 def sample_record(i=0, **overrides):
     base = dict(
         example_id=f"ex-{i:04d}",
