@@ -1,64 +1,7 @@
 """bithalt: bit-aware halting controller and evaluation harness for budgeted
-chunked decoding."""
+chunked decoding.
 
-from .calibrate import CalibratorConfig, bit_scale, confidence, normalized_uncertainty
-from .engine import (
-    EngineConfig,
-    EpisodeRecord,
-    Method,
-    StopCause,
-    answers_match,
-    extract_answer,
-    run_episode,
-)
-from .metrics import RunSummary, emit_summary_table, summarize, summarize_all, wilson_interval
-from .policy import (
-    Action,
-    ActionKind,
-    MarkerState,
-    PolicyConfig,
-    Reason,
-    decide,
-    tail_length,
-    update_marker,
-)
-from .signals import SignalReadout, StepSignals, entropy, hidden_stability, trace_stability
-from .simulate import Scenario, Segment, scenario_source, scenario_suite_canonical
-
-__all__ = [
-    "Action",
-    "ActionKind",
-    "CalibratorConfig",
-    "EngineConfig",
-    "EpisodeRecord",
-    "MarkerState",
-    "Method",
-    "PolicyConfig",
-    "Reason",
-    "RunSummary",
-    "Scenario",
-    "Segment",
-    "SignalReadout",
-    "StepSignals",
-    "StopCause",
-    "answers_match",
-    "bit_scale",
-    "confidence",
-    "decide",
-    "emit_summary_table",
-    "entropy",
-    "extract_answer",
-    "hidden_stability",
-    "normalized_uncertainty",
-    "run_episode",
-    "scenario_source",
-    "scenario_suite_canonical",
-    "summarize",
-    "summarize_all",
-    "tail_length",
-    "trace_stability",
-    "update_marker",
-    "wilson_interval",
-]
+Import library code from its module, for example ``bithalt.engine.run_episode``.
+"""
 
 __version__ = "0.1.0"

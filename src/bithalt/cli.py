@@ -6,13 +6,15 @@ sweep runs either one, then report. A replayed trace runs at the bit width in
 its header unless bits is set by a flag or the config file; if it is not,
 run_meta.json reads "bits": null.
 
-Config resolution is layered: built-in defaults <- optional JSON config file
-(--config) <- explicit command-line flags, highest wins. The built-in defaults
-are the field defaults of CalibratorConfig, PolicyConfig and EngineConfig,
-read through CONFIG_FIELDS. Episodes run serially; --jobs is still accepted
-for compatibility and changes nothing. All outputs are deterministic: no
-timestamps in payload files, episode records sorted by example id, stable
-float formatting.
+Config resolution is layered: built-in defaults <- the command's own defaults
+<- optional JSON config file (--config) <- explicit command-line flags, highest
+wins; null means unset. The built-in defaults are the field defaults of
+CalibratorConfig, PolicyConfig and EngineConfig, read through CONFIG_FIELDS.
+A flag's text and a config-file value are parsed by one rule, the key's default
+type applied to the value's text, and a value that fails it is a usage error
+naming the key. Episodes run serially; --jobs is still accepted for
+compatibility and changes nothing. All outputs are deterministic: no timestamps
+in payload files, episode records sorted by example id, stable float formatting.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error.
 """
@@ -30,10 +32,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .calibrate import CalibratorConfig
 from .engine import EngineConfig, Method, TokenSource, run_episode
 from .errors import BithaltError, ConfigError, EmptyRunError, TraceParseError
-from .metrics import emit_summary_table, summarize_all
+from .metrics import emit_summary_table, format_summary_rows, summarize_all
 from .policy import PolicyConfig
 from .simulate import load_scenario_dir, scenario_source, scenario_suite_canonical
-from .trace_io import ReplaySource, read_records, read_trace, write_records
+from .trace_io import ReplaySource, read_records, read_trace, write_records, write_text
 
 VALID_METHODS = tuple(m.value for m in Method)
 
@@ -83,9 +85,7 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--budgets", metavar="LIST",
                    help=f"comma-separated token budgets B (default: {DEFAULTS['budgets']})")
     for key, (_, _, text) in CONFIG_FIELDS.items():
-        default = DEFAULTS[key]
-        p.add_argument("--" + key.replace("_", "-"), type=type(default),
-                       help=f"{text} (default: {default!r})")
+        p.add_argument("--" + key.replace("_", "-"), help=f"{text} (default: {DEFAULTS[key]!r})")
     p.add_argument("--jobs", type=int, metavar="N",
                    help="accepted for compatibility; episodes run serially")
     p.add_argument("--out", metavar="DIR", required=True, help="output directory")
@@ -135,27 +135,31 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def _user_config(args: argparse.Namespace) -> dict:
-    """The keys set by the config file or by flags, flags winning."""
-    cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    return cfg
+def _parse(key: str, value):
+    """The one parse rule for flags and config values: the key's default type
+    applied to the value's text."""
+    kind = type(DEFAULTS[key])
+    try:
+        return kind(str(value))
+    except ValueError:
+        raise UsageError(f"{key} must be {kind.__name__}, got {value!r}")
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    cfg = {**DEFAULTS, **_user_config(args)}
+def resolve_config(args: argparse.Namespace, **command_defaults) -> dict:
+    """Built-in defaults <- command defaults <- config file <- flags; None is unset."""
+    cfg = {**DEFAULTS, **command_defaults}
+    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    for layer in (file_cfg, {key: getattr(args, key, None) for key in DEFAULTS}):
+        cfg.update((k, _parse(k, v)) for k, v in layer.items() if v is not None)
 
-    methods = [m.strip() for m in str(cfg["methods"]).split(",") if m.strip()]
+    methods = [m.strip() for m in cfg["methods"].split(",") if m.strip()]
     for m in methods:
         if m not in VALID_METHODS:
             raise UsageError(f"unknown method {m!r}; valid methods: {', '.join(VALID_METHODS)}")
     if not methods:
         raise UsageError("at least one method is required")
     try:
-        budgets = [int(b) for b in str(cfg["budgets"]).split(",") if b.strip()]
+        budgets = [int(b) for b in cfg["budgets"].split(",") if b.strip()]
     except ValueError:
         raise UsageError(f"budgets must be a comma-separated integer list, got {cfg['budgets']!r}")
     if not budgets:
@@ -182,11 +186,11 @@ def build_engine_config(cfg: dict, method: str, budget: int, served_bits: int) -
 class Example(NamedTuple):
     """One row of the grid: how to stream it, and how to score it."""
 
-    source: Callable[[int], TokenSource]  # chunk size -> a fresh token stream
+    source: Callable[[], TokenSource]  # a fresh token stream per call
     gold: float
     example_id: str
     model: str
-    served_bits: int  # a trace header's precision; bits, when set, overrides it
+    served_bits: int
 
 
 def _run_grid(examples: Sequence[Example], cfg: dict, out_dir: Path, command: str,
@@ -197,9 +201,8 @@ def _run_grid(examples: Sequence[Example], cfg: dict, out_dir: Path, command: st
         for method in cfg["methods"]:
             records = []
             for ex in examples:
-                served = ex.served_bits if cfg["bits"] is None else cfg["bits"]
-                engine_cfg = build_engine_config(cfg, method, budget, served)
-                records.append(run_episode(ex.source(engine_cfg.chunk_size), engine_cfg,
+                engine_cfg = build_engine_config(cfg, method, budget, ex.served_bits)
+                records.append(run_episode(ex.source(), engine_cfg,
                                            gold=ex.gold, example_id=ex.example_id,
                                            model=ex.model))
             records.sort(key=lambda r: r.example_id)
@@ -211,7 +214,7 @@ def _run_grid(examples: Sequence[Example], cfg: dict, out_dir: Path, command: st
             print(f"{method} B={budget}: n={len(records)} correct={n_correct} "
                   f"avg_tokens={avg:.1f}")
     meta = {"command": command, "config": {k: cfg[k] for k in sorted(cfg, key=str)}}
-    (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2, default=str) + "\n")
+    write_text(out_dir / "run_meta.json", json.dumps(meta, indent=2) + "\n")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -222,21 +225,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise TraceParseError(args.scenarios, "no scenario files found")
     else:
         scenarios = scenario_suite_canonical()
-    examples = [Example(partial(scenario_source, s), s.gold_answer, s.scenario_id, "sim",
-                        cfg["bits"]) for s in scenarios]
+    examples = [Example(partial(scenario_source, s, cfg["chunk_size"]), s.gold_answer,
+                        s.scenario_id, "sim", cfg["bits"]) for s in scenarios]
     _run_grid(examples, cfg, Path(args.out), "simulate")
     return 0
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+    # Unless bits is set, each trace runs at the bits in its header.
+    cfg = resolve_config(args, bits=None)
     trace_dir = Path(args.traces)
     paths = sorted(trace_dir.glob("*.jsonl"))
     if not paths:
         raise TraceParseError(trace_dir, "no trace files found")
-    # bits from a flag or the config file overrides every trace header's.
-    if "bits" not in _user_config(args):
-        cfg["bits"] = None
     examples = []
     for path in paths:
         try:
@@ -244,8 +245,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
         except TraceParseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             continue
-        examples.append(Example(lambda _, steps=steps: ReplaySource(steps), meta.gold_answer,
-                                meta.example_id, meta.model, meta.served_bits))
+        examples.append(Example(partial(ReplaySource, steps), meta.gold_answer, meta.example_id,
+                                meta.model,
+                                meta.served_bits if cfg["bits"] is None else cfg["bits"]))
     if not examples:
         raise TraceParseError(trace_dir, "every trace file failed to parse")
     # Post-divergence chunks come from the producing run and are counterfactual
@@ -269,11 +271,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise EmptyRunError(f"record files under {records_dir} hold no records")
     summaries = summarize_all(records)
     emit_summary_table(summaries, out_dir / "summary.csv")
-    for s in summaries:
-        savings = "-" if s.savings_pct is None else f"{s.savings_pct:.1f}%"
-        print(f"{s.method} B={s.budget}: acc={s.accuracy:.1f}% "
-              f"[{s.ci_low:.1f}, {s.ci_high:.1f}] avg_tokens={s.avg_tokens:.1f} "
-              f"premature={s.premature_stop_pct:.1f}% savings={savings}")
+    print("\n".join(format_summary_rows(summaries)))
     return 0
 
 

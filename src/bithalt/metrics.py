@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import EpisodeRecord, Method
 from .errors import EmptyRunError, GroupingError
+from .trace_io import write_text
 
 # Standard normal quantile at 97.5%; below printed precision vs plain 1.96.
 Z95 = 1.959964
@@ -169,8 +169,4 @@ def format_summary_rows(summaries: Sequence[RunSummary]) -> List[str]:
 def emit_summary_table(summaries: Sequence[RunSummary], path) -> None:
     """CSV with one row per (method, budget) group, budget-major ordering,
     percents at one decimal and token means as integers."""
-    target = Path(path)
-    try:
-        target.write_text("\n".join(format_summary_rows(summaries)) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed writing summary to {target}: {exc}") from exc
+    write_text(path, "\n".join(format_summary_rows(summaries)) + "\n")

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 from .errors import ConfigError, TraceParseError
 from .policy import DEFAULT_MARKER
 from .signals import StepSignals
-from .trace_io import from_fields
+from .trace_io import from_fields, write_text
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class Scenario:
 
 
 def save_scenario(scenario: Scenario, path) -> None:
-    Path(path).write_text(json.dumps(scenario.to_dict(), indent=2) + "\n")
+    write_text(path, json.dumps(scenario.to_dict(), indent=2) + "\n")
 
 
 def load_scenario(path) -> Scenario:
@@ -95,17 +95,18 @@ def _format_answer(value: float) -> str:
 
 
 class ScenarioSource:
-    """TokenSource that walks a scenario's token script chunk by chunk."""
+    """TokenSource that walks a scenario's token script chunk by chunk.
+
+    chunk_size is checked, not kept: each call's max_tokens sizes its chunk.
+    """
 
     def __init__(self, scenario: Scenario, chunk_size: int):
         if chunk_size < 1:
             raise ConfigError("chunk_size must be >= 1")
         self.scenario = scenario
-        self.chunk_size = chunk_size
         self._pos = 0
         self._step = 0
         self._angle = 0.0
-        self._done = False
         self._limit = scenario.eos_at if scenario.eos_at is not None else scenario.total_tokens()
 
     def _segment_at(self, token_index: int) -> Segment:
@@ -118,7 +119,7 @@ class ScenarioSource:
         return self.scenario.segments[-1]
 
     def next_chunk(self, max_tokens: int) -> Optional[StepSignals]:
-        if self._done or self._pos >= self._limit:
+        if self._pos >= self._limit:
             return None
         n = min(max_tokens, self._limit - self._pos)
         start, end = self._pos, self._pos + n
@@ -135,8 +136,6 @@ class ScenarioSource:
             hidden = (math.cos(self._angle), math.sin(self._angle))
 
         eos = s.eos_at is not None and end >= s.eos_at
-        if eos:
-            self._done = True
         self._pos = end
         self._step += 1
         return StepSignals(

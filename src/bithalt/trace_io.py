@@ -16,12 +16,14 @@ Record file (schema ``records/v1``):
 
 Records, trace headers and scenario files are read by ``from_fields``, which
 follows the dataclass fields: a field added to one is read back with no new code.
+Every output file is written by ``write_text``, atomically.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
@@ -159,6 +161,19 @@ def read_trace(path) -> Tuple[TraceMeta, List[StepSignals]]:
     return meta, steps
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``<name>.tmp`` beside ``path``, then rename it into
+    place, so a failed write leaves the old file, or none, and no temp file."""
+    target = Path(path)
+    tmp = target.with_name(target.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, target)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise OSError(f"failed writing {target}: {exc}") from exc
+
+
 def write_trace(meta: TraceMeta, steps: List[StepSignals], path) -> None:
     header = {"schema": TRACE_SCHEMA, **{f.name: getattr(meta, f.name) for f in fields(meta)}}
     lines = [json.dumps(header)]
@@ -173,7 +188,7 @@ def write_trace(meta: TraceMeta, steps: List[StepSignals], path) -> None:
         if s.eos:
             obj["eos"] = True
         lines.append(json.dumps(obj))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def record_to_dict(rec: EpisodeRecord) -> dict:
@@ -192,11 +207,7 @@ def write_records(records: List[EpisodeRecord], path, metadata: Optional[dict] =
         header.update(metadata)
     lines = [json.dumps(header)]
     lines.extend(json.dumps(record_to_dict(r)) for r in records)
-    target = Path(path)
-    try:
-        target.write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed writing records to {target}: {exc}") from exc
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_records(path) -> Tuple[dict, List[EpisodeRecord]]:

@@ -4,12 +4,20 @@ from pathlib import Path
 import pytest
 
 from bithalt import signals
-from bithalt.cli import DEFAULTS, build_engine_config, build_parser, main, resolve_config
+from bithalt.cli import (
+    CONFIG_FIELDS,
+    DEFAULTS,
+    build_engine_config,
+    build_parser,
+    main,
+    resolve_config,
+)
 from bithalt.engine import EngineConfig, Method
 from bithalt.metrics import SUMMARY_COLUMNS
 from bithalt.signals import StepSignals
 from bithalt.simulate import ScenarioSource, scenario_suite_canonical
-from bithalt.trace_io import TraceMeta, read_records, write_trace
+from bithalt.trace_io import TraceMeta, read_records, write_records, write_trace
+from test_trace_io import sample_record
 
 
 def run_cli(*argv):
@@ -39,6 +47,20 @@ def write_scenario_traces(traces, scenarios):
         meta = TraceMeta(example_id=s.scenario_id, gold_answer=s.gold_answer, model="sim",
                          served_bits=4)
         write_trace(meta, steps, traces / f"{s.scenario_id}.jsonl")
+    return traces
+
+
+def write_header_bits_traces(traces):
+    """marker-then-revision drained at k=16 into traces with 4-, 8- and 16-bit headers."""
+    scenario = next(s for s in scenario_suite_canonical()
+                    if s.scenario_id == "marker-then-revision")
+    source = ScenarioSource(scenario, 16)
+    steps = list(iter(lambda: source.next_chunk(16), None))
+    traces.mkdir()
+    for bits in (4, 8, 16):
+        meta = TraceMeta(example_id=f"b{bits:02d}", gold_answer=scenario.gold_answer,
+                         model="sim", served_bits=bits)
+        write_trace(meta, steps, traces / f"b{bits:02d}.jsonl")
     return traces
 
 
@@ -139,16 +161,7 @@ class TestReplay:
     def test_unset_bits_runs_each_trace_at_its_header_bits(self, tmp_path):
         # bitcal stops marker-then-revision at 192 tokens at 4 bits, 176 at 8
         # and 160 at 16. With bits unset, run_meta.json names no run-level bits.
-        scenario = next(s for s in scenario_suite_canonical()
-                        if s.scenario_id == "marker-then-revision")
-        source = ScenarioSource(scenario, 16)
-        steps = list(iter(lambda: source.next_chunk(16), None))
-        traces = tmp_path / "traces"
-        traces.mkdir()
-        for bits in (4, 8, 16):
-            meta = TraceMeta(example_id=f"b{bits:02d}", gold_answer=scenario.gold_answer,
-                             model="sim", served_bits=bits)
-            write_trace(meta, steps, traces / f"b{bits:02d}.jsonl")
+        traces = write_header_bits_traces(tmp_path / "traces")
         out = tmp_path / "out"
         assert run_cli("replay", "--traces", str(traces), "--methods", "bitcal",
                        "--out", str(out)) == 0
@@ -191,6 +204,16 @@ class TestReport:
         for row in rows:
             accuracy, ci_low, ci_high = map(float, row.split(",")[3:6])
             assert ci_low <= accuracy <= ci_high
+
+    def test_stdout_shows_the_summary_rows(self, tmp_path, capsys):
+        # 1 of 80 is 1.25%: half-up to 1.3 in summary.csv, where a binary
+        # float printed with :.1f would read 1.2.
+        records = [sample_record(i, correct=i == 0) for i in range(80)]
+        write_records(records, tmp_path / "records_bitcal_b512.jsonl")
+        assert run_cli("report", "--out", str(tmp_path)) == 0
+        rows = (tmp_path / "summary.csv").read_text().splitlines()
+        assert rows[1].split(",")[3] == "1.3"
+        assert capsys.readouterr().out.splitlines() == rows
 
     def test_empty_record_set_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "empty"
@@ -259,6 +282,82 @@ class TestConfigLayering:
 
     def test_seed_flag_is_usage_error(self, tmp_path):
         assert run_cli("simulate", "--seed", "42", "--out", str(tmp_path / "o")) == 1
+
+
+# One non-default value per config key, integral ones included for float keys.
+NON_DEFAULT = {
+    "bits": 8, "chunk_size": 8, "h_max": 8, "w_entropy": 1, "w_trace": 0.2,
+    "w_hidden": 0.5, "temperature": 2, "theta_h": 1.5, "theta_c": 0.6, "theta_e": 3,
+    "floor": 96, "buffer": 48, "marker": "## ",
+}
+
+
+class TestSettingsParse:
+    def test_non_default_table_covers_every_config_key(self):
+        assert set(NON_DEFAULT) == set(CONFIG_FIELDS)
+        assert all(NON_DEFAULT[key] != DEFAULTS[key] for key in NON_DEFAULT)
+
+    @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+    def test_flag_and_config_file_give_identical_outputs(self, tmp_path, key):
+        value = NON_DEFAULT[key]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        runs = {"flag": ["--" + key.replace("_", "-"), str(value)],
+                "config": ["--config", str(cfg)]}
+        for name, extra in runs.items():
+            assert run_cli("simulate", *extra, "--out", str(tmp_path / name)) == 0
+        names = sorted(p.name for p in (tmp_path / "flag").iterdir())
+        assert "run_meta.json" in names and len(names) == 4
+        assert names == sorted(p.name for p in (tmp_path / "config").iterdir())
+        for name in names:
+            assert ((tmp_path / "flag" / name).read_bytes()
+                    == (tmp_path / "config" / name).read_bytes()), name
+        meta = json.loads((tmp_path / "config" / "run_meta.json").read_text())
+        assert type(meta["config"][key]) is type(DEFAULTS[key])
+
+    @pytest.mark.parametrize("setting", [{"floor": "abc"}, {"floor": True},
+                                         {"chunk_size": 16.5}])
+    def test_value_its_flag_would_reject_is_usage_error(self, tmp_path, capsys, setting):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(setting))
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 1
+        (key,) = setting
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not list(out.glob("records_*.jsonl"))
+
+    def test_null_bits_is_unset(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bits": None}))
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--methods", "bitcal", "--config", str(cfg),
+                       "--out", str(sim)) == 0
+        assert json.loads((sim / "run_meta.json").read_text())["config"]["bits"] == 4
+        golden = GOLDEN_RECORDS / "records_bitcal_b512.jsonl"
+        assert (sim / golden.name).read_bytes() == golden.read_bytes()
+        rep = tmp_path / "rep"
+        assert run_cli("replay", "--traces", str(write_header_bits_traces(tmp_path / "traces")),
+                       "--methods", "bitcal", "--config", str(cfg), "--out", str(rep)) == 0
+        _, records = read_records(rep / "records_bitcal_b512.jsonl")
+        assert [r.tokens_used for r in records] == [192, 176, 160]
+
+    def test_replay_reads_the_config_file_once(self, tmp_path, monkeypatch):
+        traces = make_trace_dir(tmp_path, n=1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"methods": "fixed"}))
+        reads = []
+        real = Path.read_text
+        monkeypatch.setattr(Path, "read_text",
+                            lambda self, *a, **k: reads.append(self) or real(self, *a, **k))
+        assert run_cli("replay", "--traces", str(traces), "--config", str(cfg),
+                       "--out", str(tmp_path / "out")) == 0
+        assert reads.count(cfg) == 1
+
+    def test_replay_bits_zero_is_usage_error(self, tmp_path):
+        traces = make_trace_dir(tmp_path, n=1)
+        assert run_cli("replay", "--traces", str(traces), "--bits", "0",
+                       "--out", str(tmp_path / "out")) == 1
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from bithalt.engine import EngineConfig, EpisodeRecord, Method, run_episode
 from bithalt.errors import TraceParseError, UnsupportedSchemaError
+from bithalt.metrics import emit_summary_table, summarize_all
 from bithalt.signals import StepSignals
+from bithalt.simulate import save_scenario, scenario_suite_canonical
 from bithalt.trace_io import (
     ReplaySource,
     TraceMeta,
@@ -15,6 +18,7 @@ from bithalt.trace_io import (
     read_records,
     read_trace,
     write_records,
+    write_text,
     write_trace,
 )
 
@@ -259,3 +263,40 @@ class TestRecordFiles:
         write_records([rec], path)
         _, got = read_records(path)
         assert got == [rec]
+
+
+class TestAtomicWrite:
+    WRITERS = {
+        "records": lambda path: write_records([sample_record(i) for i in range(20)], path),
+        "trace": lambda path: write_trace(TraceMeta("t", 42.0), make_steps(5), path),
+        "summary": lambda path: emit_summary_table(
+            summarize_all([sample_record(i) for i in range(20)]), path),
+        "scenario": lambda path: save_scenario(scenario_suite_canonical()[1], path),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"])
+    def test_failed_write_leaves_old_file_and_no_temp(self, tmp_path, monkeypatch, writer, old):
+        path = tmp_path / "out.jsonl"
+        if old is not None:
+            path.write_bytes(old)
+        real = Path.write_text
+
+        def fail_midway(self, text, *args, **kwargs):
+            real(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", fail_midway)
+        with pytest.raises(OSError, match="out.jsonl"):
+            self.WRITERS[writer](path)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["out.jsonl"])
+        if old is not None:
+            assert path.read_bytes() == old
+
+    def test_replaces_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("old contents, longer than the new\n")
+        write_text(path, "new\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+        assert path.read_text() == "new\n"
