@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, require_finite
 from .signals import SignalReadout
 
 
@@ -42,14 +42,16 @@ class CalibratorConfig:
     effective_bits: int = 16
 
     def __post_init__(self):
+        require_finite(self)
         if self.h_max <= 0:
-            raise ConfigError("h_max must be > 0")
+            raise ConfigError("must be > 0", field="h_max")
         if self.temperature <= 0:
-            raise ConfigError("temperature must be > 0")
+            raise ConfigError("must be > 0", field="temperature")
         if self.effective_bits < 1:
-            raise ConfigError("effective_bits must be >= 1")
-        if min(self.w_entropy, self.w_trace, self.w_hidden) < 0:
-            raise ConfigError("signal weights must be non-negative")
+            raise ConfigError("must be >= 1", field="effective_bits")
+        for name in ("w_entropy", "w_trace", "w_hidden"):
+            if getattr(self, name) < 0:
+                raise ConfigError("must be >= 0", field=name)
         total = self.w_entropy + self.w_trace + self.w_hidden
         if total <= 0:
             raise ConfigError("at least one signal weight must be positive")

@@ -58,6 +58,10 @@ CONFIG_FIELDS = {
 }
 
 
+# Dataclass field -> the CLI/config key that sets it, for error messages.
+_KEY_OF_FIELD = {name: key for key, (_, name, _) in CONFIG_FIELDS.items()}
+
+
 def _field_default(cls, name: str):
     return next(f.default for f in dataclasses.fields(cls) if f.name == name)
 
@@ -174,13 +178,18 @@ def build_engine_config(cfg: dict, method: str, budget: int, served_bits: int) -
     for key, (cls, name, _) in CONFIG_FIELDS.items():
         kwargs[cls][name] = cfg[key]
     kwargs[EngineConfig]["served_bits"] = served_bits
-    return EngineConfig(
-        method=Method(method),
-        budget=budget,
-        calibrator=CalibratorConfig(**kwargs[CalibratorConfig]),
-        policy=PolicyConfig(**kwargs[PolicyConfig]),
-        **kwargs[EngineConfig],
-    )
+    try:
+        return EngineConfig(
+            method=Method(method),
+            budget=budget,
+            calibrator=CalibratorConfig(**kwargs[CalibratorConfig]),
+            policy=PolicyConfig(**kwargs[PolicyConfig]),
+            **kwargs[EngineConfig],
+        )
+    except ConfigError as exc:
+        if exc.field not in _KEY_OF_FIELD:
+            raise
+        raise UsageError(f"{_KEY_OF_FIELD[exc.field]} {exc.requirement}") from None
 
 
 class Example(NamedTuple):

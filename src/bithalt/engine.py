@@ -65,11 +65,11 @@ class EngineConfig:
 
     def __post_init__(self):
         if self.chunk_size < 1:
-            raise ConfigError("chunk_size must be >= 1")
+            raise ConfigError("must be >= 1", field="chunk_size")
         if self.budget < self.chunk_size:
             raise ConfigError("budget must be >= chunk_size")
         if self.served_bits < 1:
-            raise ConfigError("served_bits must be >= 1")
+            raise ConfigError("must be >= 1", field="served_bits")
 
     @property
     def effective_bits(self) -> int:

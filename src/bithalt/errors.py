@@ -1,5 +1,9 @@
 """Shared exception types."""
 
+import functools
+import math
+from dataclasses import fields
+
 
 class BithaltError(Exception):
     """Base class for package errors."""
@@ -14,7 +18,30 @@ class InvalidInputError(BithaltError, ValueError):
 
 
 class ConfigError(BithaltError, ValueError):
-    """Configuration value out of its legal range."""
+    """Configuration value out of its legal range.
+
+    When the error is about one config dataclass field, ``field`` names it and
+    the message is the field name followed by ``requirement``.
+    """
+
+    def __init__(self, message, field=None):
+        self.field = field
+        self.requirement = message
+        super().__init__(message if field is None else f"{field} {message}")
+
+
+@functools.cache
+def _float_fields(cls) -> tuple:
+    return tuple(f.name for f in fields(cls) if f.type in (float, "float"))
+
+
+def require_finite(config) -> None:
+    """Raise ConfigError naming the first float field of dataclass ``config``
+    that is NaN or infinite; range checks alone let NaN through."""
+    for name in _float_fields(type(config)):
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"must be finite, got {value!r}", field=name)
 
 
 class TraceParseError(BithaltError, ValueError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, require_finite
 
 DEFAULT_MARKER = "####"
 
@@ -80,16 +80,19 @@ class PolicyConfig:
     marker: str = DEFAULT_MARKER
 
     def __post_init__(self):
+        require_finite(self)
         if not self.theta_h < self.theta_e:
             raise ConfigError(
                 f"theta_h ({self.theta_h}) must be < theta_e ({self.theta_e})"
             )
-        if self.floor_tokens < 0 or self.budget_buffer < 0:
-            raise ConfigError("floor_tokens and budget_buffer must be >= 0")
+        if self.floor_tokens < 0:
+            raise ConfigError("must be >= 0", field="floor_tokens")
+        if self.budget_buffer < 0:
+            raise ConfigError("must be >= 0", field="budget_buffer")
         if self.effective_bits < 1:
-            raise ConfigError("effective_bits must be >= 1")
+            raise ConfigError("must be >= 1", field="effective_bits")
         if not self.marker:
-            raise ConfigError("marker must be non-empty")
+            raise ConfigError("must be non-empty", field="marker")
 
 
 def tail_length(bits: int) -> int:

@@ -2,6 +2,8 @@
 
 The functions here are pure and read whole histories. The engine holds one
 RunningSignals per episode instead: the same readouts, with O(1) work per step.
+numpy is imported where a vector is first read, so commands that never read
+one (``report``, scenarios without hidden state) do not load it.
 """
 
 from __future__ import annotations
@@ -10,8 +12,6 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
-
-import numpy as np
 
 from .errors import InvalidDistributionError, InvalidInputError
 
@@ -110,6 +110,8 @@ class RunningSignals:
         if hidden is not None:
             self._pending.append(hidden)
         if len(self._pending) > 1 or (self._pending and self._prev_unit is not None):
+            import numpy as np
+
             for v in [np.asarray(h, dtype=float) for h in self._pending]:
                 self._dim = v.shape if self._dim is None else self._dim
                 if v.ndim != 1 or v.shape != self._dim:
@@ -140,6 +142,8 @@ def entropy(distribution: Sequence[float]) -> float:
     InvalidDistributionError on negative entries or a sum off from 1 by
     more than DIST_SUM_TOL.
     """
+    import numpy as np
+
     p = np.asarray(distribution, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise InvalidDistributionError("distribution must be a non-empty 1-d vector")
@@ -186,6 +190,8 @@ def hidden_stability(hiddens: Sequence[Sequence[float]]) -> float:
     """
     if len(hiddens) < 2:
         return 1.0
+    import numpy as np
+
     vecs = [np.asarray(h, dtype=float) for h in hiddens]
     dim = vecs[0].shape
     for v in vecs:

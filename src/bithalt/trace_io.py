@@ -1,14 +1,19 @@
 """Line-delimited trace and episode-record files.
 
 Both formats are JSONL with a schema-versioned header line followed by one
-object per line. Numbers are serialized as decimal text via ``repr`` (full
-round-trip precision), never as binary floats.
+object per line. Scalars are serialized as decimal text via ``repr`` (full
+round-trip precision), never as binary floats. The one exception is a trace
+step's arrays, which are long enough that decimal text dominates replay time.
 
-Trace file (schema ``trace/v1``):
+Trace file (schema ``trace/v2``; ``trace/v1`` still reads):
   header: {"schema", "example_id", "gold_answer", "model", "served_bits",
            "prompt_digest"}
   step:   {"step", "chunk_text", "tokens", "entropy" XOR "probs",
            "hidden"?, "eos"?}
+  ``probs`` and ``hidden`` are base64 strings of little-endian float64 bytes
+  (v1 wrote them as JSON lists of numbers; either form reads). They are read
+  back as float64 ndarrays, and validated where they are used: ``entropy``
+  checks a distribution, ``RunningSignals.push`` a hidden vector.
 
 Record file (schema ``records/v1``):
   header: {"schema", ...free-form run metadata (no timestamps)}
@@ -21,6 +26,7 @@ Every output file is written by ``write_text``, atomically.
 
 from __future__ import annotations
 
+import base64
 import functools
 import json
 import os
@@ -32,7 +38,7 @@ from .engine import EpisodeRecord
 from .errors import TraceParseError, UnsupportedSchemaError
 from .signals import StepSignals
 
-TRACE_SCHEMA = "trace/v1"
+TRACE_SCHEMA = "trace/v2"
 RECORD_SCHEMA = "records/v1"
 
 
@@ -43,6 +49,12 @@ class TraceMeta:
     model: str = ""
     served_bits: int = 4
     prompt_digest: str = ""
+
+    def __post_init__(self):
+        # A header's bit width is data: a bad one fails that file's parse, while
+        # --bits 0 stays an error in the settings.
+        if self.served_bits < 1:
+            raise ValueError(f"served_bits must be >= 1, got {self.served_bits}")
 
 
 class ReplaySource:
@@ -109,17 +121,41 @@ def _parse_json_line(path, lineno: int, line: str) -> dict:
     return obj
 
 
-def _read_jsonl(path, schema: str) -> Tuple[dict, Iterator[Tuple[int, dict]]]:
-    """A JSONL file's header, checked against ``schema``, and the (line number,
+def _read_jsonl(path, *schemas: str) -> Tuple[dict, Iterator[Tuple[int, dict]]]:
+    """A JSONL file's header, checked against ``schemas``, and the (line number,
     object) pairs of its non-blank body lines, parsed as they are iterated."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise TraceParseError(path, "empty file", line=1)
     header = _parse_json_line(path, 1, lines[0])
-    if header.get("schema") != schema:
+    if header.get("schema") not in schemas:
         raise UnsupportedSchemaError(path, f"unsupported schema {header.get('schema')!r}", line=1)
     return header, ((n, _parse_json_line(path, n, raw))
                     for n, raw in enumerate(lines[1:], start=2) if raw.strip())
+
+
+def _array(value):
+    """A trace array as a float64 ndarray: from a base64 string of
+    little-endian float64 bytes, or from a JSON list of numbers."""
+    import numpy as np
+
+    if isinstance(value, str):
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except ValueError as exc:
+            raise ValueError(f"invalid base64 array: {exc}")
+        if len(raw) % 8:
+            raise ValueError(f"array holds {len(raw)} bytes, not a multiple of 8")
+        return np.frombuffer(raw, dtype="<f8")
+    if isinstance(value, list):  # float() rejects null and nested lists, as v1 readers did
+        return np.fromiter(map(float, value), dtype="<f8", count=len(value))
+    raise TypeError(f"array must be a base64 string or a list, got {type(value).__name__}")
+
+
+def _base64(values) -> str:
+    import numpy as np
+
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 def read_trace(path) -> Tuple[TraceMeta, List[StepSignals]]:
@@ -128,7 +164,7 @@ def read_trace(path) -> Tuple[TraceMeta, List[StepSignals]]:
     Wrap the steps in a ReplaySource to feed them to the engine; build a
     fresh source per episode.
     """
-    header, body = _read_jsonl(path, TRACE_SCHEMA)
+    header, body = _read_jsonl(path, "trace/v1", TRACE_SCHEMA)
     try:
         meta = from_fields(TraceMeta, header)
     except (KeyError, TypeError, ValueError) as exc:
@@ -151,8 +187,8 @@ def read_trace(path) -> Tuple[TraceMeta, List[StepSignals]]:
                     chunk_text=str(obj["chunk_text"]),
                     tokens_in_chunk=int(obj["tokens"]),
                     entropy=None if entropy is None else float(entropy),
-                    distribution=None if probs is None else [float(p) for p in probs],
-                    hidden=None if hidden is None else tuple(float(h) for h in hidden),
+                    distribution=None if probs is None else _array(probs),
+                    hidden=None if hidden is None else _array(hidden),
                     eos=bool(obj.get("eos", False)),
                 )
             )
@@ -182,9 +218,9 @@ def write_trace(meta: TraceMeta, steps: List[StepSignals], path) -> None:
         if s.entropy is not None:
             obj["entropy"] = s.entropy
         else:
-            obj["probs"] = list(s.distribution)
+            obj["probs"] = _base64(s.distribution)
         if s.hidden is not None:
-            obj["hidden"] = list(s.hidden)
+            obj["hidden"] = _base64(s.hidden)
         if s.eos:
             obj["eos"] = True
         lines.append(json.dumps(obj))

@@ -63,6 +63,14 @@ class TestCalibratorConfig:
         with pytest.raises(ConfigError):
             CalibratorConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["h_max", "w_entropy", "w_trace", "w_hidden",
+                                      "temperature"])
+    def test_non_finite_values_rejected_naming_the_field(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite") as exc:
+            CalibratorConfig(**{name: value})
+        assert exc.value.field == name
+
 
 class TestConfidence:
     def test_perfect_signals_high_bits_clip_to_one(self):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -358,6 +361,98 @@ class TestSettingsParse:
         traces = make_trace_dir(tmp_path, n=1)
         assert run_cli("replay", "--traces", str(traces), "--bits", "0",
                        "--out", str(tmp_path / "out")) == 1
+
+
+FLOAT_KEYS = sorted(key for key in CONFIG_FIELDS if type(DEFAULTS[key]) is float)
+
+
+class TestConfigValueErrors:
+    """Values the config dataclasses reject exit 1 naming the user's key, from a
+    flag and from the config file alike, before any record is written."""
+
+    def _run(self, tmp_path, capsys, key, value, via, command="simulate"):
+        out = tmp_path / "out"
+        if via == "flag":
+            extra = ["--" + key.replace("_", "-"), str(value)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            extra = ["--config", str(cfg)]
+        args = ["--traces", str(make_trace_dir(tmp_path, n=1))] if command == "replay" else []
+        code = run_cli(command, *args, "--methods", "adaptive", *extra, "--out", str(out))
+        assert not list(out.glob("records_*.jsonl"))
+        return code, capsys.readouterr().err
+
+    def test_float_keys_cover_every_float_field(self):
+        assert FLOAT_KEYS == ["h_max", "temperature", "theta_c", "theta_e", "theta_h",
+                              "w_entropy", "w_hidden", "w_trace"]
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_value_is_usage_error(self, tmp_path, capsys, key, value, via):
+        code, err = self._run(tmp_path, capsys, key, value, via)
+        assert code == 1
+        assert err.startswith(f"error: {key} must be finite, got {value!r}"), err
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command,key,value,field", [
+        ("replay", "bits", 0, "served_bits"),
+        ("simulate", "bits", 0, "served_bits"),
+        ("simulate", "floor", -1, "floor_tokens"),
+        ("simulate", "buffer", -5, "budget_buffer"),
+        ("simulate", "chunk_size", 0, "chunk_size"),
+        ("simulate", "w_trace", -0.5, "w_trace"),
+    ])
+    def test_range_error_names_the_key(self, tmp_path, capsys, command, key, value, field,
+                                       via):
+        code, err = self._run(tmp_path, capsys, key, value, via, command)
+        assert code == 1
+        assert err.startswith(f"error: {key} must be >= "), err
+        if field != key:
+            assert field not in err
+
+
+    def test_header_bits_below_one_is_a_data_error_in_that_file(self, tmp_path, capsys):
+        traces = make_trace_dir(tmp_path, n=2)
+        path = traces / "gsm-0001.jsonl"
+        lines = path.read_text().splitlines()
+        lines[0] = lines[0].replace('"served_bits": 4', '"served_bits": 0')
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run_cli("replay", "--traces", str(traces), "--methods", "fixed",
+                       "--out", str(out)) == 2
+        assert f"{path}:1: invalid header: served_bits must be >= 1" in capsys.readouterr().err
+        assert [r.example_id for r in read_records(out / "records_fixed_b512.jsonl")[1]] == [
+            "gsm-0000"]
+
+
+class TestNumpyImport:
+    """numpy is loaded only by code that reads a vector."""
+
+    def _numpy_loaded(self, code):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
+                               "print('numpy' in sys.modules)"],
+                              env=env, capture_output=True, text=True, check=True)
+        return done.stdout.splitlines()[-1] == "True"
+
+    def test_importing_the_cli_leaves_numpy_out(self):
+        assert not self._numpy_loaded("import bithalt.cli")
+
+    def test_report_leaves_numpy_out(self, tmp_path):
+        assert not self._numpy_loaded(
+            "from bithalt.cli import main\n"
+            f"assert main(['report', '--records', {str(GOLDEN_RECORDS)!r},"
+            f" '--out', {str(tmp_path)!r}]) == 0")
+        assert (tmp_path / "summary.csv").read_bytes() == (
+            GOLDEN_REPORT / "summary.csv").read_bytes()
+
+    def test_simulate_with_hidden_vectors_loads_numpy(self, tmp_path):
+        # The probe can see numpy: the canonical suite has hidden vectors.
+        assert self._numpy_loaded(
+            "from bithalt.cli import main\n"
+            f"assert main(['simulate', '--methods', 'bitcal', '--out', {str(tmp_path)!r}]) == 0")
 
 
 class TestDeterminism:

@@ -65,6 +65,19 @@ class TestPolicyConfig:
         with pytest.raises(ConfigError):
             PolicyConfig(marker="")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["theta_h", "theta_c", "theta_e"])
+    def test_non_finite_thresholds_rejected_naming_the_field(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite") as exc:
+            PolicyConfig(**{name: value})
+        assert exc.value.field == name
+
+    @pytest.mark.parametrize("name", ["floor_tokens", "budget_buffer"])
+    def test_negative_counts_rejected_one_field_at_a_time(self, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be >= 0$") as exc:
+            PolicyConfig(**{name: -1})
+        assert exc.value.field == name
+
 
 class TestDecideExamples:
     def test_below_floor_continues(self):

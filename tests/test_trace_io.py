@@ -1,11 +1,15 @@
+import base64
 import dataclasses
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bithalt.cli import main
 from bithalt.engine import EngineConfig, EpisodeRecord, Method, run_episode
 from bithalt.errors import TraceParseError, UnsupportedSchemaError
 from bithalt.metrics import emit_summary_table, summarize_all
@@ -63,7 +67,116 @@ class TestTraceRoundTrip:
                              distribution=[0.5, 0.25, 0.25])]
         write_trace(META, steps, path)
         _, got = read_trace(path)
-        assert got[0].distribution == [0.5, 0.25, 0.25]
+        assert got[0].distribution.tolist() == [0.5, 0.25, 0.25]
+
+
+DATA = Path(__file__).resolve().parent / "data"
+V1_TRACES = DATA / "trace_v1"
+V1_GOLDEN_REPLAY = DATA / "golden_replay_trace_v1_b256"
+float64s = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True, width=64)
+
+
+def _bytes(values) -> bytes:
+    return np.asarray(values, dtype="<f8").tobytes()
+
+
+class TestTraceV2:
+    def test_arrays_are_base64_float64_and_scalars_decimal(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        steps = [StepSignals(chunk_text="x", tokens_in_chunk=4, distribution=[0.5, 0.25, 0.25],
+                             hidden=(0.1, -0.0)),
+                 StepSignals(chunk_text="y", tokens_in_chunk=4, entropy=0.1, eos=True)]
+        write_trace(META, steps, path)
+        header, first, second = (json.loads(line) for line in path.read_text().splitlines())
+        assert header["schema"] == "trace/v2"
+        assert base64.b64decode(first["probs"]) == _bytes([0.5, 0.25, 0.25])
+        assert base64.b64decode(first["hidden"]) == _bytes([0.1, -0.0])
+        assert '"entropy": 0.1' in path.read_text().splitlines()[2]
+        assert second["entropy"] == 0.1 and first["tokens"] == 4
+
+    def test_arrays_read_back_as_float64_ndarrays(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_trace(META, [StepSignals(chunk_text="x", tokens_in_chunk=4, distribution=[1.0],
+                                       hidden=[1.0, 2.0])], path)
+        (step,) = read_trace(path)[1]
+        for arr in (step.distribution, step.hidden):
+            assert isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.ndim == 1
+
+    @given(st.lists(float64s, max_size=40), st.lists(float64s, max_size=40))
+    @settings(max_examples=100)
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, probs, hidden):
+        # Compared as bytes, so -0.0, subnormals, infinities and NaN payloads count.
+        path = tmp_path_factory.mktemp("v2") / "t.jsonl"
+        write_trace(META, [StepSignals(chunk_text="x", tokens_in_chunk=4, distribution=probs,
+                                       hidden=hidden)], path)
+        (step,) = read_trace(path)[1]
+        assert step.distribution.tobytes() == _bytes(probs)
+        assert step.hidden.tobytes() == _bytes(hidden)
+
+    @pytest.mark.parametrize("key", ["probs", "hidden"])
+    @pytest.mark.parametrize("value,message", [
+        ("not base64!", "invalid base64"),
+        (base64.b64encode(bytes(12)).decode(), "not a multiple of 8"),
+        (5, "base64 string or a list"),
+        ({"0": 1.0}, "base64 string or a list"),
+        (True, "base64 string or a list"),
+        ([0.5, None], "float()"),
+        ([[0.5]], "float()"),
+    ])
+    def test_malformed_array_is_parse_error_at_its_line(self, tmp_path, key, value, message):
+        good = {"step": 0, "chunk_text": "x", "tokens": 4, "probs": [1.0]}
+        bad = {"step": 1, "chunk_text": "y", "tokens": 4, "probs": [1.0], key: value}
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join([json.dumps({"schema": "trace/v2", "example_id": "e",
+                                               "gold_answer": 1.0}),
+                                   json.dumps(good), json.dumps(bad)]) + "\n")
+        with pytest.raises(TraceParseError, match=message) as exc:
+            read_trace(path)
+        assert exc.value.line == 3
+
+
+class TestTraceV1:
+    """A trace written by the decimal-array writer (trace/v1) still reads and
+    replays as it did: tests/data/trace_v1 and its replay records at B=256 were
+    both written by that writer's build."""
+
+    def test_reads_to_the_arrays_of_its_v2_rewrite(self, tmp_path):
+        meta, steps = read_trace(V1_TRACES / "nan_hidden.jsonl")
+        lines = (V1_TRACES / "nan_hidden.jsonl").read_text().splitlines()
+        assert json.loads(lines[0])["schema"] == "trace/v1"
+        raw = [json.loads(line) for line in lines[1:]]
+        for step, obj in zip(steps, raw):
+            if "probs" in obj:
+                assert step.distribution.tobytes() == _bytes(obj["probs"])
+            if "hidden" in obj:
+                assert step.hidden.tobytes() == _bytes(obj["hidden"])
+        assert sum(math.isnan(h) for s in steps if s.hidden is not None for h in s.hidden) == 1
+        write_trace(meta, steps, tmp_path / "v2.jsonl")
+        meta2, steps2 = read_trace(tmp_path / "v2.jsonl")
+        assert meta2 == meta and len(steps2) == len(steps) == 15
+        for a, b in zip(steps, steps2):
+            assert (a.chunk_text, a.tokens_in_chunk, a.entropy, a.eos) == (
+                b.chunk_text, b.tokens_in_chunk, b.entropy, b.eos)
+            for x, y in ((a.distribution, b.distribution), (a.hidden, b.hidden)):
+                assert (x is None and y is None) or x.tobytes() == y.tobytes()
+
+    def test_v1_and_its_v2_rewrite_replay_to_the_recorded_records(self, tmp_path):
+        v2 = tmp_path / "v2"
+        v2.mkdir()
+        write_trace(*read_trace(V1_TRACES / "nan_hidden.jsonl"), v2 / "nan_hidden.jsonl")
+        golden = sorted(V1_GOLDEN_REPLAY.glob("records_*.jsonl"))
+        assert len(golden) == 3
+        for traces in (V1_TRACES, v2):
+            out = tmp_path / ("out_" + traces.name)
+            assert main(["replay", "--traces", str(traces), "--budgets", "256",
+                         "--out", str(out)]) == 0
+            for path in golden:
+                assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+        # fixed reads to eos, adaptive stops on the marker, and bitcal's tail
+        # reaches the NaN hidden entry.
+        by_method = {read_records(p)[1][0].method: read_records(p)[1][0] for p in golden}
+        assert by_method["fixed"].error is None and by_method["adaptive"].error is None
+        assert "non-finite" in by_method["bitcal"].error
 
 
 class TestTraceValidation:
