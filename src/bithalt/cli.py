@@ -59,7 +59,8 @@ CONFIG_FIELDS = {
 
 
 # Dataclass field -> the CLI/config key that sets it, for error messages.
-_KEY_OF_FIELD = {name: key for key, (_, name, _) in CONFIG_FIELDS.items()}
+_KEY_OF_FIELD = {"budget": "budgets",
+                 **{name: key for key, (_, name, _) in CONFIG_FIELDS.items()}}
 
 
 def _field_default(cls, name: str):
@@ -204,24 +205,24 @@ class Example(NamedTuple):
 
 def _run_grid(examples: Sequence[Example], cfg: dict, out_dir: Path, command: str,
               **header) -> None:
-    """Run every example under each method x budget cell, one record file per cell."""
+    """Run every example under each method x budget cell, one record file per cell.
+    Every cell's configs are built first, so a bad value fails before any file is written."""
+    cells = [(budget, method, [build_engine_config(cfg, method, budget, ex.served_bits)
+                               for ex in examples])
+             for budget in cfg["budgets"] for method in cfg["methods"]]
     out_dir.mkdir(parents=True, exist_ok=True)
-    for budget in cfg["budgets"]:
-        for method in cfg["methods"]:
-            records = []
-            for ex in examples:
-                engine_cfg = build_engine_config(cfg, method, budget, ex.served_bits)
-                records.append(run_episode(ex.source(), engine_cfg,
-                                           gold=ex.gold, example_id=ex.example_id,
-                                           model=ex.model))
-            records.sort(key=lambda r: r.example_id)
-            write_records(records, out_dir / f"records_{method}_b{budget}.jsonl",
-                          metadata={"command": command, "method": method, "budget": budget,
-                                    **header})
-            n_correct = sum(r.correct for r in records)
-            avg = sum(r.tokens_used for r in records) / len(records)
-            print(f"{method} B={budget}: n={len(records)} correct={n_correct} "
-                  f"avg_tokens={avg:.1f}")
+    for budget, method, engine_cfgs in cells:
+        records = [run_episode(ex.source(), engine_cfg, gold=ex.gold,
+                               example_id=ex.example_id, model=ex.model)
+                   for ex, engine_cfg in zip(examples, engine_cfgs)]
+        records.sort(key=lambda r: r.example_id)
+        write_records(records, out_dir / f"records_{method}_b{budget}.jsonl",
+                      metadata={"command": command, "method": method, "budget": budget,
+                                **header})
+        n_correct = sum(r.correct for r in records)
+        avg = sum(r.tokens_used for r in records) / len(records)
+        print(f"{method} B={budget}: n={len(records)} correct={n_correct} "
+              f"avg_tokens={avg:.1f}")
     meta = {"command": command, "config": {k: cfg[k] for k in sorted(cfg, key=str)}}
     write_text(out_dir / "run_meta.json", json.dumps(meta, indent=2) + "\n")
 

@@ -67,7 +67,8 @@ class EngineConfig:
         if self.chunk_size < 1:
             raise ConfigError("must be >= 1", field="chunk_size")
         if self.budget < self.chunk_size:
-            raise ConfigError("budget must be >= chunk_size")
+            raise ConfigError(f"must be >= chunk_size ({self.chunk_size}), got {self.budget}",
+                              field="budget")
         if self.served_bits < 1:
             raise ConfigError("must be >= 1", field="served_bits")
 

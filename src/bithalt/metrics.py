@@ -142,11 +142,9 @@ SUMMARY_COLUMNS = (
 
 
 def format_summary_rows(summaries: Sequence[RunSummary]) -> List[str]:
-    ordered = sorted(
-        summaries, key=lambda s: (s.budget, _METHOD_ORDER.get(s.method, 99), s.model)
-    )
+    """The header and one row per summary, in the given (``summarize_all``) order."""
     rows = [SUMMARY_COLUMNS]
-    for s in ordered:
+    for s in summaries:
         rows.append(
             ",".join(
                 [
@@ -167,6 +165,6 @@ def format_summary_rows(summaries: Sequence[RunSummary]) -> List[str]:
 
 
 def emit_summary_table(summaries: Sequence[RunSummary], path) -> None:
-    """CSV with one row per (method, budget) group, budget-major ordering,
+    """CSV with one row per summary in the given (``summarize_all``) order,
     percents at one decimal and token means as integers."""
     write_text(path, "\n".join(format_summary_rows(summaries)) + "\n")

@@ -1,16 +1,19 @@
 """Online per-step signals: token entropy and the two stability proxies.
 
-The functions here are pure and read whole histories. The engine holds one
-RunningSignals per episode instead: the same readouts, with O(1) work per step.
-numpy is imported where a vector is first read, so commands that never read
-one (``report``, scenarios without hidden state) do not load it.
+``RunningSignals.push`` is the one implementation of both stability proxies:
+the engine holds one RunningSignals per episode and pushes each step, with
+O(1) work per step. The whole-history readouts (``trace_stability``,
+``hidden_stability``, ``SignalReadout.from_histories``) are folds that push a
+history through a fresh RunningSignals. numpy is imported where a vector is
+first read, so commands that never read one (``report``, scenarios without
+hidden state) do not load it.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import List, Optional, Sequence
 
 from .errors import InvalidDistributionError, InvalidInputError
@@ -27,9 +30,6 @@ HIDDEN_NORM_EPS = 1e-8
 # code points, after stripping leading/trailing whitespace) to count toward
 # trace stability.
 MIN_CHUNK_CHARS = 8
-
-# Built-in sum() compensates float sums (Neumaier) from Python 3.12 on.
-_COMPENSATED_SUM = sys.version_info >= (3, 12)
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,23 @@ class StepSignals:
         if self.entropy is not None and not math.isfinite(self.entropy):
             raise InvalidInputError("entropy must be finite")
 
+    def __eq__(self, other):
+        """Field by field, the two vectors by their float64 bytes: NaN equals
+        NaN, and a list equals an ndarray holding the same values."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        import numpy as np
+
+        vectors = (None if v is None else np.asarray(v, dtype=np.float64).tobytes()
+                   for v in (self.distribution, self.hidden))
+        return (self.chunk_text, self.tokens_in_chunk, self.entropy, *vectors, self.eos)
+
     def step_entropy(self) -> float:
         """Entropy in nats, computed from the distribution at most once per step."""
         if self.entropy is not None:
@@ -79,26 +96,27 @@ class SignalReadout:
 
     @classmethod
     def from_histories(cls, step_entropy, chunks, hiddens) -> "SignalReadout":
-        raw = hidden_stability(hiddens)
-        return cls(
-            entropy=step_entropy,
-            trace_stability=trace_stability(chunks),
-            hidden_stability=min(max(raw, 0.0), 1.0),
-            hidden_stability_raw=raw,
-        )
+        """The readout after pushing the histories through one RunningSignals,
+        chunk and hidden vector paired by position; the shorter list runs out first."""
+        running = RunningSignals()
+        readout = cls(step_entropy, 1.0, 1.0, 1.0)
+        for chunk, hidden in zip_longest(chunks, hiddens):
+            readout = running.push(step_entropy, "" if chunk is None else chunk, hidden)
+        return readout
 
 
 class RunningSignals:
-    """``SignalReadout.from_histories`` over one episode's steps, updated with
-    O(1) work per step and bit-identical floats. Each hidden vector is validated
-    and normalized once, when hidden_stability would first read it."""
+    """Trace and hidden stability over one episode's steps, updated with O(1)
+    work per step. Each hidden vector is validated and normalized once, when a
+    second vector arrives to pair it with; with fewer than two, both readouts
+    are 1.0."""
 
     def __init__(self):
         self._prev_chunk = ""  # shorter than MIN_CHUNK_CHARS: the first pair is not eligible
         self._eligible = self._equal = self._n = 0
         self._pending: List = []  # hidden vectors not yet read: the first, until a second
         self._dim = self._prev_unit = None
-        self._sum = self._comp = 0.0  # cosine sum, and its compensation
+        self._sum = 0.0  # consecutive cosines, added left to right
 
     def push(self, step_entropy: float, chunk_text: str, hidden) -> SignalReadout:
         """Append one step to the histories and return the readout over them."""
@@ -120,19 +138,13 @@ class RunningSignals:
                     raise InvalidInputError("hidden vector contains non-finite entries")
                 unit = v / (np.linalg.norm(v) + HIDDEN_NORM_EPS)
                 if self._prev_unit is not None:
-                    self._add(float(self._prev_unit @ unit))
+                    self._sum += float(self._prev_unit @ unit)
+                    self._n += 1
                 self._prev_unit = unit
             self._pending = []
-        raw = (self._sum + self._comp if self._comp else self._sum) / self._n if self._n else 1.0
+        raw = self._sum / self._n if self._n else 1.0
         trace = 1.0 if self._eligible < 2 else self._equal / self._eligible
         return SignalReadout(step_entropy, trace, min(max(raw, 0.0), 1.0), raw)
-
-    def _add(self, x: float) -> None:
-        """Add one cosine exactly as built-in sum() would, in the same order."""
-        t = self._sum + x
-        if _COMPENSATED_SUM:
-            self._comp += (self._sum - t) + x if abs(self._sum) >= abs(x) else (x - t) + self._sum
-        self._sum, self._n = t, self._n + 1
 
 
 def entropy(distribution: Sequence[float]) -> float:
@@ -167,17 +179,7 @@ def trace_stability(chunks: Sequence[str]) -> float:
     (this includes the empty history and, deliberately, a history with exactly
     one eligible pair).
     """
-    stripped = [c.strip() for c in chunks]
-    eligible = 0
-    equal = 0
-    for prev, cur in zip(stripped, stripped[1:]):
-        if len(prev) >= MIN_CHUNK_CHARS and len(cur) >= MIN_CHUNK_CHARS:
-            eligible += 1
-            if prev == cur:
-                equal += 1
-    if eligible < 2:
-        return 1.0
-    return equal / eligible
+    return SignalReadout.from_histories(0.0, chunks, ()).trace_stability
 
 
 def hidden_stability(hiddens: Sequence[Sequence[float]]) -> float:
@@ -188,17 +190,4 @@ def hidden_stability(hiddens: Sequence[Sequence[float]]) -> float:
     fewer than two vectors are available. The result may be negative; the
     caller clips before weighting.
     """
-    if len(hiddens) < 2:
-        return 1.0
-    import numpy as np
-
-    vecs = [np.asarray(h, dtype=float) for h in hiddens]
-    dim = vecs[0].shape
-    for v in vecs:
-        if v.ndim != 1 or v.shape != dim:
-            raise InvalidInputError("hidden vectors must share one dimension")
-        if not np.all(np.isfinite(v)):
-            raise InvalidInputError("hidden vector contains non-finite entries")
-    normed = [v / (np.linalg.norm(v) + HIDDEN_NORM_EPS) for v in vecs]
-    cosines = [float(a @ b) for a, b in zip(normed, normed[1:])]
-    return sum(cosines) / len(cosines)
+    return SignalReadout.from_histories(0.0, (), hiddens).hidden_stability_raw

@@ -1,8 +1,13 @@
 """Independent brute-force oracles used by the test suite.
 
-The policy oracle re-reads the halting rule case by case, deliberately
-sharing no code with the implementation under test.
+The policy oracle re-reads the halting rule case by case, and the hidden
+stability oracle recomputes the cosine mean over a whole history; both
+deliberately share no code with the implementation under test.
 """
+
+import numpy as np
+
+from bithalt.errors import InvalidInputError
 
 
 def oracle_tail(bits):
@@ -35,3 +40,22 @@ def oracle_decide(t, remaining, h, c, t_star, theta_h, theta_c, theta_e,
     if h <= theta_h and c >= theta_c:
         return ("stop", "confident_stop")
     return ("continue", "default_continue")
+
+
+def oracle_hidden_stability(hiddens):
+    """Mean consecutive cosine of (2-norm + 1e-8)-normalized vectors, summed
+    left to right; 1.0 with fewer than two. Every vector is checked for one
+    shared 1-d shape and finite entries, in order, before any cosine."""
+    if len(hiddens) < 2:
+        return 1.0
+    vecs = [np.asarray(h, dtype=float) for h in hiddens]
+    for v in vecs:
+        if v.ndim != 1 or v.shape != vecs[0].shape:
+            raise InvalidInputError("hidden vectors must share one dimension")
+        if not np.all(np.isfinite(v)):
+            raise InvalidInputError("hidden vector contains non-finite entries")
+    normed = [v / (np.linalg.norm(v) + 1e-8) for v in vecs]
+    total = 0.0
+    for a, b in zip(normed, normed[1:]):
+        total += float(a @ b)
+    return total / (len(normed) - 1)

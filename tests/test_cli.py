@@ -412,6 +412,12 @@ class TestConfigValueErrors:
         if field != key:
             assert field not in err
 
+    def test_budget_below_chunk_size_names_budgets_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--budgets", "512,8", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: budgets must be >= chunk_size (16), got 8"), err
+        assert not list(out.glob("records_*.jsonl")) and not (out / "run_meta.json").exists()
 
     def test_header_bits_below_one_is_a_data_error_in_that_file(self, tmp_path, capsys):
         traces = make_trace_dir(tmp_path, n=2)
