@@ -206,15 +206,17 @@ class Example(NamedTuple):
 def _run_grid(examples: Sequence[Example], cfg: dict, out_dir: Path, command: str,
               **header) -> None:
     """Run every example under each method x budget cell, one record file per cell.
-    Every cell's configs are built first, so a bad value fails before any file is written."""
-    cells = [(budget, method, [build_engine_config(cfg, method, budget, ex.served_bits)
-                               for ex in examples])
-             for budget in cfg["budgets"] for method in cfg["methods"]]
+    One config per distinct (method, budget, bits) is built first, so a bad value
+    fails before any file is written."""
+    cells = [(budget, method) for budget in cfg["budgets"] for method in cfg["methods"]]
+    keys = dict.fromkeys((method, budget, ex.served_bits)
+                         for budget, method in cells for ex in examples)
+    engine_cfgs = {key: build_engine_config(cfg, *key) for key in keys}
     out_dir.mkdir(parents=True, exist_ok=True)
-    for budget, method, engine_cfgs in cells:
-        records = [run_episode(ex.source(), engine_cfg, gold=ex.gold,
-                               example_id=ex.example_id, model=ex.model)
-                   for ex, engine_cfg in zip(examples, engine_cfgs)]
+    for budget, method in cells:
+        records = [run_episode(ex.source(), engine_cfgs[method, budget, ex.served_bits],
+                               gold=ex.gold, example_id=ex.example_id, model=ex.model)
+                   for ex in examples]
         records.sort(key=lambda r: r.example_id)
         write_records(records, out_dir / f"records_{method}_b{budget}.jsonl",
                       metadata={"command": command, "method": method, "budget": budget,

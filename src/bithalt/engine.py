@@ -180,7 +180,7 @@ def run_episode(
                 break
             if cfg.method is Method.FIXED:
                 continue
-            readout = signals.push(step.step_entropy(), step.chunk_text, step.hidden)
+            readout = signals.push(step)
             conf = confidence(readout, cal_cfg)
             action = decide(
                 tokens_used, cfg.budget - tokens_used, readout.entropy, conf, marker, pol_cfg

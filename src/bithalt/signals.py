@@ -4,16 +4,22 @@
 the engine holds one RunningSignals per episode and pushes each step, with
 O(1) work per step. The whole-history readouts (``trace_stability``,
 ``hidden_stability``, ``SignalReadout.from_histories``) are folds that push a
-history through a fresh RunningSignals. numpy is imported where a vector is
-first read, so commands that never read one (``report``, scenarios without
-hidden state) do not load it.
+history through a fresh RunningSignals.
+
+Hidden stability is computed with the standard library and exactly rounded
+sums (``math.fsum``), so it gives the same bits on every Python and every
+numpy build. ``entropy`` is the only code in the package that imports numpy,
+and only when a step carries a distribution; ``simulate``, ``report`` and
+replays of entropy-only traces never load it.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import zip_longest
+from operator import mul
 from typing import List, Optional, Sequence
 
 from .errors import InvalidDistributionError, InvalidInputError
@@ -25,6 +31,8 @@ DIST_SUM_TOL = 1e-6
 # invisible at unit scale, large enough that a zero vector maps to zero
 # (cosine contribution 0) instead of dividing by zero.
 HIDDEN_NORM_EPS = 1e-8
+
+_ONE_DIMENSION = "hidden vectors must share one dimension"
 
 # Both chunks of a consecutive pair must be at least this long (in Unicode
 # code points, after stripping leading/trailing whitespace) to count toward
@@ -66,9 +74,7 @@ class StepSignals:
         return hash(self._key())
 
     def _key(self) -> tuple:
-        import numpy as np
-
-        vectors = (None if v is None else np.asarray(v, dtype=np.float64).tobytes()
+        vectors = (None if v is None else array("d", v).tobytes()
                    for v in (self.distribution, self.hidden))
         return (self.chunk_text, self.tokens_in_chunk, self.entropy, *vectors, self.eos)
 
@@ -79,6 +85,30 @@ class StepSignals:
         if "_entropy" not in self.__dict__:  # a memo, not a field: out of == and files
             object.__setattr__(self, "_entropy", entropy(self.distribution))
         return self.__dict__["_entropy"]
+
+    def hidden_unit(self) -> array:
+        """The hidden vector over (2-norm + HIDDEN_NORM_EPS), computed at most
+        once per step; an invalid vector raises InvalidInputError on every read."""
+        if "_hidden_unit" not in self.__dict__:  # a memo, like _entropy
+            object.__setattr__(self, "_hidden_unit", _unit_vector(self.hidden))
+        return self.__dict__["_hidden_unit"]
+
+
+def _unit_vector(hidden) -> array:
+    """Read ``hidden`` as a flat, finite float64 vector and scale it by
+    1 / (sqrt(fsum(x*x)) + HIDDEN_NORM_EPS)."""
+    # An array that says it is not 1-d is refused before it is read: numpy
+    # 1.24 iterates an (n, 1) array as n floats.
+    if getattr(hidden, "ndim", 1) != 1:
+        raise InvalidInputError(_ONE_DIMENSION)
+    try:
+        v = array("d", hidden)
+    except TypeError:  # a scalar, or nested sequences
+        raise InvalidInputError(_ONE_DIMENSION) from None
+    if not all(map(math.isfinite, v)):
+        raise InvalidInputError("hidden vector contains non-finite entries")
+    norm = math.sqrt(math.fsum(map(mul, v, v))) + HIDDEN_NORM_EPS
+    return array("d", [x / norm for x in v])
 
 
 @dataclass(frozen=True)
@@ -101,44 +131,42 @@ class SignalReadout:
         running = RunningSignals()
         readout = cls(step_entropy, 1.0, 1.0, 1.0)
         for chunk, hidden in zip_longest(chunks, hiddens):
-            readout = running.push(step_entropy, "" if chunk is None else chunk, hidden)
+            readout = running.push(StepSignals("" if chunk is None else chunk, 1,
+                                               entropy=step_entropy, hidden=hidden))
         return readout
 
 
 class RunningSignals:
     """Trace and hidden stability over one episode's steps, updated with O(1)
-    work per step. Each hidden vector is validated and normalized once, when a
-    second vector arrives to pair it with; with fewer than two, both readouts
-    are 1.0."""
+    work per step. A step's hidden vector is read, through its ``hidden_unit``
+    memo, once a second vector arrives to pair it with; with fewer than two,
+    both readouts are 1.0. Each consecutive cosine is fsum(a_i * b_i) over two
+    unit vectors, and the cosines are added left to right."""
 
     def __init__(self):
         self._prev_chunk = ""  # shorter than MIN_CHUNK_CHARS: the first pair is not eligible
         self._eligible = self._equal = self._n = 0
-        self._pending: List = []  # hidden vectors not yet read: the first, until a second
-        self._dim = self._prev_unit = None
+        self._pending: List[StepSignals] = []  # the first step with a vector, until a second
+        self._prev_unit: Optional[array] = None
         self._sum = 0.0  # consecutive cosines, added left to right
 
-    def push(self, step_entropy: float, chunk_text: str, hidden) -> SignalReadout:
+    def push(self, step: StepSignals) -> SignalReadout:
         """Append one step to the histories and return the readout over them."""
-        cur = chunk_text.strip()
+        step_entropy = step.step_entropy()
+        cur = step.chunk_text.strip()
         if min(len(self._prev_chunk), len(cur)) >= MIN_CHUNK_CHARS:
             self._eligible += 1
             self._equal += self._prev_chunk == cur
         self._prev_chunk = cur
-        if hidden is not None:
-            self._pending.append(hidden)
+        if step.hidden is not None:
+            self._pending.append(step)
         if len(self._pending) > 1 or (self._pending and self._prev_unit is not None):
-            import numpy as np
-
-            for v in [np.asarray(h, dtype=float) for h in self._pending]:
-                self._dim = v.shape if self._dim is None else self._dim
-                if v.ndim != 1 or v.shape != self._dim:
-                    raise InvalidInputError("hidden vectors must share one dimension")
-                if not np.all(np.isfinite(v)):
-                    raise InvalidInputError("hidden vector contains non-finite entries")
-                unit = v / (np.linalg.norm(v) + HIDDEN_NORM_EPS)
+            for pending in self._pending:
+                unit = pending.hidden_unit()
                 if self._prev_unit is not None:
-                    self._sum += float(self._prev_unit @ unit)
+                    if len(unit) != len(self._prev_unit):
+                        raise InvalidInputError(_ONE_DIMENSION)
+                    self._sum += math.fsum(map(mul, self._prev_unit, unit))
                     self._n += 1
                 self._prev_unit = unit
             self._pending = []

@@ -12,8 +12,11 @@ Trace file (schema ``trace/v2``; ``trace/v1`` still reads):
            "hidden"?, "eos"?}
   ``probs`` and ``hidden`` are base64 strings of little-endian float64 bytes
   (v1 wrote them as JSON lists of numbers; either form reads). They are read
-  back as float64 ndarrays, and validated where they are used: ``entropy``
-  checks a distribution, ``RunningSignals.push`` a hidden vector.
+  back as ``array('d')`` without numpy, and validated where they are used:
+  ``entropy`` checks a distribution, ``StepSignals.hidden_unit`` a hidden vector.
+
+Files are read as UTF-8 and split into lines at "\n" only: U+2028, U+2029
+and U+0085 may stand unescaped inside a JSON string.
 
 Record file (schema ``records/v1``):
   header: {"schema", ...free-form run metadata (no timestamps)}
@@ -30,6 +33,8 @@ import base64
 import functools
 import json
 import os
+import sys
+from array import array
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
@@ -124,9 +129,10 @@ def _parse_json_line(path, lineno: int, line: str) -> dict:
 def _read_jsonl(path, *schemas: str) -> Tuple[dict, Iterator[Tuple[int, dict]]]:
     """A JSONL file's header, checked against ``schemas``, and the (line number,
     object) pairs of its non-blank body lines, parsed as they are iterated."""
-    lines = Path(path).read_text().splitlines()
-    if not lines:
+    text = Path(path).read_text(encoding="utf-8")
+    if not text:
         raise TraceParseError(path, "empty file", line=1)
+    lines = text.split("\n")
     header = _parse_json_line(path, 1, lines[0])
     if header.get("schema") not in schemas:
         raise UnsupportedSchemaError(path, f"unsupported schema {header.get('schema')!r}", line=1)
@@ -134,11 +140,9 @@ def _read_jsonl(path, *schemas: str) -> Tuple[dict, Iterator[Tuple[int, dict]]]:
                     for n, raw in enumerate(lines[1:], start=2) if raw.strip())
 
 
-def _array(value):
-    """A trace array as a float64 ndarray: from a base64 string of
-    little-endian float64 bytes, or from a JSON list of numbers."""
-    import numpy as np
-
+def _array(value) -> array:
+    """A trace array as ``array('d')``: from a base64 string of little-endian
+    float64 bytes, or from a JSON list of numbers."""
     if isinstance(value, str):
         try:
             raw = base64.b64decode(value, validate=True)
@@ -146,16 +150,21 @@ def _array(value):
             raise ValueError(f"invalid base64 array: {exc}")
         if len(raw) % 8:
             raise ValueError(f"array holds {len(raw)} bytes, not a multiple of 8")
-        return np.frombuffer(raw, dtype="<f8")
+        out = array("d")
+        out.frombytes(raw)
+        if sys.byteorder == "big":
+            out.byteswap()
+        return out
     if isinstance(value, list):  # float() rejects null and nested lists, as v1 readers did
-        return np.fromiter(map(float, value), dtype="<f8", count=len(value))
+        return array("d", map(float, value))
     raise TypeError(f"array must be a base64 string or a list, got {type(value).__name__}")
 
 
 def _base64(values) -> str:
-    import numpy as np
-
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+    out = array("d", values)
+    if sys.byteorder == "big":
+        out.byteswap()
+    return base64.b64encode(out.tobytes()).decode("ascii")
 
 
 def read_trace(path) -> Tuple[TraceMeta, List[StepSignals]]:

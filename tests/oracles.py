@@ -5,7 +5,8 @@ stability oracle recomputes the cosine mean over a whole history; both
 deliberately share no code with the implementation under test.
 """
 
-import numpy as np
+import math
+from numbers import Real
 
 from bithalt.errors import InvalidInputError
 
@@ -43,19 +44,39 @@ def oracle_decide(t, remaining, h, c, t_star, theta_h, theta_c, theta_e,
 
 
 def oracle_hidden_stability(hiddens):
-    """Mean consecutive cosine of (2-norm + 1e-8)-normalized vectors, summed
-    left to right; 1.0 with fewer than two. Every vector is checked for one
-    shared 1-d shape and finite entries, in order, before any cosine."""
+    """Mean consecutive cosine of unit vectors, summed left to right; 1.0 with
+    fewer than two.
+
+    Each vector, in order, must be a flat sequence of real numbers, then hold
+    only finite ones, then have the first vector's length. Its unit vector is
+    x / (sqrt(fsum of x_i * x_i) + 1e-8), and each cosine is the fsum of the
+    products of two consecutive unit vectors' entries.
+    """
     if len(hiddens) < 2:
         return 1.0
-    vecs = [np.asarray(h, dtype=float) for h in hiddens]
-    for v in vecs:
-        if v.ndim != 1 or v.shape != vecs[0].shape:
-            raise InvalidInputError("hidden vectors must share one dimension")
-        if not np.all(np.isfinite(v)):
+    flat = "hidden vectors must share one dimension"
+    units = []
+    for h in hiddens:
+        try:
+            entries = list(h)
+        except TypeError:  # a scalar, or a 0-d array
+            raise InvalidInputError(flat)
+        if not all(isinstance(x, Real) for x in entries):  # nested, or an (n, 1) array
+            raise InvalidInputError(flat)
+        xs = [float(x) for x in entries]
+        if not all(math.isfinite(x) for x in xs):
             raise InvalidInputError("hidden vector contains non-finite entries")
-    normed = [v / (np.linalg.norm(v) + 1e-8) for v in vecs]
+        if units and len(xs) != len(units[0]):
+            raise InvalidInputError(flat)
+        squares = []
+        for x in xs:
+            squares.append(x * x)
+        norm = math.sqrt(math.fsum(squares)) + 1e-8
+        units.append([x / norm for x in xs])
     total = 0.0
-    for a, b in zip(normed, normed[1:]):
-        total += float(a @ b)
-    return total / (len(normed) - 1)
+    for a, b in zip(units, units[1:]):
+        products = []
+        for x, y in zip(a, b):
+            products.append(x * y)
+        total += math.fsum(products)
+    return total / (len(units) - 1)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bithalt import signals
+from bithalt import cli, signals
 from bithalt.cli import (
     CONFIG_FIELDS,
     DEFAULTS,
@@ -19,7 +19,7 @@ from bithalt.engine import EngineConfig, Method
 from bithalt.metrics import SUMMARY_COLUMNS
 from bithalt.signals import StepSignals
 from bithalt.simulate import ScenarioSource, scenario_suite_canonical
-from bithalt.trace_io import TraceMeta, read_records, write_records, write_trace
+from bithalt.trace_io import TraceMeta, read_records, read_trace, write_records, write_trace
 from test_trace_io import sample_record
 
 
@@ -122,6 +122,35 @@ class TestReplay:
         assert run_cli("replay", "--traces", str(traces), "--budgets", "256,512",
                        "--out", str(tmp_path / "out")) == 0
         assert 0 < len(calls) <= len(steps)
+
+    def test_hidden_normalized_once_per_step_across_the_grid(self, tmp_path, monkeypatch):
+        steps = [StepSignals(chunk_text=f"thinking {j}\n", tokens_in_chunk=16, entropy=3.0,
+                             hidden=[float(j + 1), 1.0, -2.0]) for j in range(12)]
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        write_trace(TraceMeta(example_id="h", gold_answer=42.0), steps, traces / "h.jsonl")
+        calls = []
+        real = signals._unit_vector
+        monkeypatch.setattr(signals, "_unit_vector", lambda h: calls.append(1) or real(h))
+        assert run_cli("replay", "--traces", str(traces), "--budgets", "256,512",
+                       "--out", str(tmp_path / "out")) == 0
+        assert 0 < len(calls) <= len(steps)
+
+    def test_one_engine_config_per_method_budget_and_bits(self, tmp_path, monkeypatch):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        steps = [StepSignals(chunk_text="#### 42\n", tokens_in_chunk=8, entropy=0.5, eos=True)]
+        for i in range(6):
+            write_trace(TraceMeta(example_id=f"t{i}", gold_answer=42.0,
+                                  served_bits=(4, 8)[i % 2]), steps, traces / f"t{i}.jsonl")
+        calls = []
+        real = cli.build_engine_config
+        monkeypatch.setattr(cli, "build_engine_config",
+                            lambda *a: calls.append(a[1:]) or real(*a))
+        assert run_cli("replay", "--traces", str(traces), "--budgets", "256,512",
+                       "--out", str(tmp_path / "out")) == 0
+        assert sorted(calls) == sorted((m.value, b, bits) for m in Method
+                                       for b in (256, 512) for bits in (4, 8))
 
     def test_replays_every_trace(self, tmp_path):
         traces = make_trace_dir(tmp_path, n=3)
@@ -434,12 +463,15 @@ class TestConfigValueErrors:
 
 
 class TestNumpyImport:
-    """numpy is loaded only by code that reads a vector."""
+    """numpy is loaded only by entropy, for steps that carry a distribution."""
+
+    # Makes any import of numpy in the child raise ImportError.
+    BLOCK = "import sys\nsys.modules['numpy'] = None\n"
 
     def _numpy_loaded(self, code):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         done = subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
-                               "print('numpy' in sys.modules)"],
+                               "print(sys.modules.get('numpy') is not None)"],
                               env=env, capture_output=True, text=True, check=True)
         return done.stdout.splitlines()[-1] == "True"
 
@@ -454,11 +486,38 @@ class TestNumpyImport:
         assert (tmp_path / "summary.csv").read_bytes() == (
             GOLDEN_REPORT / "summary.csv").read_bytes()
 
-    def test_simulate_with_hidden_vectors_loads_numpy(self, tmp_path):
-        # The probe can see numpy: the canonical suite has hidden vectors.
+    def test_simulate_without_numpy_reproduces_golden_records(self, tmp_path):
+        # The canonical suite has hidden vectors.
+        assert not self._numpy_loaded(
+            self.BLOCK + "from bithalt.cli import main\n"
+            f"assert main(['simulate', '--bits', '4', '--out', {str(tmp_path)!r}]) == 0")
+        golden = sorted(GOLDEN_RECORDS.glob("records_*.jsonl"))
+        assert len(golden) == 3
+        for path in golden:
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_entropy_only_replay_without_numpy(self, tmp_path):
+        traces = write_scenario_traces(tmp_path / "traces", scenario_suite_canonical())
+        _, steps = read_trace(traces / "confident-early-wrong.jsonl")
+        assert all(len(s.hidden) == 2 for s in steps)
+        out = tmp_path / "out"
+        assert not self._numpy_loaded(
+            self.BLOCK + "from bithalt.cli import main\n"
+            f"assert main(['replay', '--traces', {str(traces)!r}, '--out', {str(out)!r}]) == 0")
+        for path in sorted(GOLDEN_RECORDS.glob("records_*.jsonl")):
+            replayed = (out / path.name).read_text().splitlines()[1:]
+            assert replayed == path.read_text().splitlines()[1:], path.name
+
+    def test_replay_of_a_probs_trace_loads_numpy(self, tmp_path):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        steps = [StepSignals(chunk_text=f"thinking {j}\n", tokens_in_chunk=16,
+                             distribution=[0.5, 0.25, 0.25]) for j in range(4)]
+        write_trace(TraceMeta(example_id="p", gold_answer=42.0), steps, traces / "p.jsonl")
         assert self._numpy_loaded(
             "from bithalt.cli import main\n"
-            f"assert main(['simulate', '--methods', 'bitcal', '--out', {str(tmp_path)!r}]) == 0")
+            f"assert main(['replay', '--traces', {str(traces)!r},"
+            f" '--out', {str(tmp_path / 'out')!r}]) == 0")
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,16 @@ class TestHiddenStability:
         scaled = hidden_stability([tuple(scale * x for x in v) for v in vecs])
         assert scaled == pytest.approx(base, abs=1e-6)
 
+    @given(st.lists(st.lists(st.floats(min_value=-5, max_value=5), min_size=4, max_size=4),
+                    min_size=2, max_size=8),
+           st.permutations(range(4)))
+    @settings(max_examples=300)
+    def test_coordinate_permutation_is_bit_identical(self, vecs, order):
+        # fsum is exactly rounded, so the order of a vector's entries cannot
+        # change its norm or any cosine.
+        permuted = [[v[i] for i in order] for v in vecs]
+        assert hidden_stability(permuted) == hidden_stability(vecs)
+
     def test_matches_brute_force_randomized(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -215,7 +226,7 @@ class TestStepSignals:
         i = next(i for i, step in enumerate(a)
                  if step.hidden is not None and np.isnan(step.hidden).any())
         assert a[i] == b[i]  # NaN equals NaN
-        changed = a[i].hidden.copy()
+        changed = array("d", a[i].hidden)
         changed[0] += 1.0
         assert dataclasses.replace(a[i], hidden=changed) != b[i]
         as_list = StepSignals(chunk_text="x", tokens_in_chunk=1, distribution=[0.5, 0.5],
@@ -231,6 +242,29 @@ class TestStepSignals:
             with pytest.raises(InvalidDistributionError):
                 s.step_entropy()
 
+    def test_hidden_unit_computed_once_per_step(self, monkeypatch):
+        calls = []
+        real = signals._unit_vector
+        monkeypatch.setattr(signals, "_unit_vector", lambda h: calls.append(h) or real(h))
+        s = StepSignals(chunk_text="x", tokens_in_chunk=1, entropy=1.0, hidden=(3.0, 4.0))
+        for _ in range(3):
+            assert s.hidden_unit() == array("d", [3.0 / (5.0 + 1e-8), 4.0 / (5.0 + 1e-8)])
+        assert len(calls) == 1
+        assert s == StepSignals(chunk_text="x", tokens_in_chunk=1, entropy=1.0,
+                                hidden=(3.0, 4.0))
+
+    @pytest.mark.parametrize("hidden,message", [
+        ((1.0, float("nan")), "non-finite"),
+        (((1.0, 0.0),), "one dimension"),
+        (np.array(5.0), "one dimension"),
+        (np.ones((3, 1)), "one dimension"),
+    ])
+    def test_invalid_hidden_raises_on_every_read(self, hidden, message):
+        s = StepSignals(chunk_text="x", tokens_in_chunk=1, entropy=1.0, hidden=hidden)
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match=message):
+                s.hidden_unit()
+
 
 # Chunks that are short, whitespace-padded or repeated, so that every trace
 # stability case occurs; hidden vectors include zero and anti-parallel ones.
@@ -245,6 +279,10 @@ HIDDEN = st.one_of(
     st.tuples(*[st.floats(min_value=-5, max_value=5)] * 3),
 )
 STEPS = st.lists(st.tuples(st.floats(min_value=0, max_value=12), CHUNKS, HIDDEN), max_size=25)
+
+
+def _step(h, chunk, hidden):
+    return StepSignals(chunk_text=chunk, tokens_in_chunk=1, entropy=h, hidden=hidden)
 
 
 def _outcome(fn):
@@ -270,10 +308,11 @@ class TestRunningSignals:
             chunks.append(chunk)
             if hidden is not None:
                 hiddens.append(hidden)
-            assert running.push(h, chunk, hidden) == oracle_readout(h, chunks, hiddens)
+            assert running.push(_step(h, chunk, hidden)) == oracle_readout(h, chunks, hiddens)
 
     @given(st.lists(st.tuples(CHUNKS, st.one_of(
-        HIDDEN, st.sampled_from([(float("nan"), 1.0, 0.0), (1.0, 0.0), ((1.0, 0.0, 0.0),)]))),
+        HIDDEN, st.sampled_from([(float("nan"), 1.0, 0.0), (1.0, 0.0), ((1.0, 0.0, 0.0),),
+                                 np.array(1.0), np.ones((3, 1))]))),
         max_size=12))
     @settings(max_examples=300, deadline=None)
     def test_malformed_hidden_fails_at_the_same_prefix(self, steps):
@@ -284,14 +323,14 @@ class TestRunningSignals:
             if hidden is not None:
                 hiddens.append(hidden)
             expected = _outcome(lambda: oracle_readout(1.0, chunks, hiddens))
-            assert _outcome(lambda: running.push(1.0, chunk, hidden)) == expected
+            assert _outcome(lambda: running.push(_step(1.0, chunk, hidden))) == expected
             if isinstance(expected, str):
                 break
 
     def test_anti_parallel_raw_is_clipped(self):
         running = RunningSignals()
-        running.push(1.0, "a", BASE)
-        readout = running.push(1.0, "b", tuple(-x for x in BASE))
+        running.push(_step(1.0, "a", BASE))
+        readout = running.push(_step(1.0, "b", tuple(-x for x in BASE)))
         assert readout.hidden_stability_raw < 0
         assert readout.hidden_stability == 0.0
 

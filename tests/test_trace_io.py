@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import json
 import math
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -94,13 +95,12 @@ class TestTraceV2:
         assert '"entropy": 0.1' in path.read_text().splitlines()[2]
         assert second["entropy"] == 0.1 and first["tokens"] == 4
 
-    def test_arrays_read_back_as_float64_ndarrays(self, tmp_path):
+    def test_arrays_read_back_as_float64_arrays(self, tmp_path):
         path = tmp_path / "t.jsonl"
         write_trace(META, [StepSignals(chunk_text="x", tokens_in_chunk=4, distribution=[1.0],
                                        hidden=[1.0, 2.0])], path)
         (step,) = read_trace(path)[1]
-        for arr in (step.distribution, step.hidden):
-            assert isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.ndim == 1
+        assert step.distribution == array("d", [1.0]) and step.hidden == array("d", [1.0, 2.0])
 
     @given(st.lists(float64s, max_size=40), st.lists(float64s, max_size=40))
     @settings(max_examples=100)
@@ -182,7 +182,7 @@ class TestTraceV1:
 class TestTraceValidation:
     def _write_lines(self, tmp_path, lines):
         path = tmp_path / "t.jsonl"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path
 
     def header(self):
@@ -224,6 +224,25 @@ class TestTraceValidation:
         ])
         with pytest.raises(TraceParseError):
             read_trace(path)
+
+    def test_line_separators_inside_strings_stay_in_their_line(self, tmp_path):
+        # U+2028, U+2029 and U+0085 are legal unescaped in a JSON string; only
+        # "\n" ends a line.
+        text = "a\u2028b\u2029c\x85d #### 42\n"
+        path = self._write_lines(tmp_path, [
+            self.header(),
+            json.dumps({"step": 0, "chunk_text": text, "tokens": 4, "entropy": 1.0},
+                       ensure_ascii=False),
+            json.dumps({"step": 1, "chunk_text": "y", "tokens": 4, "entropy": 1.0}),
+            "{broken",
+        ])
+        with pytest.raises(TraceParseError) as exc:
+            read_trace(path)
+        assert exc.value.line == 4
+        path.write_text(path.read_text(encoding="utf-8").replace("{broken\n", ""),
+                        encoding="utf-8")
+        _, steps = read_trace(path)
+        assert [s.chunk_text for s in steps] == [text, "y"]
 
     def test_replayed_trace_drives_engine(self, tmp_path):
         steps = [
@@ -326,6 +345,17 @@ class TestRecordFiles:
         assert len(path.read_text().splitlines()) == 1
         _, records = read_records(path)
         assert records == []
+
+    def test_line_separators_inside_strings_stay_in_their_line(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        recs = [sample_record(0, generated_text="x\u2028y\u2029z\x85 #### 42"),
+                sample_record(1)]
+        write_records(recs, path)
+        lines = path.read_text().splitlines()
+        lines[1] = json.dumps(json.loads(lines[1]), ensure_ascii=False)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert "\u2028" in path.read_text(encoding="utf-8")
+        assert read_records(path)[1] == recs
 
     def test_line_count(self, tmp_path):
         path = tmp_path / "r.jsonl"
