@@ -1,10 +1,12 @@
 """Command-line surface: simulate, replay, report, sweep.
 
 simulate and replay differ only in how they load examples (scenarios or
-recorded traces); one runner scores both over the method x budget grid, and
-sweep runs either one, then report. A replayed trace runs at the bit width in
-its header unless bits is set by a flag or the config file; if it is not,
-run_meta.json reads "bits": null.
+recorded traces). One runner scores both one example at a time: each is loaded,
+run under every method x budget cell and dropped, so a replay holds one trace's
+steps. replay reads every header first; a body that fails to parse is reported
+when its turn comes and skipped in every cell. sweep runs either one, then
+report. A replayed trace runs at the bit width in its header unless bits is set
+by a flag or the config file; if it is not, run_meta.json reads "bits": null.
 
 Config resolution is layered: built-in defaults <- the command's own defaults
 <- optional JSON config file (--config) <- explicit command-line flags, highest
@@ -35,7 +37,8 @@ from .errors import BithaltError, ConfigError, EmptyRunError, TraceParseError
 from .metrics import emit_summary_table, format_summary_rows, summarize_all
 from .policy import PolicyConfig
 from .simulate import load_scenario_dir, scenario_source, scenario_suite_canonical
-from .trace_io import ReplaySource, read_records, read_trace, write_records, write_text
+from .trace_io import (ReplaySource, read_records, read_trace, read_trace_meta,
+                       write_records, write_text)
 
 VALID_METHODS = tuple(m.value for m in Method)
 
@@ -63,14 +66,11 @@ _KEY_OF_FIELD = {"budget": "budgets",
                  **{name: key for key, (_, name, _) in CONFIG_FIELDS.items()}}
 
 
-def _field_default(cls, name: str):
-    return next(f.default for f in dataclasses.fields(cls) if f.name == name)
-
-
 DEFAULTS = {
     "methods": ",".join(VALID_METHODS),
     "budgets": "512",
-    **{key: _field_default(cls, name) for key, (cls, name, _) in CONFIG_FIELDS.items()},
+    **{key: next(f.default for f in dataclasses.fields(cls) if f.name == name)
+       for key, (cls, name, _) in CONFIG_FIELDS.items()},
 }
 
 
@@ -194,9 +194,9 @@ def build_engine_config(cfg: dict, method: str, budget: int, served_bits: int) -
 
 
 class Example(NamedTuple):
-    """One row of the grid: how to stream it, and how to score it."""
+    """One row of the grid: how to load and stream it, and how to score it."""
 
-    source: Callable[[], TokenSource]  # a fresh token stream per call
+    load: Callable[[], Callable[[], TokenSource]]  # parses once; gives a fresh stream per call
     gold: float
     example_id: str
     model: str
@@ -204,19 +204,31 @@ class Example(NamedTuple):
 
 
 def _run_grid(examples: Sequence[Example], cfg: dict, out_dir: Path, command: str,
-              **header) -> None:
-    """Run every example under each method x budget cell, one record file per cell.
-    One config per distinct (method, budget, bits) is built first, so a bad value
-    fails before any file is written."""
-    cells = [(budget, method) for budget in cfg["budgets"] for method in cfg["methods"]]
+              **header) -> int:
+    """Load each example, run it under every method x budget cell and drop it
+    before the next one loads; then write each cell's records, sorted by example
+    id. Configs are built first, so a bad value fails before any episode. An
+    example that fails to load is reported, skipped in every cell and counted."""
+    cells = {(budget, method): [] for budget in cfg["budgets"] for method in cfg["methods"]}
     keys = dict.fromkeys((method, budget, ex.served_bits)
                          for budget, method in cells for ex in examples)
     engine_cfgs = {key: build_engine_config(cfg, *key) for key in keys}
+    failed = 0
+    for ex in examples:
+        try:
+            source = ex.load()
+        except TraceParseError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            failed += 1
+            continue
+        for (budget, method), records in cells.items():
+            records.append(run_episode(source(), engine_cfgs[method, budget, ex.served_bits],
+                                       gold=ex.gold, example_id=ex.example_id, model=ex.model))
+        del source  # release this example's steps before the next one is parsed
+    if failed == len(examples):  # only a trace can fail to load
+        raise EmptyRunError("every trace file failed to parse")
     out_dir.mkdir(parents=True, exist_ok=True)
-    for budget, method in cells:
-        records = [run_episode(ex.source(), engine_cfgs[method, budget, ex.served_bits],
-                               gold=ex.gold, example_id=ex.example_id, model=ex.model)
-                   for ex in examples]
+    for (budget, method), records in cells.items():
         records.sort(key=lambda r: r.example_id)
         write_records(records, out_dir / f"records_{method}_b{budget}.jsonl",
                       metadata={"command": command, "method": method, "budget": budget,
@@ -227,6 +239,7 @@ def _run_grid(examples: Sequence[Example], cfg: dict, out_dir: Path, command: st
               f"avg_tokens={avg:.1f}")
     meta = {"command": command, "config": {k: cfg[k] for k in sorted(cfg, key=str)}}
     write_text(out_dir / "run_meta.json", json.dumps(meta, indent=2) + "\n")
+    return failed
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -237,8 +250,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise TraceParseError(args.scenarios, "no scenario files found")
     else:
         scenarios = scenario_suite_canonical()
-    examples = [Example(partial(scenario_source, s, cfg["chunk_size"]), s.gold_answer,
-                        s.scenario_id, "sim", cfg["bits"]) for s in scenarios]
+    # A scenario is parsed already: its load only binds the chunk size.
+    examples = [Example(partial(partial, scenario_source, s, cfg["chunk_size"]),
+                        s.gold_answer, s.scenario_id, "sim", cfg["bits"]) for s in scenarios]
     _run_grid(examples, cfg, Path(args.out), "simulate")
     return 0
 
@@ -253,19 +267,17 @@ def cmd_replay(args: argparse.Namespace) -> int:
     examples = []
     for path in paths:
         try:
-            meta, steps = read_trace(path)
+            meta = read_trace_meta(path)
         except TraceParseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             continue
-        examples.append(Example(partial(ReplaySource, steps), meta.gold_answer, meta.example_id,
-                                meta.model,
+        examples.append(Example(lambda path=path: partial(ReplaySource, read_trace(path)[1]),
+                                meta.gold_answer, meta.example_id, meta.model,
                                 meta.served_bits if cfg["bits"] is None else cfg["bits"]))
-    if not examples:
-        raise TraceParseError(trace_dir, "every trace file failed to parse")
     # Post-divergence chunks come from the producing run and are counterfactual
     # under this controller.
-    _run_grid(examples, cfg, Path(args.out), "replay", counterfactual_replay=True)
-    return 2 if len(examples) < len(paths) else 0
+    failed = _run_grid(examples, cfg, Path(args.out), "replay", counterfactual_replay=True)
+    return 2 if failed or len(examples) < len(paths) else 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -145,22 +145,9 @@ def format_summary_rows(summaries: Sequence[RunSummary]) -> List[str]:
     """The header and one row per summary, in the given (``summarize_all``) order."""
     rows = [SUMMARY_COLUMNS]
     for s in summaries:
-        rows.append(
-            ",".join(
-                [
-                    s.method,
-                    str(s.budget),
-                    str(s.n),
-                    _pct(s.accuracy),
-                    _pct(s.ci_low),
-                    _pct(s.ci_high),
-                    _toks(s.avg_tokens),
-                    _pct(s.premature_stop_pct),
-                    _pct(s.savings_pct),
-                    s.model,
-                ]
-            )
-        )
+        rows.append(",".join([s.method, str(s.budget), str(s.n), _pct(s.accuracy),
+                              _pct(s.ci_low), _pct(s.ci_high), _toks(s.avg_tokens),
+                              _pct(s.premature_stop_pct), _pct(s.savings_pct), s.model]))
     return rows
 
 

@@ -20,7 +20,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import zip_longest
 from operator import mul
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InvalidDistributionError, InvalidInputError
 
@@ -93,6 +93,24 @@ class StepSignals:
             object.__setattr__(self, "_hidden_unit", _unit_vector(self.hidden))
         return self.__dict__["_hidden_unit"]
 
+    def cosine(self, nxt: "StepSignals") -> float:
+        """fsum(a_i * b_i) over this step's and then ``nxt``'s unit vector,
+        computed at most once per (step, nxt) pair, as every cell of a replay
+        pairs the same two steps; a mismatched pair raises on every read. The
+        memo is kept on the earlier step, so a stream can still free its past."""
+        memo = self.__dict__.get("_cosine")  # (nxt, cosine), like _entropy
+        if memo is None or memo[0] is not nxt:
+            unit, next_unit = self.hidden_unit(), nxt.hidden_unit()
+            if len(unit) != len(next_unit):
+                raise InvalidInputError(_ONE_DIMENSION)
+            memo = (nxt, _dot(unit, next_unit))
+            object.__setattr__(self, "_cosine", memo)
+        return memo[1]
+
+
+def _dot(a: array, b: array) -> float:
+    return math.fsum(map(mul, a, b))
+
 
 def _unit_vector(hidden) -> array:
     """Read ``hidden`` as a flat, finite float64 vector and scale it by
@@ -140,14 +158,13 @@ class RunningSignals:
     """Trace and hidden stability over one episode's steps, updated with O(1)
     work per step. A step's hidden vector is read, through its ``hidden_unit``
     memo, once a second vector arrives to pair it with; with fewer than two,
-    both readouts are 1.0. Each consecutive cosine is fsum(a_i * b_i) over two
-    unit vectors, and the cosines are added left to right."""
+    both readouts are 1.0. Each consecutive cosine is read through the earlier
+    step's ``cosine`` memo, and the cosines are added left to right."""
 
     def __init__(self):
         self._prev_chunk = ""  # shorter than MIN_CHUNK_CHARS: the first pair is not eligible
         self._eligible = self._equal = self._n = 0
-        self._pending: List[StepSignals] = []  # the first step with a vector, until a second
-        self._prev_unit: Optional[array] = None
+        self._prev: Optional[StepSignals] = None  # the last step with a hidden vector
         self._sum = 0.0  # consecutive cosines, added left to right
 
     def push(self, step: StepSignals) -> SignalReadout:
@@ -159,17 +176,10 @@ class RunningSignals:
             self._equal += self._prev_chunk == cur
         self._prev_chunk = cur
         if step.hidden is not None:
-            self._pending.append(step)
-        if len(self._pending) > 1 or (self._pending and self._prev_unit is not None):
-            for pending in self._pending:
-                unit = pending.hidden_unit()
-                if self._prev_unit is not None:
-                    if len(unit) != len(self._prev_unit):
-                        raise InvalidInputError(_ONE_DIMENSION)
-                    self._sum += math.fsum(map(mul, self._prev_unit, unit))
-                    self._n += 1
-                self._prev_unit = unit
-            self._pending = []
+            if self._prev is not None:
+                self._sum += self._prev.cosine(step)
+                self._n += 1
+            self._prev = step
         raw = self._sum / self._n if self._n else 1.0
         trace = 1.0 if self._eligible < 2 else self._equal / self._eligible
         return SignalReadout(step_entropy, trace, min(max(raw, 0.0), 1.0), raw)

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .errors import ConfigError, TraceParseError
 from .policy import DEFAULT_MARKER
 from .signals import StepSignals
-from .trace_io import from_fields, write_text
+from .trace_io import from_fields
 
 
 @dataclass(frozen=True)
@@ -57,19 +57,10 @@ class Scenario:
     def total_tokens(self) -> int:
         return sum(s.length for s in self.segments)
 
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["segments"] = [{f.name: getattr(s, f.name) for f in fields(s)} for s in self.segments]
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         return from_fields(cls, d, segments=lambda segs: tuple(
             from_fields(Segment, seg) for seg in segs))
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    write_text(path, json.dumps(scenario.to_dict(), indent=2) + "\n")
 
 
 def load_scenario(path) -> Scenario:

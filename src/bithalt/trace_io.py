@@ -15,8 +15,9 @@ Trace file (schema ``trace/v2``; ``trace/v1`` still reads):
   back as ``array('d')`` without numpy, and validated where they are used:
   ``entropy`` checks a distribution, ``StepSignals.hidden_unit`` a hidden vector.
 
-Files are read as UTF-8 and split into lines at "\n" only: U+2028, U+2029
-and U+0085 may stand unescaped inside a JSON string.
+Files are read one line at a time, split at "\n" only (U+2028, U+2029 and
+U+0085 may stand unescaped inside a JSON string); a line that is not UTF-8 is
+a parse error naming it. ``read_trace_meta`` reads a trace's header line alone.
 
 Record file (schema ``records/v1``):
   header: {"schema", ...free-form run metadata (no timestamps)}
@@ -67,15 +68,10 @@ class ReplaySource:
     original run generated (counterfactual under a different controller)."""
 
     def __init__(self, steps: List[StepSignals]):
-        self._steps = list(steps)
-        self._idx = 0
+        self._steps = iter(steps)
 
     def next_chunk(self, max_tokens: int) -> Optional[StepSignals]:
-        if self._idx >= len(self._steps):
-            return None
-        step = self._steps[self._idx]
-        self._idx += 1
-        return step
+        return next(self._steps, None)
 
 
 @functools.cache
@@ -126,18 +122,23 @@ def _parse_json_line(path, lineno: int, line: str) -> dict:
     return obj
 
 
-def _read_jsonl(path, *schemas: str) -> Tuple[dict, Iterator[Tuple[int, dict]]]:
-    """A JSONL file's header, checked against ``schemas``, and the (line number,
-    object) pairs of its non-blank body lines, parsed as they are iterated."""
-    text = Path(path).read_text(encoding="utf-8")
-    if not text:
+def _read_jsonl(path, *schemas: str) -> Iterator[Tuple[int, dict]]:
+    """(line number, object) pairs of a JSONL file, read and parsed one line at
+    a time: the header, checked against ``schemas``, then each non-blank body line."""
+    if not os.path.getsize(path):
         raise TraceParseError(path, "empty file", line=1)
-    lines = text.split("\n")
-    header = _parse_json_line(path, 1, lines[0])
-    if header.get("schema") not in schemas:
-        raise UnsupportedSchemaError(path, f"unsupported schema {header.get('schema')!r}", line=1)
-    return header, ((n, _parse_json_line(path, n, raw))
-                    for n, raw in enumerate(lines[1:], start=2) if raw.strip())
+    with open(path, "rb") as f:  # binary lines end at b"\n" only
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TraceParseError(path, f"invalid UTF-8: {exc.reason}", line=lineno)
+            if lineno == 1 or line.strip():
+                obj = _parse_json_line(path, lineno, line)
+                if lineno == 1 and obj.get("schema") not in schemas:
+                    raise UnsupportedSchemaError(
+                        path, f"unsupported schema {obj.get('schema')!r}", line=1)
+                yield lineno, obj
 
 
 def _array(value) -> array:
@@ -167,40 +168,42 @@ def _base64(values) -> str:
     return base64.b64encode(out.tobytes()).decode("ascii")
 
 
+def read_trace_meta(path, lines: Optional[Iterator[Tuple[int, dict]]] = None) -> TraceMeta:
+    """A trace's header metadata, from the first of its ``lines`` as read_trace
+    passes them; by default only the first line of the file is read."""
+    _, header = next(lines or _read_jsonl(path, "trace/v1", TRACE_SCHEMA))
+    try:
+        return from_fields(TraceMeta, header)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TraceParseError(path, f"invalid header: {exc}", line=1)
+
+
 def read_trace(path) -> Tuple[TraceMeta, List[StepSignals]]:
     """Parse a trace file into its header metadata and ordered steps.
 
     Wrap the steps in a ReplaySource to feed them to the engine; build a
     fresh source per episode.
     """
-    header, body = _read_jsonl(path, "trace/v1", TRACE_SCHEMA)
-    try:
-        meta = from_fields(TraceMeta, header)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceParseError(path, f"invalid header: {exc}", line=1)
-
+    body = _read_jsonl(path, "trace/v1", TRACE_SCHEMA)
+    meta = read_trace_meta(path, body)
     steps: List[StepSignals] = []
     for lineno, obj in body:
         if steps and steps[-1].eos:
             raise TraceParseError(path, "steps follow an eos-flagged step", line=lineno)
         if obj.get("step") != len(steps):
-            raise TraceParseError(
-                path, f"non-contiguous step index {obj.get('step')!r}, expected {len(steps)}",
-                line=lineno,
-            )
+            raise TraceParseError(path, f"non-contiguous step index {obj.get('step')!r}, "
+                                  f"expected {len(steps)}", line=lineno)
         try:
             # StepSignals rejects a step with both or neither of entropy and probs.
             entropy, probs, hidden = obj.get("entropy"), obj.get("probs"), obj.get("hidden")
-            steps.append(
-                StepSignals(
-                    chunk_text=str(obj["chunk_text"]),
-                    tokens_in_chunk=int(obj["tokens"]),
-                    entropy=None if entropy is None else float(entropy),
-                    distribution=None if probs is None else _array(probs),
-                    hidden=None if hidden is None else _array(hidden),
-                    eos=bool(obj.get("eos", False)),
-                )
-            )
+            steps.append(StepSignals(
+                chunk_text=str(obj["chunk_text"]),
+                tokens_in_chunk=int(obj["tokens"]),
+                entropy=None if entropy is None else float(entropy),
+                distribution=None if probs is None else _array(probs),
+                hidden=None if hidden is None else _array(hidden),
+                eos=bool(obj.get("eos", False)),
+            ))
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceParseError(path, f"invalid step: {exc}", line=lineno)
     return meta, steps
@@ -236,11 +239,6 @@ def write_trace(meta: TraceMeta, steps: List[StepSignals], path) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
-def record_to_dict(rec: EpisodeRecord) -> dict:
-    # Shallow on purpose: asdict would deep-copy every actions tuple.
-    return {f.name: getattr(rec, f.name) for f in fields(rec)}
-
-
 def _actions(value) -> Tuple[Tuple[str, str, int], ...]:
     return tuple((str(a), str(r), int(t)) for a, r, t in value)
 
@@ -251,14 +249,16 @@ def write_records(records: List[EpisodeRecord], path, metadata: Optional[dict] =
     if metadata:
         header.update(metadata)
     lines = [json.dumps(header)]
-    lines.extend(json.dumps(record_to_dict(r)) for r in records)
+    # Shallow on purpose: asdict would deep-copy every actions tuple.
+    lines.extend(json.dumps({f.name: getattr(r, f.name) for f in fields(r)}) for r in records)
     write_text(path, "\n".join(lines) + "\n")
 
 
 def read_records(path) -> Tuple[dict, List[EpisodeRecord]]:
-    header, body = _read_jsonl(path, RECORD_SCHEMA)
+    lines = _read_jsonl(path, RECORD_SCHEMA)
+    _, header = next(lines)
     records = []
-    for lineno, obj in body:
+    for lineno, obj in lines:
         try:
             records.append(from_fields(EpisodeRecord, obj, actions=_actions))
         except (KeyError, TypeError, ValueError) as exc:

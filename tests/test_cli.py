@@ -136,6 +136,20 @@ class TestReplay:
                        "--out", str(tmp_path / "out")) == 0
         assert 0 < len(calls) <= len(steps)
 
+    def test_cosine_computed_once_per_step_pair_across_the_grid(self, tmp_path, monkeypatch):
+        # Both controllers at both budgets pair the same two step objects.
+        steps = [StepSignals(chunk_text=f"thinking {j}\n", tokens_in_chunk=16, entropy=3.0,
+                             hidden=[float(j + 1), 1.0, -2.0]) for j in range(12)]
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        write_trace(TraceMeta(example_id="h", gold_answer=42.0), steps, traces / "h.jsonl")
+        calls = []
+        real = signals._dot
+        monkeypatch.setattr(signals, "_dot", lambda a, b: calls.append(1) or real(a, b))
+        assert run_cli("replay", "--traces", str(traces), "--budgets", "256,512",
+                       "--out", str(tmp_path / "out")) == 0
+        assert 0 < len(calls) <= len(steps) - 1
+
     def test_one_engine_config_per_method_budget_and_bits(self, tmp_path, monkeypatch):
         traces = tmp_path / "traces"
         traces.mkdir()
@@ -172,6 +186,18 @@ class TestReplay:
         assert "zz-broken" in capsys.readouterr().err
         _, records = read_records(out / "records_fixed_b512.jsonl")
         assert len(records) == 2
+
+    def test_invalid_utf8_in_a_trace_skips_it_and_exits_2(self, tmp_path, capsys):
+        traces = make_trace_dir(tmp_path, n=3)
+        path = traces / "gsm-0001.jsonl"
+        with open(path, "ab") as f:
+            f.write(b"\xff\xfe\n")
+        out = tmp_path / "out"
+        assert run_cli("replay", "--traces", str(traces), "--methods", "fixed",
+                       "--out", str(out)) == 2
+        assert f"error: {path}:13: invalid UTF-8" in capsys.readouterr().err
+        assert [r.example_id for r in read_records(out / "records_fixed_b512.jsonl")[1]] == [
+            "gsm-0000", "gsm-0002"]
 
     def test_config_file_bits_override_trace_header(self, tmp_path):
         # At 4 bits (the trace header) bitcal stops marker-then-revision at
@@ -246,6 +272,15 @@ class TestReport:
         rows = (tmp_path / "summary.csv").read_text().splitlines()
         assert rows[1].split(",")[3] == "1.3"
         assert capsys.readouterr().out.splitlines() == rows
+
+    def test_invalid_utf8_in_a_record_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "records_bitcal_b512.jsonl"
+        write_records([sample_record(i) for i in range(3)], path)
+        with open(path, "ab") as f:
+            f.write(b"\xff\xfe\n")
+        assert run_cli("report", "--out", str(tmp_path)) == 2
+        assert f"error: {path}:5: invalid UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_empty_record_set_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "empty"

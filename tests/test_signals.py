@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 from array import array
 from pathlib import Path
 
@@ -326,6 +327,48 @@ class TestRunningSignals:
             assert _outcome(lambda: running.push(_step(1.0, chunk, hidden))) == expected
             if isinstance(expected, str):
                 break
+
+    @given(STEPS, st.lists(st.integers(min_value=0, max_value=25), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_steps_shared_by_cells_give_the_oracle_readouts(self, steps, lengths):
+        # A replay pushes the same step objects through one RunningSignals per
+        # cell, and a cell may stop early; the cosine memo must not change a bit.
+        shared = [_step(*step) for step in steps]
+        for n in lengths:
+            running = RunningSignals()
+            chunks, hiddens = [], []
+            for (h, chunk, hidden), step in zip(steps[:n], shared):
+                chunks.append(chunk)
+                if hidden is not None:
+                    hiddens.append(hidden)
+                assert running.push(step) == oracle_readout(h, chunks, hiddens)
+
+    def test_cosine_memo_is_kept_per_step_pair(self, monkeypatch):
+        calls = []
+        real = signals._dot
+        monkeypatch.setattr(signals, "_dot", lambda a, b: calls.append(1) or real(a, b))
+        a, b, c = (_step(1.0, "x", hidden) for hidden in (BASE, (2.0, 0.0, -1.0), BASE))
+        for nxt in (b, c, b, c):
+            running = RunningSignals()
+            running.push(a)
+            readout = running.push(nxt)
+            assert readout.hidden_stability_raw == oracle_hidden_stability(
+                [a.hidden, nxt.hidden])
+        assert len(calls) == 4  # a memo keyed on the pair, not on a alone
+        for _ in range(3):
+            assert a.cosine(c) == oracle_hidden_stability([a.hidden, c.hidden])
+        assert len(calls) == 4
+
+    def test_a_stream_frees_its_past_steps(self):
+        # The memo sits on the earlier step, so a step no one else holds is freed
+        # once the next pair is read, as in a live or simulated stream.
+        running, alive = RunningSignals(), []
+        for i in range(20):
+            step = _step(1.0, "x", (math.cos(i), math.sin(i), 0.0))
+            alive.append(weakref.ref(step))
+            running.push(step)
+            del step
+        assert sum(ref() is not None for ref in alive) == 1
 
     def test_anti_parallel_raw_is_clipped(self):
         running = RunningSignals()

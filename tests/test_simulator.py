@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,6 @@ from bithalt.simulate import (
     Segment,
     load_scenario,
     load_scenario_dir,
-    save_scenario,
     scenario_source,
     scenario_suite_canonical,
 )
@@ -152,7 +152,7 @@ class TestScenarioFiles:
     def test_round_trip(self, tmp_path):
         for s in scenario_suite_canonical():
             path = tmp_path / f"{s.scenario_id}.json"
-            save_scenario(s, path)
+            path.write_text(json.dumps(dataclasses.asdict(s)))
             assert load_scenario(path) == s
 
     def test_repo_fixture_dir_matches_builtin_suite(self):

@@ -15,13 +15,14 @@ from bithalt.engine import EngineConfig, EpisodeRecord, Method, run_episode
 from bithalt.errors import TraceParseError, UnsupportedSchemaError
 from bithalt.metrics import emit_summary_table, summarize_all
 from bithalt.signals import StepSignals
-from bithalt.simulate import save_scenario, scenario_suite_canonical
+from bithalt.simulate import scenario_suite_canonical
 from bithalt.trace_io import (
     ReplaySource,
     TraceMeta,
     from_fields,
     read_records,
     read_trace,
+    read_trace_meta,
     write_records,
     write_text,
     write_trace,
@@ -244,6 +245,42 @@ class TestTraceValidation:
         _, steps = read_trace(path)
         assert [s.chunk_text for s in steps] == [text, "y"]
 
+    def test_invalid_utf8_is_a_parse_error_naming_its_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_trace(META, make_steps(3), path)
+        with open(path, "ab") as f:
+            f.write(b"\xff\xfe\n")
+        with pytest.raises(TraceParseError, match=r":5: invalid UTF-8") as exc:
+            read_trace(path)
+        assert exc.value.line == 5
+
+    def test_header_read_stops_at_the_first_line(self, tmp_path):
+        # The body is never read: a broken line after the header goes unnoticed.
+        path = self._write_lines(tmp_path, [self.header(), "{broken"])
+        with open(path, "ab") as f:
+            f.write(b"\xff\xfe\n")
+        assert read_trace_meta(path) == TraceMeta(example_id="e", gold_answer=1.0)
+        with pytest.raises(TraceParseError) as exc:
+            read_trace(path)
+        assert exc.value.line == 2
+
+    def test_header_errors_match_the_full_read(self, tmp_path):
+        bad = [json.dumps({"schema": "trace/v1", "example_id": "e"}),  # no gold_answer
+               json.dumps({"schema": "trace/v1", "example_id": "e", "gold_answer": 1.0,
+                           "served_bits": 0}),
+               json.dumps({"schema": "trace/v99", "example_id": "e", "gold_answer": 1.0}),
+               "[]"]
+        for header in bad:
+            path = self._write_lines(tmp_path, [header])
+            with pytest.raises(TraceParseError) as full:
+                read_trace(path)
+            with pytest.raises(type(full.value)) as meta_only:
+                read_trace_meta(path)
+            assert str(meta_only.value) == str(full.value)
+        path.write_bytes(b"")
+        with pytest.raises(TraceParseError, match="empty file"):
+            read_trace_meta(path)
+
     def test_replayed_trace_drives_engine(self, tmp_path):
         steps = [
             StepSignals(chunk_text="working on it\n", tokens_in_chunk=16, entropy=3.0)
@@ -357,6 +394,15 @@ class TestRecordFiles:
         assert "\u2028" in path.read_text(encoding="utf-8")
         assert read_records(path)[1] == recs
 
+    def test_invalid_utf8_is_a_parse_error_naming_its_line(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        write_records([sample_record(i) for i in range(3)], path)
+        with open(path, "ab") as f:
+            f.write(b"\xff\xfe\n")
+        with pytest.raises(TraceParseError, match=r":5: invalid UTF-8") as exc:
+            read_records(path)
+        assert exc.value.line == 5
+
     def test_line_count(self, tmp_path):
         path = tmp_path / "r.jsonl"
         write_records([sample_record(i) for i in range(54)], path)
@@ -414,7 +460,8 @@ class TestAtomicWrite:
         "trace": lambda path: write_trace(TraceMeta("t", 42.0), make_steps(5), path),
         "summary": lambda path: emit_summary_table(
             summarize_all([sample_record(i) for i in range(20)]), path),
-        "scenario": lambda path: save_scenario(scenario_suite_canonical()[1], path),
+        "scenario": lambda path: write_text(
+            path, json.dumps(dataclasses.asdict(scenario_suite_canonical()[1]))),
     }
 
     @pytest.mark.parametrize("writer", sorted(WRITERS))
