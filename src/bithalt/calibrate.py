@@ -1,4 +1,8 @@
-"""Bit-conditioned confidence: signal readout -> scalar in [0, 1]."""
+"""Bit-conditioned confidence: signal readout -> scalar in [0, 1].
+
+The three signal weights are relative and kept as given: ``confidence``
+divides the weighted mix by their total, so scaling all three changes nothing.
+"""
 
 from __future__ import annotations
 
@@ -52,13 +56,8 @@ class CalibratorConfig:
         for name in ("w_entropy", "w_trace", "w_hidden"):
             if getattr(self, name) < 0:
                 raise ConfigError("must be >= 0", field=name)
-        total = self.w_entropy + self.w_trace + self.w_hidden
-        if total <= 0:
+        if self.w_entropy + self.w_trace + self.w_hidden <= 0:
             raise ConfigError("at least one signal weight must be positive")
-        # Renormalize once, at construction.
-        object.__setattr__(self, "w_entropy", self.w_entropy / total)
-        object.__setattr__(self, "w_trace", self.w_trace / total)
-        object.__setattr__(self, "w_hidden", self.w_hidden / total)
 
 
 def confidence(readout: SignalReadout, cfg: CalibratorConfig) -> float:
@@ -70,7 +69,8 @@ def confidence(readout: SignalReadout, cfg: CalibratorConfig) -> float:
     u = normalized_uncertainty(readout.entropy, cfg.h_max)
     tau_tr = min(max(readout.trace_stability, 0.0), 1.0)
     tau_hid = min(max(readout.hidden_stability, 0.0), 1.0)
-    c_raw = cfg.w_entropy * (1.0 - u) + cfg.w_trace * tau_tr + cfg.w_hidden * tau_hid
+    c_raw = ((cfg.w_entropy * (1.0 - u) + cfg.w_trace * tau_tr + cfg.w_hidden * tau_hid)
+             / (cfg.w_entropy + cfg.w_trace + cfg.w_hidden))
     c = min(max(c_raw * bit_scale(cfg.effective_bits), 0.0), 1.0)
     c = min(max(c ** (1.0 / cfg.temperature), 0.0), 1.0)
     return c

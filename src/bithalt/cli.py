@@ -126,9 +126,11 @@ def build_parser() -> _Parser:
 
 def _load_config_file(path) -> dict:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config {path} is not valid UTF-8: {exc.reason}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):

@@ -1,5 +1,9 @@
 """Per-example episode loop: chunked generation under a hard token budget,
-with the optional halting controller, plus answer extraction and scoring."""
+with the optional halting controller, plus answer extraction and scoring.
+
+An EngineConfig settles the effective precision when it is built (16 bits for
+adaptive, the served bits for bitcal and fixed, or the override): its
+``calibrator`` and ``policy`` carry it, and an episode reads them as they are."""
 
 from __future__ import annotations
 
@@ -71,22 +75,11 @@ class EngineConfig:
                               field="budget")
         if self.served_bits < 1:
             raise ConfigError("must be >= 1", field="served_bits")
-
-    @property
-    def effective_bits(self) -> int:
-        if self.effective_bits_override is not None:
-            return self.effective_bits_override
-        if self.method is Method.ADAPTIVE:
-            return 16
-        return self.served_bits
-
-    def resolved(self) -> Tuple[CalibratorConfig, PolicyConfig]:
-        """Calibrator/policy configs with the method's effective precision applied."""
-        bits = self.effective_bits
-        return (
-            replace(self.calibrator, effective_bits=bits),
-            replace(self.policy, effective_bits=bits),
-        )
+        bits = self.effective_bits_override
+        if bits is None:
+            bits = 16 if self.method is Method.ADAPTIVE else self.served_bits
+        object.__setattr__(self, "calibrator", replace(self.calibrator, effective_bits=bits))
+        object.__setattr__(self, "policy", replace(self.policy, effective_bits=bits))
 
 
 @dataclass(frozen=True)
@@ -150,7 +143,6 @@ def run_episode(
     RunningSignals readout. EOS from the source ends the episode before the
     policy is consulted for that step; running out of budget ends it after the loop.
     """
-    cal_cfg, pol_cfg = cfg.resolved()
     text = ""
     tokens_used = 0
     steps = 0
@@ -164,7 +156,7 @@ def run_episode(
         while tokens_used < cfg.budget:
             request = min(cfg.chunk_size, cfg.budget - tokens_used)
             step = source.next_chunk(request)
-            if step is None or step.tokens_in_chunk < 1:
+            if step is None:
                 stop = StopCause.EOS
                 break
             # A well-behaved source never over-delivers; clamp so replayed
@@ -173,18 +165,17 @@ def run_episode(
             steps += 1
             text += step.chunk_text
             if marker.first_marker_tokens is None:
-                tail = text[max(0, len(text) - len(step.chunk_text) - len(pol_cfg.marker) + 1):]
-                marker = update_marker(marker, tail, tokens_used, pol_cfg.marker)
+                cut = len(text) - len(step.chunk_text) - len(cfg.policy.marker) + 1
+                marker = update_marker(marker, text[max(0, cut):], tokens_used, cfg.policy.marker)
             if step.eos:
                 stop = StopCause.EOS
                 break
             if cfg.method is Method.FIXED:
                 continue
             readout = signals.push(step)
-            conf = confidence(readout, cal_cfg)
-            action = decide(
-                tokens_used, cfg.budget - tokens_used, readout.entropy, conf, marker, pol_cfg
-            )
+            conf = confidence(readout, cfg.calibrator)
+            action = decide(tokens_used, cfg.budget - tokens_used, readout.entropy, conf, marker,
+                            cfg.policy)
             actions.append((action.kind.value, action.reason.value, tokens_used))
             if action.kind is ActionKind.CONTINUE:
                 continue
@@ -199,7 +190,7 @@ def run_episode(
     if stop is None:
         stop = StopCause.BUDGET_EXHAUSTED
 
-    predicted = extract_answer(text, pol_cfg.marker)
+    predicted = extract_answer(text, cfg.policy.marker)
     correct = error is None and predicted is not None and answers_match(predicted, gold)
     # EOS and budget exhaustion are not controller stops: fixed never halts early.
     early = stop not in (StopCause.EOS, StopCause.BUDGET_EXHAUSTED) and tokens_used < cfg.budget

@@ -22,14 +22,13 @@ Z95 = 1.959964
 _METHOD_ORDER = {m.value: i for i, m in enumerate(Method)}
 
 
-def wilson_interval(successes: int, n: int, z: float = Z95) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion, as proportions."""
+def wilson_interval(successes: int, n: int) -> Tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion, as proportions."""
     if n < 1:
         raise EmptyRunError("wilson interval undefined for n = 0")
     if not 0 <= successes <= n:
         raise ValueError(f"successes {successes} outside [0, {n}]")
-    if z <= 0:
-        raise ValueError("z must be positive")
+    z = Z95
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom

@@ -1,7 +1,8 @@
 """Halting policy: threshold cases, marker tracking, and the bit-conditioned
 post-marker confirmation tail, evaluated in a fixed order.
 
-Case order per decision (first match wins):
+Case order per decision (first match wins); ``decide`` returns the outcome
+as the ``Action`` member named after its reason, declared once below:
   1. below floor                       -> CONTINUE / FLOOR
   2. marker seen, tail not yet served  -> CONTINUE / TAIL_WAIT
   3. marker seen, tail served          -> STOP / TAIL_STOP
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import ConfigError, InvalidInputError, require_finite
+from .errors import ConfigError, require_finite
 
 DEFAULT_MARKER = "####"
 
@@ -41,25 +42,20 @@ class Reason(str, Enum):
     DEFAULT_CONTINUE = "default_continue"
 
 
-_REASON_KIND = {
-    Reason.FLOOR: ActionKind.CONTINUE,
-    Reason.TAIL_WAIT: ActionKind.CONTINUE,
-    Reason.TAIL_STOP: ActionKind.STOP,
-    Reason.BUFFER_STOP: ActionKind.STOP,
-    Reason.ENTROPY_ESCALATE: ActionKind.ESCALATE,
-    Reason.CONFIDENT_STOP: ActionKind.STOP,
-    Reason.DEFAULT_CONTINUE: ActionKind.CONTINUE,
-}
+class Action(Enum):
+    """The seven outcomes of ``decide``, one per case: (kind, reason)."""
 
+    FLOOR = (ActionKind.CONTINUE, Reason.FLOOR)
+    TAIL_WAIT = (ActionKind.CONTINUE, Reason.TAIL_WAIT)
+    TAIL_STOP = (ActionKind.STOP, Reason.TAIL_STOP)
+    BUFFER_STOP = (ActionKind.STOP, Reason.BUFFER_STOP)
+    ENTROPY_ESCALATE = (ActionKind.ESCALATE, Reason.ENTROPY_ESCALATE)
+    CONFIDENT_STOP = (ActionKind.STOP, Reason.CONFIDENT_STOP)
+    DEFAULT_CONTINUE = (ActionKind.CONTINUE, Reason.DEFAULT_CONTINUE)
 
-@dataclass(frozen=True)
-class Action:
-    kind: ActionKind
-    reason: Reason
-
-    def __post_init__(self):
-        if _REASON_KIND[self.reason] is not self.kind:
-            raise InvalidInputError(f"reason {self.reason} inconsistent with {self.kind}")
+    def __init__(self, kind: ActionKind, reason: Reason):
+        self.kind = kind
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -124,18 +120,18 @@ def decide(
     cfg: PolicyConfig,
 ) -> Action:
     if cumulative_tokens < cfg.floor_tokens:
-        return Action(ActionKind.CONTINUE, Reason.FLOOR)
+        return Action.FLOOR
 
     t_star = marker_state.first_marker_tokens
     if t_star is not None:
         if cumulative_tokens - t_star < tail_length(cfg.effective_bits):
-            return Action(ActionKind.CONTINUE, Reason.TAIL_WAIT)
-        return Action(ActionKind.STOP, Reason.TAIL_STOP)
+            return Action.TAIL_WAIT
+        return Action.TAIL_STOP
 
     if remaining_budget < cfg.budget_buffer:
-        return Action(ActionKind.STOP, Reason.BUFFER_STOP)
+        return Action.BUFFER_STOP
     if entropy >= cfg.theta_e:
-        return Action(ActionKind.ESCALATE, Reason.ENTROPY_ESCALATE)
+        return Action.ENTROPY_ESCALATE
     if entropy <= cfg.theta_h and conf >= cfg.theta_c:
-        return Action(ActionKind.STOP, Reason.CONFIDENT_STOP)
-    return Action(ActionKind.CONTINUE, Reason.DEFAULT_CONTINUE)
+        return Action.CONFIDENT_STOP
+    return Action.DEFAULT_CONTINUE

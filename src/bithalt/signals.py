@@ -45,7 +45,8 @@ class StepSignals:
     """Raw observables for one decoding step.
 
     Exactly one of ``entropy`` (precomputed, nats) and ``distribution``
-    (a probability vector over the vocabulary) must be provided.
+    (a probability vector over the vocabulary) must be provided, and a step
+    holds at least one token.
     """
 
     chunk_text: str
@@ -62,6 +63,8 @@ class StepSignals:
             )
         if self.entropy is not None and not math.isfinite(self.entropy):
             raise InvalidInputError("entropy must be finite")
+        if self.tokens_in_chunk < 1:
+            raise InvalidInputError(f"tokens must be >= 1, got {self.tokens_in_chunk}")
 
     def __eq__(self, other):
         """Field by field, the two vectors by their float64 bytes: NaN equals

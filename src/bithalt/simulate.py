@@ -65,7 +65,9 @@ class Scenario:
 
 def load_scenario(path) -> Scenario:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(path, f"invalid UTF-8: {exc.reason}")
     except json.JSONDecodeError as exc:
         raise TraceParseError(path, f"invalid JSON: {exc}", line=exc.lineno)
     try:

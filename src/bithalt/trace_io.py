@@ -215,7 +215,7 @@ def write_text(path, text: str) -> None:
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, target)
     except OSError as exc:
         tmp.unlink(missing_ok=True)

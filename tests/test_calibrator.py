@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from bithalt.calibrate import (
     CalibratorConfig,
@@ -45,11 +49,17 @@ class TestNormalizedUncertainty:
 
 
 class TestCalibratorConfig:
-    def test_weights_renormalized_at_construction(self):
-        cfg = CalibratorConfig(w_entropy=4.0, w_trace=3.5, w_hidden=2.5)
-        assert cfg.w_entropy == pytest.approx(0.40, abs=1e-12)
-        assert cfg.w_trace == pytest.approx(0.35, abs=1e-12)
-        assert cfg.w_hidden == pytest.approx(0.25, abs=1e-12)
+    @given(
+        st.tuples(*[st.floats(min_value=0.0, max_value=1e6)] * 3),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.integers(min_value=1, max_value=64),
+    )
+    def test_replace_changes_nothing(self, weights, h_max, temperature, bits):
+        assume(sum(weights) > 0)
+        cfg = CalibratorConfig(h_max, *weights, temperature, bits)
+        assert (cfg.w_entropy, cfg.w_trace, cfg.w_hidden) == weights
+        assert dataclasses.replace(cfg) == cfg
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ConfigError):

@@ -106,6 +106,15 @@ class TestSimulate:
         assert code == 2
         assert "bad.json" in capsys.readouterr().err
 
+    def test_invalid_utf8_in_a_scenario_file_is_data_error_naming_it(self, tmp_path, capsys):
+        bad_dir = tmp_path / "scen"
+        bad_dir.mkdir()
+        path = bad_dir / "bad.json"
+        path.write_bytes(b'{"scenario_id": "\xff"}')
+        assert run_cli("simulate", "--scenarios", str(bad_dir), "--out",
+                       str(tmp_path / "o")) == 2
+        assert f"error: {path}: invalid UTF-8" in capsys.readouterr().err
+
 
 class TestReplay:
     def test_entropy_parsed_once_per_step_across_the_grid(self, tmp_path, monkeypatch):
@@ -199,6 +208,21 @@ class TestReplay:
         assert [r.example_id for r in read_records(out / "records_fixed_b512.jsonl")[1]] == [
             "gsm-0000", "gsm-0002"]
 
+    def test_step_with_fewer_than_one_token_skips_the_trace_and_exits_2(self, tmp_path,
+                                                                         capsys):
+        traces = make_trace_dir(tmp_path, n=3)
+        path = traces / "gsm-0001.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].replace('"tokens": 16', '"tokens": -3')
+        path.write_text("".join(lines))
+        out = tmp_path / "out"
+        assert run_cli("replay", "--traces", str(traces), "--methods", "fixed",
+                       "--out", str(out)) == 2
+        assert (f"error: {path}:3: invalid step: tokens must be >= 1, got -3"
+                in capsys.readouterr().err)
+        assert [r.example_id for r in read_records(out / "records_fixed_b512.jsonl")[1]] == [
+            "gsm-0000", "gsm-0002"]
+
     def test_config_file_bits_override_trace_header(self, tmp_path):
         # At 4 bits (the trace header) bitcal stops marker-then-revision at
         # 192 tokens; at 16 bits it stops at 160.
@@ -289,6 +313,18 @@ class TestReport:
 
 
 class TestSweep:
+    def test_sweep_without_the_locale_encoding(self, tmp_path):
+        # Every text read and write names its encoding, so no EncodingWarning
+        # is raised (and turned into an error here) on any locale.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-m", "bithalt.cli", "sweep",
+                               "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out" / "summary.csv").read_bytes() == (
+            GOLDEN_REPORT / "summary.csv").read_bytes()
+
     def test_sweep_simulates_and_reports(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("sweep", "--budgets", "256,512", "--out", str(out)) == 0
@@ -319,6 +355,12 @@ class TestConfigLayering:
         assert code == 1
         err = capsys.readouterr().err
         assert "theta_hh" in err and "theta_h" in err
+
+    def test_invalid_utf8_config_is_usage_error_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"marker": "\xff"}')
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert f"error: config {cfg} is not valid UTF-8" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self, capsys):
         assert run_cli("simulate") == 1  # --out missing

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from bithalt import engine
 from bithalt.engine import (
     EngineConfig,
     Method,
@@ -219,6 +220,39 @@ class TestRunEpisode:
     def test_invalid_budget_rejected(self):
         with pytest.raises(ConfigError):
             EngineConfig(method=Method.FIXED, budget=8, chunk_size=16)
+
+    def test_episode_passes_the_configs_own_calibrator_and_policy(self, monkeypatch):
+        seen = []
+
+        def spy(fn, index):
+            def wrapped(*args):
+                seen.append((fn.__name__, args[index]))
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(engine, "confidence", spy(engine.confidence, 1))
+        monkeypatch.setattr(engine, "decide", spy(engine.decide, 5))
+        cfg = engine_cfg("bitcal")
+        run_episode(ScriptedSource([("step", 16, 3.0, False)] * 4), cfg, 1.0, "spy")
+        assert len(seen) == 8
+        assert all(got is (cfg.calibrator if name == "confidence" else cfg.policy)
+                   for name, got in seen)
+
+
+class TestEngineConfig:
+    @pytest.mark.parametrize("method,override,expected", [
+        ("fixed", None, 4), ("adaptive", None, 16), ("bitcal", None, 4),
+        ("adaptive", 8, 8), ("bitcal", 16, 16),
+    ])
+    def test_sub_configs_carry_the_effective_bits_when_built(self, method, override,
+                                                             expected):
+        cfg = engine_cfg(method, bits=4, effective_bits_override=override)
+        assert cfg.calibrator.effective_bits == expected
+        assert cfg.policy.effective_bits == expected
+
+    def test_replace_recomputes_the_effective_bits(self):
+        cfg = dataclasses.replace(engine_cfg("adaptive", bits=4), method=Method.BITCAL)
+        assert (cfg.calibrator.effective_bits, cfg.policy.effective_bits) == (4, 4)
 
 
 class TestMarkerWindow:

@@ -1,8 +1,10 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
+from bithalt import policy
 from bithalt.errors import ConfigError
 from bithalt.policy import (
     Action,
@@ -50,10 +52,12 @@ class TestMarkerState:
         assert state.first_marker_tokens is None
 
 
-class TestActionConsistency:
-    def test_inconsistent_reason_rejected(self):
-        with pytest.raises(Exception):
-            Action(ActionKind.STOP, Reason.FLOOR)
+class TestAction:
+    def test_members_are_the_docstrings_seven_outcomes(self):
+        cases = re.findall(r"-> (\w+) / (\w+)", policy.__doc__)
+        assert len(cases) == 7
+        assert [(a.kind.name, a.reason.name) for a in Action] == cases
+        assert [a.name for a in Action] == [reason for _, reason in cases]
 
 
 class TestPolicyConfig:

@@ -211,6 +211,11 @@ class TestStepSignals:
         with pytest.raises(InvalidInputError):
             StepSignals(chunk_text="x", tokens_in_chunk=1, entropy=float("nan"))
 
+    @pytest.mark.parametrize("tokens", [0, -3])
+    def test_fewer_than_one_token_rejected(self, tokens):
+        with pytest.raises(InvalidInputError, match=f"tokens must be >= 1, got {tokens}"):
+            StepSignals(chunk_text="x", tokens_in_chunk=tokens, entropy=1.0)
+
     def test_entropy_computed_once_per_step(self, monkeypatch):
         calls = []
         monkeypatch.setattr(signals, "entropy", lambda d: calls.append(d) or 1.25)
