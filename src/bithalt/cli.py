@@ -116,9 +116,10 @@ def build_parser() -> _Parser:
     p_rpt.add_argument("--out", metavar="DIR", required=True, help="output directory")
 
     p_swp = sub.add_parser("sweep", help="simulate or replay a method x budget grid, then report")
-    p_swp.add_argument("--scenarios", metavar="DIR",
-                       help="scenario JSON directory (default: built-in suite)")
-    p_swp.add_argument("--traces", metavar="DIR", help="replay this trace directory instead")
+    source = p_swp.add_mutually_exclusive_group()
+    source.add_argument("--scenarios", metavar="DIR",
+                        help="scenario JSON directory (default: built-in suite)")
+    source.add_argument("--traces", metavar="DIR", help="replay this trace directory instead")
     _add_common(p_swp)
 
     return parser

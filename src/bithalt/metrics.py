@@ -58,20 +58,20 @@ class RunSummary:
 def summarize(
     records: Sequence[EpisodeRecord], fixed_reference: Optional[RunSummary] = None
 ) -> RunSummary:
-    """Aggregate one (method, budget) group of records.
+    """Aggregate one (model, method, budget) group of records, one per example.
 
     Errored episodes are excluded from every rate and mean but counted in
     ``n_errored``. Premature stops are early halts with an incorrect answer.
     """
     if not records:
         raise EmptyRunError("no records to summarize")
-    methods = {r.method for r in records}
-    budgets = {r.budget for r in records}
-    models = {r.model for r in records}
-    if len(methods) > 1 or len(budgets) > 1 or len(models) > 1:
-        raise GroupingError(
-            f"records mix methods/budgets/models: {methods}/{budgets}/{models}"
-        )
+    groups = {(r.model, r.method, r.budget) for r in records}
+    if len(groups) > 1:
+        raise GroupingError(f"records mix (model, method, budget) groups: {sorted(groups)}")
+    ids = sorted(r.example_id for r in records)
+    repeated = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
+    if repeated:
+        raise GroupingError(f"records repeat example_id(s) {repeated} in one group")
     clean = [r for r in records if r.error is None]
     n_errored = len(records) - len(clean)
     if not clean:

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from .errors import ConfigError, TraceParseError
+from .errors import ConfigError, TraceParseError, require_finite
 from .policy import DEFAULT_MARKER
 from .signals import StepSignals
-from .trace_io import from_fields
+from .trace_io import from_fields, parse_fields
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,7 @@ class Scenario:
     eos_at: Optional[int] = None
 
     def __post_init__(self):
+        require_finite(self)
         if not self.segments:
             raise ConfigError("scenario needs at least one segment")
         total = self.total_tokens()
@@ -57,11 +58,6 @@ class Scenario:
     def total_tokens(self) -> int:
         return sum(s.length for s in self.segments)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Scenario":
-        return from_fields(cls, d, segments=lambda segs: tuple(
-            from_fields(Segment, seg) for seg in segs))
-
 
 def load_scenario(path) -> Scenario:
     try:
@@ -70,10 +66,8 @@ def load_scenario(path) -> Scenario:
         raise TraceParseError(path, f"invalid UTF-8: {exc.reason}")
     except json.JSONDecodeError as exc:
         raise TraceParseError(path, f"invalid JSON: {exc}", line=exc.lineno)
-    try:
-        return Scenario.from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceParseError(path, f"invalid scenario: {exc}")
+    return parse_fields(path, None, "scenario", Scenario, data, segments=lambda segs: tuple(
+        from_fields(Segment, seg) for seg in segs))
 
 
 def load_scenario_dir(directory) -> List[Scenario]:

@@ -23,8 +23,9 @@ Record file (schema ``records/v1``):
   header: {"schema", ...free-form run metadata (no timestamps)}
   record: EpisodeRecord fields in fixed order.
 
-Records, trace headers and scenario files are read by ``from_fields``, which
-follows the dataclass fields: a field added to one is read back with no new code.
+Trace headers and steps, records and scenarios are read by ``from_fields``, which
+follows the dataclass fields (a step's ``tokens`` and ``probs`` keys are mapped in
+``_FILE_KEYS``), and ``parse_fields`` raises each failure as a TraceParseError.
 Every output file is written by ``write_text``, atomically.
 """
 
@@ -41,7 +42,7 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from .engine import EpisodeRecord
-from .errors import TraceParseError, UnsupportedSchemaError
+from .errors import TraceParseError, UnsupportedSchemaError, require_finite
 from .signals import StepSignals
 
 TRACE_SCHEMA = "trace/v2"
@@ -57,6 +58,7 @@ class TraceMeta:
     prompt_digest: str = ""
 
     def __post_init__(self):
+        require_finite(self)
         # A header's bit width is data: a bad one fails that file's parse, while
         # --bits 0 stays an error in the settings.
         if self.served_bits < 1:
@@ -74,9 +76,13 @@ class ReplaySource:
         return next(self._steps, None)
 
 
+# Trace step keys that differ from their StepSignals field names.
+_FILE_KEYS = {StepSignals: {"tokens_in_chunk": "tokens", "distribution": "probs"}}
+
+
 @functools.cache
-def _field_plan(cls) -> Tuple[Tuple[str, bool, bool, type], ...]:
-    """(name, required, nullable, type) for each field of dataclass ``cls``."""
+def _field_plan(cls) -> Tuple[Tuple[str, str, bool, bool, type], ...]:
+    """(name, file key, required, nullable, type) for each field of dataclass ``cls``."""
     hints = get_type_hints(cls)
     plan = []
     for f in fields(cls):
@@ -85,41 +91,52 @@ def _field_plan(cls) -> Tuple[Tuple[str, bool, bool, type], ...]:
         if nullable:
             tp = next(a for a in get_args(tp) if a is not type(None))
         required = f.default is MISSING and f.default_factory is MISSING
-        plan.append((f.name, required, nullable, tp))
+        plan.append((f.name, _FILE_KEYS.get(cls, {}).get(f.name, f.name), required, nullable, tp))
     return tuple(plan)
+
+
+def _coerce(key: str, tp: type, value):
+    """``tp(value)``, but a bool and a bool field go only together, and an int is whole."""
+    if (tp is bool) != isinstance(value, bool):
+        raise TypeError(f"{key} must {'' if tp is bool else 'not '}be a bool, got {value!r}")
+    if tp is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return tp(value)
 
 
 def from_fields(cls, obj: dict, **convert):
     """Build dataclass ``cls`` from one parsed JSON object, field by field.
 
-    A missing key takes the field default, or raises KeyError if the field has
-    none. None is accepted only for Optional fields. Any other value goes
-    through ``convert[name]`` when given, else is coerced to the field's type.
+    Each field is read under its file key (its name unless ``_FILE_KEYS``
+    says otherwise). A missing key takes the field default, or raises KeyError
+    if the field has none. None is accepted only for Optional fields. Any other
+    value goes through ``convert[name]`` when given, else through ``_coerce``.
     Keys that are not fields are ignored.
     """
     kwargs = {}
-    for name, required, nullable, tp in _field_plan(cls):
-        if name not in obj:
+    for name, key, required, nullable, tp in _field_plan(cls):
+        if key not in obj:
             if required:
-                raise KeyError(name)
+                raise KeyError(key)
             continue
-        value = obj[name]
-        if value is not None:
-            value = convert[name](value) if name in convert else tp(value)
-        elif not nullable:
-            raise TypeError(f"{name} must not be null")
+        value = obj[key]
+        if value is None:
+            if not nullable:
+                raise TypeError(f"{key} must not be null")
+        elif name in convert:
+            value = convert[name](value)
+        elif type(value) is not tp:  # most values have their field's type: no call for them
+            value = _coerce(key, tp, value)
         kwargs[name] = value
     return cls(**kwargs)
 
 
-def _parse_json_line(path, lineno: int, line: str) -> dict:
+def parse_fields(path, line: Optional[int], what: str, cls, obj: dict, /, **convert):
+    """``from_fields``, any failure raised as a TraceParseError naming ``path`` and ``line``."""
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TraceParseError(path, f"invalid JSON: {exc.msg}", line=lineno)
-    if not isinstance(obj, dict):
-        raise TraceParseError(path, "expected a JSON object", line=lineno)
-    return obj
+        return from_fields(cls, obj, **convert)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TraceParseError(path, f"invalid {what}: {exc}", line=line)
 
 
 def _read_jsonl(path, *schemas: str) -> Iterator[Tuple[int, dict]]:
@@ -131,14 +148,19 @@ def _read_jsonl(path, *schemas: str) -> Iterator[Tuple[int, dict]]:
         for lineno, raw in enumerate(f, start=1):
             try:
                 line = raw.decode("utf-8")
+                if lineno > 1 and not line.strip():
+                    continue
+                obj = json.loads(line)
             except UnicodeDecodeError as exc:
                 raise TraceParseError(path, f"invalid UTF-8: {exc.reason}", line=lineno)
-            if lineno == 1 or line.strip():
-                obj = _parse_json_line(path, lineno, line)
-                if lineno == 1 and obj.get("schema") not in schemas:
-                    raise UnsupportedSchemaError(
-                        path, f"unsupported schema {obj.get('schema')!r}", line=1)
-                yield lineno, obj
+            except json.JSONDecodeError as exc:
+                raise TraceParseError(path, f"invalid JSON: {exc.msg}", line=lineno)
+            if not isinstance(obj, dict):
+                raise TraceParseError(path, "expected a JSON object", line=lineno)
+            if lineno == 1 and obj.get("schema") not in schemas:
+                raise UnsupportedSchemaError(
+                    path, f"unsupported schema {obj.get('schema')!r}", line=1)
+            yield lineno, obj
 
 
 def _array(value) -> array:
@@ -168,14 +190,10 @@ def _base64(values) -> str:
     return base64.b64encode(out.tobytes()).decode("ascii")
 
 
-def read_trace_meta(path, lines: Optional[Iterator[Tuple[int, dict]]] = None) -> TraceMeta:
-    """A trace's header metadata, from the first of its ``lines`` as read_trace
-    passes them; by default only the first line of the file is read."""
-    _, header = next(lines or _read_jsonl(path, "trace/v1", TRACE_SCHEMA))
-    try:
-        return from_fields(TraceMeta, header)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceParseError(path, f"invalid header: {exc}", line=1)
+def read_trace_meta(path) -> TraceMeta:
+    """A trace's header metadata; only the first line of the file is read."""
+    header = next(_read_jsonl(path, "trace/v1", TRACE_SCHEMA))[1]
+    return parse_fields(path, 1, "header", TraceMeta, header)
 
 
 def read_trace(path) -> Tuple[TraceMeta, List[StepSignals]]:
@@ -184,28 +202,18 @@ def read_trace(path) -> Tuple[TraceMeta, List[StepSignals]]:
     Wrap the steps in a ReplaySource to feed them to the engine; build a
     fresh source per episode.
     """
-    body = _read_jsonl(path, "trace/v1", TRACE_SCHEMA)
-    meta = read_trace_meta(path, body)
+    lines = _read_jsonl(path, "trace/v1", TRACE_SCHEMA)
+    meta = parse_fields(path, 1, "header", TraceMeta, next(lines)[1])
     steps: List[StepSignals] = []
-    for lineno, obj in body:
+    for lineno, obj in lines:
         if steps and steps[-1].eos:
             raise TraceParseError(path, "steps follow an eos-flagged step", line=lineno)
-        if obj.get("step") != len(steps):
+        if obj.get("step") != len(steps) or isinstance(obj["step"], bool):
             raise TraceParseError(path, f"non-contiguous step index {obj.get('step')!r}, "
                                   f"expected {len(steps)}", line=lineno)
-        try:
-            # StepSignals rejects a step with both or neither of entropy and probs.
-            entropy, probs, hidden = obj.get("entropy"), obj.get("probs"), obj.get("hidden")
-            steps.append(StepSignals(
-                chunk_text=str(obj["chunk_text"]),
-                tokens_in_chunk=int(obj["tokens"]),
-                entropy=None if entropy is None else float(entropy),
-                distribution=None if probs is None else _array(probs),
-                hidden=None if hidden is None else _array(hidden),
-                eos=bool(obj.get("eos", False)),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceParseError(path, f"invalid step: {exc}", line=lineno)
+        # StepSignals rejects a step with both or neither of entropy and probs.
+        steps.append(parse_fields(path, lineno, "step", StepSignals, obj,
+                                  distribution=_array, hidden=_array))
     return meta, steps
 
 
@@ -240,7 +248,8 @@ def write_trace(meta: TraceMeta, steps: List[StepSignals], path) -> None:
 
 
 def _actions(value) -> Tuple[Tuple[str, str, int], ...]:
-    return tuple((str(a), str(r), int(t)) for a, r, t in value)
+    return tuple((str(a), str(r), t if type(t) is int else _coerce("actions", int, t))
+                 for a, r, t in value)
 
 
 def write_records(records: List[EpisodeRecord], path, metadata: Optional[dict] = None) -> None:
@@ -256,11 +265,6 @@ def write_records(records: List[EpisodeRecord], path, metadata: Optional[dict] =
 
 def read_records(path) -> Tuple[dict, List[EpisodeRecord]]:
     lines = _read_jsonl(path, RECORD_SCHEMA)
-    _, header = next(lines)
-    records = []
-    for lineno, obj in lines:
-        try:
-            records.append(from_fields(EpisodeRecord, obj, actions=_actions))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceParseError(path, f"invalid record: {exc}", line=lineno)
-    return header, records
+    header = next(lines)[1]
+    return header, [parse_fields(path, lineno, "record", EpisodeRecord, obj, actions=_actions)
+                    for lineno, obj in lines]

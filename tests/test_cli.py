@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -306,6 +307,26 @@ class TestReport:
         assert f"error: {path}:5: invalid UTF-8" in capsys.readouterr().err
         assert not (tmp_path / "summary.csv").exists()
 
+    def test_a_string_bool_in_a_record_is_data_error(self, tmp_path, capsys):
+        # bool("false") is True, so a coercing reader scores these four wrong
+        # records as 100% accurate.
+        path = tmp_path / "records_fixed_b512.jsonl"
+        write_records([sample_record(i, method="fixed", correct=False) for i in range(4)], path)
+        path.write_text(path.read_text().replace('"correct": false', '"correct": "false"'))
+        assert run_cli("report", "--out", str(tmp_path)) == 2
+        assert (f"error: {path}:2: invalid record: correct must be a bool, got 'false'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "summary.csv").exists()
+
+    def test_a_copied_record_file_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--methods", "fixed", "--out", str(out)) == 0
+        (out / "records_fixed_b512_copy.jsonl").write_bytes(
+            (out / "records_fixed_b512.jsonl").read_bytes())
+        assert run_cli("report", "--out", str(out)) == 2
+        assert "repeat example_id(s)" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
+
     def test_empty_record_set_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "empty"
         out.mkdir()
@@ -330,6 +351,25 @@ class TestSweep:
         assert run_cli("sweep", "--budgets", "256,512", "--out", str(out)) == 0
         assert len(list(out.glob("records_*.jsonl"))) == 6
         assert (out / "summary.csv").exists()
+
+
+    def test_two_scenario_files_with_one_id_are_data_error(self, tmp_path, capsys):
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        s = scenario_suite_canonical()[0]
+        for name in ("a.json", "b.json"):
+            (scenarios / name).write_text(json.dumps(dataclasses.asdict(s)))
+        assert run_cli("sweep", "--scenarios", str(scenarios), "--out",
+                       str(tmp_path / "out")) == 2
+        assert f"repeat example_id(s) ['{s.scenario_id}']" in capsys.readouterr().err
+
+    def test_scenarios_and_traces_exclude_each_other(self, tmp_path, capsys):
+        traces = make_trace_dir(tmp_path, n=1)
+        scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+        assert run_cli("sweep", "--scenarios", str(scenarios), "--traces", str(traces),
+                       "--out", str(tmp_path / "out")) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigLayering:

@@ -134,6 +134,11 @@ class TestSummarize:
         with pytest.raises(GroupingError):
             summarize(records)
 
+    def test_repeated_example_id_rejected(self):
+        records = build_group("bitcal", 512, 4, 2, 0, 100)
+        with pytest.raises(GroupingError, match=r"repeat example_id\(s\) \['ex-0001'\]"):
+            summarize(records + records[1:2])
+
     def test_errored_records_excluded_but_counted(self):
         records = build_group("bitcal", 512, 10, 5, 0, 100)
         records.append(sample_record(99, method="bitcal", budget=512, model="7b",

@@ -160,6 +160,14 @@ class TestScenarioFiles:
         for s in scenario_suite_canonical():
             assert loaded[s.scenario_id] == s
 
+    def test_non_finite_gold_answer_is_a_parse_error(self, tmp_path):
+        s = scenario_suite_canonical()[0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({**dataclasses.asdict(s), "gold_answer": float("nan")}))
+        with pytest.raises(TraceParseError,
+                           match=r"nan.json: invalid scenario: gold_answer must be finite"):
+            load_scenario(path)
+
     def test_malformed_file_reports_path(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -199,6 +199,28 @@ class TestTraceValidation:
                 read_trace(path)
             assert exc.value.line == 2, signal
 
+    @pytest.mark.parametrize("change,error", [
+        ({"chunk_text": None}, "invalid step: chunk_text must not be null"),
+        ({"eos": None}, "invalid step: eos must not be null"),
+        ({"eos": 1}, "invalid step: eos must be a bool, got 1"),
+        ({"tokens": True}, "invalid step: tokens must not be a bool, got True"),
+        ({"tokens": 12.9}, "invalid step: tokens must be an integer, got 12.9"),
+        ({"entropy": False}, "invalid step: entropy must not be a bool, got False"),
+        ({"tokens": ...}, "invalid step: 'tokens'"),  # ... drops the key
+        ({"step": True}, "non-contiguous step index True, expected 1"),
+    ])
+    def test_a_step_value_with_another_meaning_is_a_parse_error(self, tmp_path, change,
+                                                                  error):
+        step = {"step": 1, "chunk_text": "y", "tokens": 4, "entropy": 1.0, **change}
+        path = self._write_lines(tmp_path, [
+            self.header(),
+            json.dumps({"step": 0, "chunk_text": "x", "tokens": 4, "entropy": 1.0}),
+            json.dumps({k: v for k, v in step.items() if v is not ...}),
+        ])
+        with pytest.raises(TraceParseError) as exc:
+            read_trace(path)
+        assert str(exc.value) == f"{path}:3: {error}"
+
     def test_non_contiguous_steps_rejected(self, tmp_path):
         path = self._write_lines(tmp_path, [
             self.header(),
@@ -268,6 +290,10 @@ class TestTraceValidation:
         bad = [json.dumps({"schema": "trace/v1", "example_id": "e"}),  # no gold_answer
                json.dumps({"schema": "trace/v1", "example_id": "e", "gold_answer": 1.0,
                            "served_bits": 0}),
+               json.dumps({"schema": "trace/v1", "example_id": "e", "gold_answer": 1.0,
+                           "served_bits": 4.7}),
+               json.dumps({"schema": "trace/v1", "example_id": "e",
+                           "gold_answer": float("nan")}),
                json.dumps({"schema": "trace/v99", "example_id": "e", "gold_answer": 1.0}),
                "[]"]
         for header in bad:
@@ -365,6 +391,8 @@ class TestFromFields:
     def test_defaults_nulls_and_coercion_follow_the_fields(self):
         header = {"schema": "trace/v1", "example_id": 7, "gold_answer": "42", "served_bits": "8"}
         assert from_fields(TraceMeta, header) == TraceMeta("7", 42.0, served_bits=8)
+        header["served_bits"] = 8.0
+        assert from_fields(TraceMeta, header) == TraceMeta("7", 42.0, served_bits=8)
         with pytest.raises(KeyError):
             from_fields(TraceMeta, {"example_id": "e"})
         with pytest.raises(TypeError):
@@ -373,6 +401,32 @@ class TestFromFields:
         obj = {f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)}
         del obj["model"], obj["error"]
         assert from_fields(EpisodeRecord, obj, actions=tuple) == rec
+
+    @pytest.mark.parametrize("change,error", [
+        ({"served_bits": 4.7}, "served_bits must be an integer, got 4.7"),
+        ({"served_bits": True}, "served_bits must not be a bool, got True"),
+        ({"gold_answer": True}, "gold_answer must not be a bool, got True"),
+        ({"example_id": False}, "example_id must not be a bool, got False"),
+        ({"gold_answer": float("nan")}, "gold_answer must be finite, got nan"),
+        ({"gold_answer": "inf"}, "gold_answer must be finite, got inf"),
+    ])
+    def test_a_header_value_with_another_meaning_is_refused(self, change, error):
+        header = {"example_id": "e", "gold_answer": 42.0, **change}
+        with pytest.raises((TypeError, ValueError), match=f"^{error}$"):
+            from_fields(TraceMeta, header)
+
+    @pytest.mark.parametrize("change,error", [
+        ({"correct": "false"}, "correct must be a bool, got 'false'"),
+        ({"early_halt": 0}, "early_halt must be a bool, got 0"),
+        ({"tokens_used": 12.9}, "tokens_used must be an integer, got 12.9"),
+        ({"first_marker_tokens": float("inf")}, "first_marker_tokens must be an integer, got inf"),
+        ({"budget": True}, "budget must not be a bool, got True"),
+    ])
+    def test_a_record_value_with_another_meaning_is_refused(self, change, error):
+        rec = sample_record()
+        obj = {**{f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)}, **change}
+        with pytest.raises((TypeError, ValueError), match=f"^{error}$"):
+            from_fields(EpisodeRecord, obj, actions=tuple)
 
 
 class TestRecordFiles:
@@ -402,6 +456,16 @@ class TestRecordFiles:
         with pytest.raises(TraceParseError, match=r":5: invalid UTF-8") as exc:
             read_records(path)
         assert exc.value.line == 5
+
+    def test_actions_refuse_a_fractional_token_count(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        write_records([sample_record(0)], path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace('"tail_stop", 192]', '"tail_stop", 192.5]')
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(TraceParseError,
+                           match=r":2: invalid record: actions must be an integer, got 192.5"):
+            read_records(path)
 
     def test_line_count(self, tmp_path):
         path = tmp_path / "r.jsonl"
