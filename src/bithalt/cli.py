@@ -37,7 +37,7 @@ from .errors import BithaltError, ConfigError, EmptyRunError, TraceParseError
 from .metrics import emit_summary_table, format_summary_rows, summarize_all
 from .policy import PolicyConfig
 from .simulate import load_scenario_dir, scenario_source, scenario_suite_canonical
-from .trace_io import (ReplaySource, read_records, read_trace, read_trace_meta,
+from .trace_io import (ReplaySource, decode, read_records, read_trace, read_trace_meta,
                        write_records, write_text)
 
 VALID_METHODS = tuple(m.value for m in Method)
@@ -127,15 +127,11 @@ def build_parser() -> _Parser:
 
 def _load_config_file(path) -> dict:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = decode(path, Path(path).read_bytes())
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}")
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"config {path} is not valid UTF-8: {exc.reason}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config {path} is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise UsageError(f"config {path} must hold a JSON object")
+    except TraceParseError as exc:
+        raise UsageError(str(exc))
     unknown = set(data) - set(DEFAULTS)
     if unknown:
         hint = ", ".join(sorted(DEFAULTS))

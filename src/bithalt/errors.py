@@ -32,20 +32,20 @@ class ConfigError(BithaltError, ValueError):
 
 @functools.cache
 def _float_fields(cls) -> tuple:
-    return tuple(f.name for f in fields(cls) if f.type in (float, "float"))
+    return tuple(f.name for f in fields(cls) if f.type in (float, "float", "Optional[float]"))
 
 
 def require_finite(config) -> None:
-    """Raise ConfigError naming the first float field of dataclass ``config``
-    that is NaN or infinite; range checks alone let NaN through."""
+    """Raise ConfigError naming the first float field of dataclass ``config`` (an
+    Optional one only when set) that is NaN or infinite; range checks let NaN through."""
     for name in _float_fields(type(config)):
         value = getattr(config, name)
-        if not math.isfinite(value):
+        if value is not None and not math.isfinite(value):
             raise ConfigError(f"must be finite, got {value!r}", field=name)
 
 
 class TraceParseError(BithaltError, ValueError):
-    """A trace or scenario file failed to parse.
+    """A trace, record or scenario file (or a config file's JSON) failed to parse.
 
     Carries the path and (when known) the 1-based line number.
     """
@@ -66,4 +66,4 @@ class EmptyRunError(BithaltError, ValueError):
 
 
 class GroupingError(BithaltError, ValueError):
-    """Records with mixed method/budget fed to a single-group aggregate."""
+    """Records fed to a single-group aggregate mix (model, method, budget) or repeat an id."""

@@ -116,7 +116,7 @@ def summarize_all(records: Sequence[EpisodeRecord]) -> List[RunSummary]:
     fixed_refs: Dict[Tuple[str, int], RunSummary] = {}
     summaries = []
     for (model, method, budget), recs in sorted(
-        groups.items(), key=lambda kv: (kv[0][2], _METHOD_ORDER.get(kv[0][1], 99), kv[0][0])
+        groups.items(), key=lambda kv: (kv[0][2], _METHOD_ORDER[kv[0][1]], kv[0][0])
     ):
         summary = summarize(recs, fixed_reference=fixed_refs.get((model, budget)))
         if method == Method.FIXED:

@@ -8,16 +8,15 @@ episode.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from .errors import ConfigError, TraceParseError, require_finite
+from .errors import ConfigError, require_finite
 from .policy import DEFAULT_MARKER
 from .signals import StepSignals
-from .trace_io import from_fields, parse_fields
+from .trace_io import decode, from_fields, parse_fields
 
 
 @dataclass(frozen=True)
@@ -31,10 +30,11 @@ class Segment:
     hidden_rotation: Optional[float] = None
 
     def __post_init__(self):
+        require_finite(self)  # entropy, and hidden_rotation when set
         if self.length < 1:
             raise ConfigError("segment length must be positive")
-        if self.entropy < 0 or not math.isfinite(self.entropy):
-            raise ConfigError("segment entropy must be finite and >= 0")
+        if self.entropy < 0:
+            raise ConfigError("segment entropy must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,7 @@ class Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise TraceParseError(path, f"invalid UTF-8: {exc.reason}")
-    except json.JSONDecodeError as exc:
-        raise TraceParseError(path, f"invalid JSON: {exc}", line=exc.lineno)
+    data = decode(path, Path(path).read_bytes())
     return parse_fields(path, None, "scenario", Scenario, data, segments=lambda segs: tuple(
         from_fields(Segment, seg) for seg in segs))
 

@@ -16,8 +16,8 @@ Trace file (schema ``trace/v2``; ``trace/v1`` still reads):
   ``entropy`` checks a distribution, ``StepSignals.hidden_unit`` a hidden vector.
 
 Files are read one line at a time, split at "\n" only (U+2028, U+2029 and
-U+0085 may stand unescaped inside a JSON string); a line that is not UTF-8 is
-a parse error naming it. ``read_trace_meta`` reads a trace's header line alone.
+U+0085 may stand unescaped inside a JSON string); ``decode`` makes each line,
+or a scenario or config file, one JSON object or a parse error naming it.
 
 Record file (schema ``records/v1``):
   header: {"schema", ...free-form run metadata (no timestamps)}
@@ -25,7 +25,7 @@ Record file (schema ``records/v1``):
 
 Trace headers and steps, records and scenarios are read by ``from_fields``, which
 follows the dataclass fields (a step's ``tokens`` and ``probs`` keys are mapped in
-``_FILE_KEYS``), and ``parse_fields`` raises each failure as a TraceParseError.
+``_FILE_KEYS``) and one value rule, ``_coerce``; ``parse_fields`` reports failures.
 Every output file is written by ``write_text``, atomically.
 """
 
@@ -41,7 +41,7 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
-from .engine import EpisodeRecord
+from .engine import EpisodeRecord, Method, StopCause
 from .errors import TraceParseError, UnsupportedSchemaError, require_finite
 from .signals import StepSignals
 
@@ -78,6 +78,7 @@ class ReplaySource:
 
 # Trace step keys that differ from their StepSignals field names.
 _FILE_KEYS = {StepSignals: {"tokens_in_chunk": "tokens", "distribution": "probs"}}
+_KINDS = {str: "a string", bool: "a bool", int: "an integer", float: "a number"}
 
 
 @functools.cache
@@ -96,12 +97,15 @@ def _field_plan(cls) -> Tuple[Tuple[str, str, bool, bool, type], ...]:
 
 
 def _coerce(key: str, tp: type, value):
-    """``tp(value)``, but a bool and a bool field go only together, and an int is whole."""
-    if (tp is bool) != isinstance(value, bool):
-        raise TypeError(f"{key} must {'' if tp is bool else 'not '}be a bool, got {value!r}")
-    if tp is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return tp(value)
+    """One value rule: a field takes its own JSON kind; a float any number, an int a whole one."""
+    if type(value) is tp:
+        return value
+    if tp is float and type(value) is int:
+        return float(value)  # OverflowError past float range
+    if tp is int and type(value) is float and value.is_integer():
+        return int(value)
+    kind = "not be a bool" if isinstance(value, bool) else f"be {_KINDS[tp]}"
+    raise TypeError(f"{key} must {kind}, got {value!r}")
 
 
 def from_fields(cls, obj: dict, **convert):
@@ -110,8 +114,8 @@ def from_fields(cls, obj: dict, **convert):
     Each field is read under its file key (its name unless ``_FILE_KEYS``
     says otherwise). A missing key takes the field default, or raises KeyError
     if the field has none. None is accepted only for Optional fields. Any other
-    value goes through ``convert[name]`` when given, else through ``_coerce``.
-    Keys that are not fields are ignored.
+    value goes through ``convert[name]`` when given, else must pass ``_coerce``,
+    the one value rule. Keys that are not fields are ignored.
     """
     kwargs = {}
     for name, key, required, nullable, tp in _field_plan(cls):
@@ -135,8 +139,21 @@ def parse_fields(path, line: Optional[int], what: str, cls, obj: dict, /, **conv
     """``from_fields``, any failure raised as a TraceParseError naming ``path`` and ``line``."""
     try:
         return from_fields(cls, obj, **convert)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TraceParseError(path, f"invalid {what}: {exc}", line=line)
+
+
+def decode(path, data: bytes, line: Optional[int] = None) -> dict:
+    """The JSON object in a file's or a JSONL line's bytes; any failure is a TraceParseError."""
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(path, f"invalid UTF-8: {exc.reason}", line=line)
+    except (ValueError, RecursionError) as exc:  # bad JSON, the integer digit limit, deep nesting
+        raise TraceParseError(path, f"invalid JSON: {exc}", line=line)
+    if not isinstance(obj, dict):
+        raise TraceParseError(path, "expected a JSON object", line=line)
+    return obj
 
 
 def _read_jsonl(path, *schemas: str) -> Iterator[Tuple[int, dict]]:
@@ -146,17 +163,9 @@ def _read_jsonl(path, *schemas: str) -> Iterator[Tuple[int, dict]]:
         raise TraceParseError(path, "empty file", line=1)
     with open(path, "rb") as f:  # binary lines end at b"\n" only
         for lineno, raw in enumerate(f, start=1):
-            try:
-                line = raw.decode("utf-8")
-                if lineno > 1 and not line.strip():
-                    continue
-                obj = json.loads(line)
-            except UnicodeDecodeError as exc:
-                raise TraceParseError(path, f"invalid UTF-8: {exc.reason}", line=lineno)
-            except json.JSONDecodeError as exc:
-                raise TraceParseError(path, f"invalid JSON: {exc.msg}", line=lineno)
-            if not isinstance(obj, dict):
-                raise TraceParseError(path, "expected a JSON object", line=lineno)
+            if lineno > 1 and raw.isspace():
+                continue
+            obj = decode(path, raw, lineno)
             if lineno == 1 and obj.get("schema") not in schemas:
                 raise UnsupportedSchemaError(
                     path, f"unsupported schema {obj.get('schema')!r}", line=1)
@@ -248,8 +257,9 @@ def write_trace(meta: TraceMeta, steps: List[StepSignals], path) -> None:
 
 
 def _actions(value) -> Tuple[Tuple[str, str, int], ...]:
-    return tuple((str(a), str(r), t if type(t) is int else _coerce("actions", int, t))
-                 for a, r, t in value)
+    return tuple((a, r, t) if type(a) is type(r) is str and type(t) is int else (
+        _coerce("actions", str, a), _coerce("actions", str, r), _coerce("actions", int, t))
+        for a, r, t in value)
 
 
 def write_records(records: List[EpisodeRecord], path, metadata: Optional[dict] = None) -> None:
@@ -266,5 +276,6 @@ def write_records(records: List[EpisodeRecord], path, metadata: Optional[dict] =
 def read_records(path) -> Tuple[dict, List[EpisodeRecord]]:
     lines = _read_jsonl(path, RECORD_SCHEMA)
     header = next(lines)[1]
-    return header, [parse_fields(path, lineno, "record", EpisodeRecord, obj, actions=_actions)
-                    for lineno, obj in lines]
+    names = {"method": lambda v: Method(v).value, "stop_cause": lambda v: StopCause(v).value}
+    return header, [parse_fields(path, lineno, "record", EpisodeRecord, obj, actions=_actions,
+                                 **names) for lineno, obj in lines]

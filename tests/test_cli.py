@@ -333,6 +333,87 @@ class TestReport:
         assert run_cli("report", "--out", str(out)) == 2
 
 
+DEEP = "[" * 200_000 + "]" * 200_000  # nested far past the interpreter's recursion limit
+DIGITS = "1" * 5_001  # past Python's default integer digit limit (4,300)
+
+
+def trace_text(header="", step=""):
+    """A one-step trace, with JSON members appended to (and so overriding) its lines."""
+    return ('{"schema": "trace/v2", "example_id": "bad", "gold_answer": 42.0%s}\n'
+            '{"step": 0, "chunk_text": "#### 42", "tokens": 4, "entropy": 0.5%s}\n'
+            % (header, step))
+
+
+def records_text(members):
+    rec = sample_record()
+    record = json.dumps({f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)})
+    return '{"schema": "records/v1"}\n' + record[:-1] + members + "}\n"
+
+
+def scenario_text(segment):
+    return ('{"scenario_id": "bad", "gold_answer": 42, "emitted_answer": 42, "segments": '
+            '[{"length": 32, "entropy": 1.0, "text_template": "#### 42"%s}]}' % segment)
+
+
+# (command, bad file's text, line named in the error or None for a whole file)
+UNREADABLE_FILES = [
+    # Valid JSON that once crashed the CLI or was scored as something else.
+    pytest.param("replay", trace_text(step=', "chunk_text": {"x #### 42": 1}'), 2,
+                 id="object-as-chunk-text"),
+    pytest.param("replay", trace_text(header=', "example_id": ["a"]'), 1, id="list-as-id"),
+    pytest.param("replay", trace_text(header=', "gold_answer": 1' + "0" * 400), 1,
+                 id="gold-answer-past-float-range"),
+    pytest.param("replay", trace_text(step=', "tokens": ' + DIGITS), 2, id="digit-limit-tokens"),
+    pytest.param("replay", trace_text(step=', "hidden": ' + DEEP), 2, id="deep-trace-line"),
+    pytest.param("simulate", scenario_text(', "hidden_rotation": ' + DEEP), None,
+                 id="deep-scenario"),
+    pytest.param("config", '{"floor": %s}' % DIGITS, None, id="digit-limit-config"),
+    # A value of another JSON kind is no longer converted.
+    pytest.param("replay", trace_text(header=', "example_id": 7'), 1, id="number-as-id"),
+    pytest.param("replay", trace_text(header=', "gold_answer": "42"'), 1, id="text-as-float"),
+    pytest.param("replay", trace_text(header=', "served_bits": "8"'), 1, id="text-as-int"),
+    pytest.param("replay", trace_text(step=', "chunk_text": ["#### 42"]'), 2,
+                 id="list-as-chunk-text"),
+    pytest.param("simulate", scenario_text(', "length": "32"'), None, id="text-as-length"),
+    pytest.param("report", records_text(', "tokens_used": "12"'), 2, id="text-as-tokens-used"),
+    pytest.param("report", records_text(', "actions": [[1, "stop", 16]]'), 2,
+                 id="number-as-action"),
+    # A name or number that is not one the program knows.
+    pytest.param("report", records_text(', "method": "bogus"'), 2, id="unknown-method"),
+    pytest.param("report", records_text(', "stop_cause": "bogus"'), 2, id="unknown-stop-cause"),
+    pytest.param("simulate", scenario_text(', "hidden_rotation": Infinity'), None,
+                 id="infinite-rotation"),
+    pytest.param("simulate", scenario_text(', "hidden_rotation": NaN'), None, id="nan-rotation"),
+]
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("command,text,line", UNREADABLE_FILES)
+    def test_one_error_line_naming_the_file(self, tmp_path, capsys, command, text, line):
+        """A file that does not read as what it says fails as a data error (exit 2), or for
+        --config as a usage error (exit 1), in one line naming the file and any JSONL line."""
+        if command == "replay":  # beside a good trace, so the one error line is the bad one's
+            bad = make_trace_dir(tmp_path, n=1) / "bad.jsonl"
+            argv = ["replay", "--traces", str(bad.parent)]
+        elif command == "report":
+            bad = tmp_path / "records_fixed_b512.jsonl"
+            argv = ["report", "--records", str(tmp_path)]
+        elif command == "simulate":
+            (tmp_path / "scenarios").mkdir()
+            bad = tmp_path / "scenarios" / "bad.json"
+            argv = ["simulate", "--scenarios", str(bad.parent)]
+        else:
+            bad = tmp_path / "cfg.json"
+            argv = ["simulate", "--config", str(bad)]
+        bad.write_text(text, encoding="utf-8")
+        code = run_cli(*argv, "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == (1 if command == "config" else 2)
+        where = bad if line is None else f"{bad}:{line}"
+        assert err.startswith(f"error: {where}: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err
+
+
 class TestSweep:
     def test_sweep_without_the_locale_encoding(self, tmp_path):
         # Every text read and write names its encoding, so no EncodingWarning
@@ -400,7 +481,7 @@ class TestConfigLayering:
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b'{"marker": "\xff"}')
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
-        assert f"error: config {cfg} is not valid UTF-8" in capsys.readouterr().err
+        assert f"error: {cfg}: invalid UTF-8" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self, capsys):
         assert run_cli("simulate") == 1  # --out missing
@@ -496,9 +577,8 @@ class TestSettingsParse:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"methods": "fixed"}))
         reads = []
-        real = Path.read_text
-        monkeypatch.setattr(Path, "read_text",
-                            lambda self, *a, **k: reads.append(self) or real(self, *a, **k))
+        real = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or real(self))
         assert run_cli("replay", "--traces", str(traces), "--config", str(cfg),
                        "--out", str(tmp_path / "out")) == 0
         assert reads.count(cfg) == 1

@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import json
 import math
+import re
 from array import array
 from pathlib import Path
 
@@ -389,10 +390,17 @@ def sample_record(i=0, **overrides):
 
 class TestFromFields:
     def test_defaults_nulls_and_coercion_follow_the_fields(self):
-        header = {"schema": "trace/v1", "example_id": 7, "gold_answer": "42", "served_bits": "8"}
+        header = {"schema": "trace/v1", "example_id": "7", "gold_answer": 42, "served_bits": 8.0}
         assert from_fields(TraceMeta, header) == TraceMeta("7", 42.0, served_bits=8)
-        header["served_bits"] = 8.0
-        assert from_fields(TraceMeta, header) == TraceMeta("7", 42.0, served_bits=8)
+        for change, error in [  # no value of another JSON kind is converted
+            ({"example_id": 7}, "example_id must be a string, got 7"),
+            ({"model": ["m"]}, "model must be a string, got ['m']"),
+            ({"prompt_digest": {"a": 1}}, "prompt_digest must be a string, got {'a': 1}"),
+            ({"gold_answer": "42"}, "gold_answer must be a number, got '42'"),
+            ({"served_bits": "8"}, "served_bits must be an integer, got '8'"),
+        ]:
+            with pytest.raises(TypeError, match=f"^{re.escape(error)}$"):
+                from_fields(TraceMeta, {**header, **change})
         with pytest.raises(KeyError):
             from_fields(TraceMeta, {"example_id": "e"})
         with pytest.raises(TypeError):
@@ -408,7 +416,7 @@ class TestFromFields:
         ({"gold_answer": True}, "gold_answer must not be a bool, got True"),
         ({"example_id": False}, "example_id must not be a bool, got False"),
         ({"gold_answer": float("nan")}, "gold_answer must be finite, got nan"),
-        ({"gold_answer": "inf"}, "gold_answer must be finite, got inf"),
+        ({"gold_answer": float("inf")}, "gold_answer must be finite, got inf"),
     ])
     def test_a_header_value_with_another_meaning_is_refused(self, change, error):
         header = {"example_id": "e", "gold_answer": 42.0, **change}
