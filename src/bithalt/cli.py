@@ -1,9 +1,10 @@
 """Command-line surface: simulate, replay, report, sweep.
 
 simulate and replay differ only in how they load examples (scenarios or
-recorded traces). One runner scores both one example at a time: each is loaded,
-run under every method x budget cell and dropped, so a replay holds one trace's
-steps. replay reads every header first; a body that fails to parse is reported
+recorded traces). One runner scores both one example at a time: each is loaded
+once, run under every method x budget cell and dropped, so a replay holds one
+trace's steps and a scenario's full chunks, shared by its cells, are generated
+once. replay reads every header first; a body that fails to parse is reported
 when its turn comes and skipped in every cell. sweep runs either one, then
 report. A replayed trace runs at the bit width in its header unless bits is set
 by a flag or the config file; if it is not, run_meta.json reads "bits": null.
@@ -12,11 +13,12 @@ Config resolution is layered: built-in defaults <- the command's own defaults
 <- optional JSON config file (--config) <- explicit command-line flags, highest
 wins; null means unset. The built-in defaults are the field defaults of
 CalibratorConfig, PolicyConfig and EngineConfig, read through CONFIG_FIELDS.
-A flag's text and a config-file value are parsed by one rule, the key's default
-type applied to the value's text, and a value that fails it is a usage error
-naming the key. Episodes run serially; --jobs is still accepted for
-compatibility and changes nothing. All outputs are deterministic: no timestamps
-in payload files, episode records sorted by example id, stable float formatting.
+A flag's text is converted to the key's default type, a config-file value is
+held to it by the one value rule (trace_io._coerce), and a value that fails is
+a usage error naming the key. Episodes run serially; --jobs is still accepted
+for compatibility and changes nothing. All outputs are deterministic: no
+timestamps in payload files, episode records sorted by example id, stable
+float formatting.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error.
 """
@@ -36,9 +38,9 @@ from .engine import EngineConfig, Method, TokenSource, run_episode
 from .errors import BithaltError, ConfigError, EmptyRunError, TraceParseError
 from .metrics import emit_summary_table, format_summary_rows, summarize_all
 from .policy import PolicyConfig
-from .simulate import load_scenario_dir, scenario_source, scenario_suite_canonical
-from .trace_io import (ReplaySource, decode, read_records, read_trace, read_trace_meta,
-                       write_records, write_text)
+from .simulate import ScenarioSource, load_scenario_dir, scenario_suite_canonical
+from .trace_io import (ReplaySource, _coerce, decode, read_records, read_trace,
+                       read_trace_meta, write_records, write_text)
 
 VALID_METHODS = tuple(m.value for m in Method)
 
@@ -139,13 +141,13 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def _parse(key: str, value):
-    """The one parse rule for flags and config values: the key's default type
-    applied to the value's text."""
+def _parse(key: str, value, flag: bool):
+    """A value read as the key's default type: a flag's text converted to it, a
+    config-file value held to the value rule of every input file."""
     kind = type(DEFAULTS[key])
     try:
-        return kind(str(value))
-    except ValueError:
+        return kind(value) if flag else _coerce(key, kind, value)
+    except (TypeError, ValueError, OverflowError):
         raise UsageError(f"{key} must be {kind.__name__}, got {value!r}")
 
 
@@ -153,8 +155,9 @@ def resolve_config(args: argparse.Namespace, **command_defaults) -> dict:
     """Built-in defaults <- command defaults <- config file <- flags; None is unset."""
     cfg = {**DEFAULTS, **command_defaults}
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    for layer in (file_cfg, {key: getattr(args, key, None) for key in DEFAULTS}):
-        cfg.update((k, _parse(k, v)) for k, v in layer.items() if v is not None)
+    flags = {key: getattr(args, key, None) for key in DEFAULTS}
+    for flag, layer in ((False, file_cfg), (True, flags)):
+        cfg.update((k, _parse(k, v, flag)) for k, v in layer.items() if v is not None)
 
     methods = [m.strip() for m in cfg["methods"].split(",") if m.strip()]
     for m in methods:
@@ -195,7 +198,7 @@ def build_engine_config(cfg: dict, method: str, budget: int, served_bits: int) -
 class Example(NamedTuple):
     """One row of the grid: how to load and stream it, and how to score it."""
 
-    load: Callable[[], Callable[[], TokenSource]]  # parses once; gives a fresh stream per call
+    load: Callable[[], Callable[[], TokenSource]]  # loads once; gives a fresh stream per call
     gold: float
     example_id: str
     model: str
@@ -249,8 +252,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise TraceParseError(args.scenarios, "no scenario files found")
     else:
         scenarios = scenario_suite_canonical()
-    # A scenario is parsed already: its load only binds the chunk size.
-    examples = [Example(partial(partial, scenario_source, s, cfg["chunk_size"]),
+    # A scenario's load starts the list of full chunks that its cells' sources share.
+    examples = [Example(lambda s=s: partial(ScenarioSource, s, cfg["chunk_size"], []),
                         s.gold_answer, s.scenario_id, "sim", cfg["bits"]) for s in scenarios]
     _run_grid(examples, cfg, Path(args.out), "simulate")
     return 0

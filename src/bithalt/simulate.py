@@ -3,7 +3,7 @@
 A Scenario scripts per-segment entropy, chunk text, and optional hidden-state
 rotation, plus where the answer marker and EOS land in the token stream.
 Everything is deterministic: the same scenario always replays to the same
-episode.
+episode, so the sources of a grid's cells share each full chunk they generate.
 """
 
 from __future__ import annotations
@@ -79,16 +79,19 @@ def _format_answer(value: float) -> str:
 class ScenarioSource:
     """TokenSource that walks a scenario's token script chunk by chunk.
 
-    chunk_size is checked, not kept: each call's max_tokens sizes its chunk.
+    Sources given one ``shared`` list take step i and the state after it from
+    entry i, appending it if they are first, while each chunk is a full one on
+    the chunk_size grid. Any other chunk (the last, partial one under a budget
+    off the grid) is generated from the source's own state, off the list for good.
     """
 
-    def __init__(self, scenario: Scenario, chunk_size: int):
+    def __init__(self, scenario: Scenario, chunk_size: int, shared: Optional[list] = None):
         if chunk_size < 1:
             raise ConfigError("chunk_size must be >= 1")
         self.scenario = scenario
-        self._pos = 0
-        self._step = 0
-        self._angle = 0.0
+        self._chunk_size = chunk_size
+        self._shared = shared
+        self._state = (0, 0, 0.0)  # position, step index, hidden angle
         self._limit = scenario.eos_at if scenario.eos_at is not None else scenario.total_tokens()
 
     def _segment_at(self, token_index: int) -> Segment:
@@ -100,37 +103,41 @@ class ScenarioSource:
                 return seg
         return self.scenario.segments[-1]
 
-    def next_chunk(self, max_tokens: int) -> Optional[StepSignals]:
-        if self._pos >= self._limit:
-            return None
-        n = min(max_tokens, self._limit - self._pos)
-        start, end = self._pos, self._pos + n
+    def _generate(self, n: int) -> Tuple[StepSignals, Tuple[int, int, float]]:
+        """The step of the next n tokens from this source's state, and the state after it."""
+        start, step, angle = self._state
+        end = start + n
         seg = self._segment_at(end - 1)
 
-        text = seg.text_template.replace("{i}", str(self._step))
+        text = seg.text_template.replace("{i}", str(step))
         s = self.scenario
         if s.marker_at is not None and start < s.marker_at <= end:
             text += f"\n{DEFAULT_MARKER} {_format_answer(s.emitted_answer)}"
 
         hidden = None
         if seg.hidden_rotation is not None:
-            self._angle += seg.hidden_rotation
-            hidden = (math.cos(self._angle), math.sin(self._angle))
+            angle += seg.hidden_rotation
+            hidden = (math.cos(angle), math.sin(angle))
 
         eos = s.eos_at is not None and end >= s.eos_at
-        self._pos = end
-        self._step += 1
-        return StepSignals(
-            chunk_text=text,
-            tokens_in_chunk=n,
-            entropy=seg.entropy,
-            hidden=hidden,
-            eos=eos,
-        )
+        return StepSignals(chunk_text=text, tokens_in_chunk=n, entropy=seg.entropy,
+                           hidden=hidden, eos=eos), (end, step + 1, angle)
 
-
-def scenario_source(scenario: Scenario, chunk_size: int) -> ScenarioSource:
-    return ScenarioSource(scenario, chunk_size)
+    def next_chunk(self, max_tokens: int) -> Optional[StepSignals]:
+        pos, index, _ = self._state
+        left = self._limit - pos
+        if left <= 0:
+            return None
+        shared = self._shared  # a chunk on the grid: chunk_size tokens, or the rest if fewer
+        if shared is not None and (max_tokens == self._chunk_size
+                                   or left <= min(max_tokens, self._chunk_size)):
+            if index == len(shared):
+                shared.append(self._generate(min(max_tokens, left)))
+            chunk, self._state = shared[index]
+            return chunk
+        self._shared = None  # off the grid: every later chunk is this source's own
+        chunk, self._state = self._generate(min(max_tokens, left))
+        return chunk
 
 
 def scenario_suite_canonical() -> List[Scenario]:

@@ -187,8 +187,9 @@ def _array(value) -> array:
         if sys.byteorder == "big":
             out.byteswap()
         return out
-    if isinstance(value, list):  # float() rejects null and nested lists, as v1 readers did
-        return array("d", map(float, value))
+    if isinstance(value, list):  # of JSON numbers only, by the one value rule
+        return array("d", [x if type(x) is float else _coerce("float64 array element", float, x)
+                           for x in value])
     raise TypeError(f"array must be a base64 string or a list, got {type(value).__name__}")
 
 

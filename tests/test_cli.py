@@ -522,6 +522,36 @@ NON_DEFAULT = {
 }
 
 
+class TestConfigValueRule:
+    """A config file follows the value rule of every input file, while a flag's
+    text is converted: the number 5 is not the marker text "5", and the text
+    "16" is not a number."""
+
+    @pytest.mark.parametrize("setting", [{"marker": 5}, {"floor": "16"}, {"theta_h": "1.5"},
+                                         {"budgets": 512}, {"h_max": 10 ** 400}])
+    def test_config_value_of_another_json_kind_is_usage_error(self, tmp_path, capsys,
+                                                              setting):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(setting))
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 1
+        (key,) = setting
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_whole_float_config_value_reads_as_integer(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"floor": 16.0}))
+        runs = {"flag": ["--floor", "16"], "config": ["--config", str(cfg)]}
+        for name, extra in runs.items():
+            assert run_cli("simulate", *extra, "--out", str(tmp_path / name)) == 0
+        meta = (tmp_path / "config" / "run_meta.json").read_text()
+        assert json.loads(meta)["config"]["floor"] == 16 and '"floor": 16,' in meta
+        for path in sorted((tmp_path / "flag").iterdir()):
+            assert (tmp_path / "config" / path.name).read_bytes() == path.read_bytes()
+
+
 class TestSettingsParse:
     def test_non_default_table_covers_every_config_key(self):
         assert set(NON_DEFAULT) == set(CONFIG_FIELDS)
@@ -742,6 +772,7 @@ class TestDeterminism:
 GOLDEN_RECORDS = Path(__file__).resolve().parent / "data" / "golden_records_b512"
 GOLDEN_REPORT = Path(__file__).resolve().parent / "data" / "golden_report_b512"
 GOLDEN_RECORDS_K1 = Path(__file__).resolve().parent / "data" / "golden_records_k1_b2048"
+GOLDEN_RECORDS_OFFGRID = Path(__file__).resolve().parent / "data" / "golden_records_offgrid"
 
 
 class TestGoldenRecords:
@@ -760,6 +791,17 @@ class TestGoldenRecords:
         assert run_cli("simulate", "--chunk-size", "1", "--budgets", "2048", "--bits", "4",
                        "--out", str(out)) == 0
         golden = sorted(GOLDEN_RECORDS_K1.glob("records_*.jsonl"))
+        assert [p.name for p in golden] == sorted(p.name for p in out.glob("records_*.jsonl"))
+        for path in golden:
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_budgets_off_the_chunk_grid_reproduce_golden_records(self, tmp_path):
+        # 200 and 300 are not multiples of 16: an episode that runs to its
+        # budget ends on a partial chunk of 8 or 12 tokens.
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--budgets", "200,300", "--chunk-size", "16", "--bits", "8",
+                       "--out", str(out)) == 0
+        golden = sorted(GOLDEN_RECORDS_OFFGRID.glob("records_*.jsonl"))
         assert [p.name for p in golden] == sorted(p.name for p in out.glob("records_*.jsonl"))
         for path in golden:
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name

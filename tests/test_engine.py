@@ -15,7 +15,7 @@ from bithalt.engine import (
 from bithalt.errors import ConfigError, InvalidInputError
 from bithalt.policy import PolicyConfig, update_marker
 from bithalt.signals import StepSignals
-from bithalt.simulate import Scenario, Segment, scenario_source
+from bithalt.simulate import Scenario, ScenarioSource, Segment
 
 
 def engine_cfg(method, budget=512, bits=4, **kwargs):
@@ -97,14 +97,14 @@ class TestRunEpisode:
             emitted_answer=42.0,
             marker_at=160,
         )
-        rec = run_episode(scenario_source(s, 16), engine_cfg("bitcal", bits=4),
+        rec = run_episode(ScenarioSource(s, 16), engine_cfg("bitcal", bits=4),
                           42.0, "tail")
         assert rec.first_marker_tokens == 160
         assert rec.tokens_used == 192
         assert rec.stop_cause == StopCause.TAIL_STOP.value
         assert rec.correct is True
 
-        rec_a = run_episode(scenario_source(s, 16), engine_cfg("adaptive", bits=4),
+        rec_a = run_episode(ScenarioSource(s, 16), engine_cfg("adaptive", bits=4),
                             42.0, "tail")
         assert rec_a.tokens_used == 160
         assert rec_a.stop_cause == StopCause.TAIL_STOP.value
@@ -134,7 +134,7 @@ class TestRunEpisode:
             gold_answer=1.0,
             emitted_answer=1.0,
         )
-        src = scenario_source(s, 16)
+        src = ScenarioSource(s, 16)
         emitted = []
         orig = src.next_chunk
 
@@ -157,8 +157,8 @@ class TestRunEpisode:
             marker_at=300,
         )
         cfg = engine_cfg("bitcal")
-        a = run_episode(scenario_source(s, 16), cfg, 1.0, "det")
-        b = run_episode(scenario_source(s, 16), cfg, 1.0, "det")
+        a = run_episode(ScenarioSource(s, 16), cfg, 1.0, "det")
+        b = run_episode(ScenarioSource(s, 16), cfg, 1.0, "det")
         assert a == b
 
     def test_adaptive_equals_bitcal_forced_sixteen(self):
@@ -169,10 +169,10 @@ class TestRunEpisode:
             emitted_answer=9.0,
             marker_at=200,
         )
-        adaptive = run_episode(scenario_source(s, 16), engine_cfg("adaptive"), 9.0, "f")
+        adaptive = run_episode(ScenarioSource(s, 16), engine_cfg("adaptive"), 9.0, "f")
         forced_cfg = dataclasses.replace(engine_cfg("bitcal", bits=4),
                                          effective_bits_override=16)
-        forced = run_episode(scenario_source(s, 16), forced_cfg, 9.0, "f")
+        forced = run_episode(ScenarioSource(s, 16), forced_cfg, 9.0, "f")
         assert dataclasses.replace(forced, method="adaptive") == adaptive
 
     def test_errored_source_flagged(self):

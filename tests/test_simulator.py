@@ -1,17 +1,24 @@
 import dataclasses
+import itertools
 import json
+import weakref
+from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bithalt import cli
 from bithalt.engine import EngineConfig, Method, StopCause, run_episode
 from bithalt.errors import ConfigError, TraceParseError
+from bithalt.policy import DEFAULT_MARKER
 from bithalt.simulate import (
     Scenario,
+    ScenarioSource,
     Segment,
     load_scenario,
     load_scenario_dir,
-    scenario_source,
     scenario_suite_canonical,
 )
 
@@ -24,7 +31,7 @@ def run(scenario, method, budget=512, bits=4, **policy_kwargs):
         cfg = dataclasses.replace(
             cfg, policy=dataclasses.replace(cfg.policy, **policy_kwargs)
         )
-    return run_episode(scenario_source(scenario, cfg.chunk_size), cfg,
+    return run_episode(ScenarioSource(scenario, cfg.chunk_size), cfg,
                        scenario.gold_answer, scenario.scenario_id, model="sim")
 
 
@@ -40,13 +47,13 @@ class TestScenarioValidation:
     def test_chunk_size_must_be_positive(self):
         s = Scenario("s", (Segment(10, 1.0, "t"),), 1.0, 1.0)
         with pytest.raises(ConfigError):
-            scenario_source(s, 0)
+            ScenarioSource(s, 0)
 
 
 class TestScenarioSource:
     def test_token_totals_match_script(self):
         s = Scenario("s", (Segment(100, 1.0, "t{i}"), Segment(55, 2.0, "u{i}")), 1.0, 1.0)
-        src = scenario_source(s, 16)
+        src = ScenarioSource(s, 16)
         total = 0
         while (step := src.next_chunk(16)) is not None:
             total += step.tokens_in_chunk
@@ -90,7 +97,7 @@ class TestScenarioSource:
         s = Scenario(
             "s", (Segment(64, 1.0, "t{i}", hidden_rotation=math.pi / 3),), 1.0, 1.0
         )
-        src = scenario_source(s, 16)
+        src = ScenarioSource(s, 16)
         hiddens = []
         while (step := src.next_chunk(16)) is not None:
             hiddens.append(step.hidden)
@@ -173,3 +180,103 @@ class TestScenarioFiles:
         bad.write_text("{not json")
         with pytest.raises(TraceParseError):
             load_scenario(bad)
+
+
+@st.composite
+def scenarios(draw):
+    segments = tuple(draw(st.lists(st.builds(
+        Segment,
+        length=st.integers(1, 48),
+        entropy=st.sampled_from([0.2, 1.0, 3.0, 4.5]),
+        text_template=st.sampled_from(["The running total is 17 so far.", "path {i} fails",
+                                       f"tally {DEFAULT_MARKER} 13", "ok"]),
+        hidden_rotation=st.sampled_from([None, 0.0, 0.3, 2.0])), min_size=1, max_size=4)))
+    offset = st.one_of(st.none(), st.integers(1, sum(seg.length for seg in segments)))
+    return Scenario("s", segments, 42.0, draw(st.sampled_from([42.0, 13.0])),
+                    marker_at=draw(offset), eos_at=draw(offset))
+
+
+class TestSharedSteps:
+    """Sources that share one scenario's list of full chunks give the steps and
+    records of a fresh, unshared source each."""
+
+    @given(scenarios(), st.integers(1, 32), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_shared_cells_in_any_order_give_unshared_records(self, scenario, k, data):
+        budgets = data.draw(st.lists(st.integers(k, 12 * k), min_size=1, max_size=3))
+        if k > 1:  # at least one budget off the k grid: its last chunk is partial
+            budgets.append(k * data.draw(st.integers(1, 8)) + data.draw(st.integers(1, k - 1)))
+        floor = data.draw(st.sampled_from([0, 16, 128]))
+        bits = data.draw(st.sampled_from([4, 8, 16]))
+        cells = data.draw(st.permutations(list(itertools.product(Method, budgets))))
+        shared = []
+        for method, budget in cells:
+            cfg = EngineConfig(method=method, budget=budget, chunk_size=k, served_bits=bits)
+            cfg = dataclasses.replace(cfg, policy=dataclasses.replace(cfg.policy,
+                                                                      floor_tokens=floor))
+            run = partial(run_episode, cfg=cfg, gold=42.0, example_id="s")
+            assert run(ScenarioSource(scenario, k, shared)) == run(ScenarioSource(scenario, k))
+
+    @given(scenarios(), st.integers(1, 32), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_interleaved_sources_of_any_request_sizes_give_unshared_steps(self, scenario, k,
+                                                                          data):
+        requests = data.draw(st.lists(st.lists(st.one_of(st.just(k), st.integers(1, 2 * k)),
+                                               max_size=40), min_size=1, max_size=4))
+        order = data.draw(st.permutations([i for i, r in enumerate(requests) for _ in r]))
+        shared = []
+        sources = [ScenarioSource(scenario, k, shared) for _ in requests]
+        got = [[] for _ in requests]
+        pending = [iter(r) for r in requests]
+        for i in order:
+            got[i].append(sources[i].next_chunk(next(pending[i])))
+        for steps, sizes in zip(got, requests):
+            fresh = ScenarioSource(scenario, k)
+            assert steps == [fresh.next_chunk(n) for n in sizes]
+
+
+def _spy_generate(monkeypatch, seen):
+    """Append (scenario id, start, tokens, the step) for every step a ScenarioSource makes."""
+    real = ScenarioSource._generate
+
+    def spy(self, n):
+        out = real(self, n)
+        seen.append((self.scenario.scenario_id, self._state[0], n, out[0]))
+        return out
+    monkeypatch.setattr(ScenarioSource, "_generate", spy)
+
+
+class TestGridSharing:
+    def test_each_full_chunk_of_an_example_is_generated_once(self, tmp_path, monkeypatch):
+        seen = []
+        _spy_generate(monkeypatch, seen)
+        assert cli.main(["simulate", "--budgets", "200,300,512", "--out",
+                         str(tmp_path / "out")]) == 0
+        for s in scenario_suite_canonical():
+            limit = s.eos_at or s.total_tokens()
+            starts = [start for sid, start, n, _ in seen
+                      if sid == s.scenario_id and n == min(16, limit - start)]
+            assert starts == list(range(0, 16 * len(starts), 16)), s.scenario_id
+        # The rest are the last, partial chunks under budgets 200 and 300.
+        assert {n for *_, n, _ in seen if n != 16} <= {8, 12}
+
+    def test_an_examples_steps_are_freed_before_the_next_one_loads(self, tmp_path,
+                                                                   monkeypatch):
+        seen, loads = [], []
+        _spy_generate(monkeypatch, seen)
+        real_grid = cli._run_grid
+
+        def load_after_the_last_is_freed(load):
+            refs = [weakref.ref(step) for *_, step in seen]
+            seen.clear()
+            loads.append((len(refs), sum(ref() is not None for ref in refs)))
+            return load()
+
+        def grid(examples, *args, **kwargs):
+            return real_grid([ex._replace(load=partial(load_after_the_last_is_freed, ex.load))
+                              for ex in examples], *args, **kwargs)
+        monkeypatch.setattr(cli, "_run_grid", grid)
+        assert cli.main(["simulate", "--budgets", "200,512", "--out",
+                         str(tmp_path / "out")]) == 0
+        assert len(loads) == len(scenario_suite_canonical())
+        assert all(made > 0 and alive == 0 for made, alive in loads[1:])

@@ -180,6 +180,23 @@ class TestTraceV1:
         assert by_method["fixed"].error is None and by_method["adaptive"].error is None
         assert "non-finite" in by_method["bitcal"].error
 
+    @pytest.mark.parametrize("probs", [["0.5", "0.5"], [True, False]])
+    def test_list_element_that_is_not_a_number_is_parse_error(self, tmp_path, capsys, probs):
+        # float() would read "0.5" as 0.5 and true as 1.0; a JSON list in a
+        # trace holds numbers only.
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        path = traces / "t.jsonl"
+        path.write_text("\n".join([
+            json.dumps({"schema": "trace/v1", "example_id": "e", "gold_answer": 1.0}),
+            json.dumps({"step": 0, "chunk_text": "#### 1", "tokens": 4, "probs": probs,
+                        "eos": True})]) + "\n")
+        with pytest.raises(TraceParseError, match="must") as exc:
+            read_trace(path)
+        assert (exc.value.line, Path(exc.value.path)) == (2, path)
+        assert main(["replay", "--traces", str(traces), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
+
 
 class TestTraceValidation:
     def _write_lines(self, tmp_path, lines):
