@@ -2,9 +2,10 @@
 
 simulate and replay differ only in how they load examples (scenarios or
 recorded traces). One runner scores both one example at a time: each is loaded
-once, run under every method x budget cell and dropped, so a replay holds one
-trace's steps and a scenario's full chunks, shared by its cells, are generated
-once. replay reads every header first; a body that fails to parse is reported
+once, run under every method x budget cell in one pass over a single stream
+(engine.run_episodes) and dropped, so a replay holds one trace's steps. A cell
+that leaves the pass, as its last chunk would be partial, runs alone on a fresh
+stream. replay reads every header first; a body that fails to parse is reported
 when its turn comes and skipped in every cell. sweep runs either one, then
 report. A replayed trace runs at the bit width in its header unless bits is set
 by a flag or the config file; if it is not, run_meta.json reads "bits": null.
@@ -34,7 +35,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .calibrate import CalibratorConfig
-from .engine import EngineConfig, Method, TokenSource, run_episode
+from .engine import EngineConfig, Method, TokenSource, run_episode, run_episodes
 from .errors import BithaltError, ConfigError, EmptyRunError, TraceParseError
 from .metrics import emit_summary_table, format_summary_rows, summarize_all
 from .policy import PolicyConfig
@@ -207,9 +208,10 @@ class Example(NamedTuple):
 
 def _run_grid(examples: Sequence[Example], cfg: dict, out_dir: Path, command: str,
               **header) -> int:
-    """Load each example, run it under every method x budget cell and drop it
-    before the next one loads; then write each cell's records, sorted by example
-    id. Configs are built first, so a bad value fails before any episode. An
+    """Load each example, run it under every method x budget cell in one pass
+    (a cell that leaves it runs alone on a fresh stream) and drop it before the
+    next one loads; then write each cell's records, sorted by example id.
+    Configs are built first, so a bad value fails before any episode. An
     example that fails to load is reported, skipped in every cell and counted."""
     cells = {(budget, method): [] for budget in cfg["budgets"] for method in cfg["methods"]}
     keys = dict.fromkeys((method, budget, ex.served_bits)
@@ -223,9 +225,10 @@ def _run_grid(examples: Sequence[Example], cfg: dict, out_dir: Path, command: st
             print(f"error: {exc}", file=sys.stderr)
             failed += 1
             continue
-        for (budget, method), records in cells.items():
-            records.append(run_episode(source(), engine_cfgs[method, budget, ex.served_bits],
-                                       gold=ex.gold, example_id=ex.example_id, model=ex.model))
+        cfgs = [engine_cfgs[method, budget, ex.served_bits] for budget, method in cells]
+        run = dict(gold=ex.gold, example_id=ex.example_id, model=ex.model)
+        for records, cell, record in zip(cells.values(), cfgs, run_episodes(source(), cfgs, **run)):
+            records.append(run_episode(source(), cell, **run) if record is None else record)
         del source  # release this example's steps before the next one is parsed
     if failed == len(examples):  # only a trace can fail to load
         raise EmptyRunError("every trace file failed to parse")
@@ -252,8 +255,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise TraceParseError(args.scenarios, "no scenario files found")
     else:
         scenarios = scenario_suite_canonical()
-    # A scenario's load starts the list of full chunks that its cells' sources share.
-    examples = [Example(lambda s=s: partial(ScenarioSource, s, cfg["chunk_size"], []),
+    examples = [Example(lambda s=s: partial(ScenarioSource, s, cfg["chunk_size"]),
                         s.gold_answer, s.scenario_id, "sim", cfg["bits"]) for s in scenarios]
     _run_grid(examples, cfg, Path(args.out), "simulate")
     return 0

@@ -1,5 +1,7 @@
 """Per-example episode loop: chunked generation under a hard token budget,
 with the optional halting controller, plus answer extraction and scoring.
+``run_episodes`` runs every config of one example in one pass over a single
+stream; ``run_episode`` is its one-config case.
 
 An EngineConfig settles the effective precision when it is built (16 bits for
 adaptive, the served bits for bitcal and fixed, or the override): its
@@ -11,7 +13,7 @@ import logging
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import List, Optional, Protocol, Tuple
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 from .calibrate import CalibratorConfig, confidence
 from .errors import BithaltError, ConfigError
@@ -135,80 +137,124 @@ def run_episode(
     example_id: str,
     model: str = "",
 ) -> EpisodeRecord:
-    """Run one example to termination and score it.
+    """Run one example to termination under one config and score it: the
+    one-cell pass of ``run_episodes``, which no cell leaves."""
+    return run_episodes(source, [cfg], gold, example_id, model)[0]
 
-    Loop: request min(chunk_size, remaining budget) tokens, append, track the
-    first marker sighting (scanning only text a new sighting can overlap), and
-    (unless method is fixed) ask the policy for an action on the episode's
-    RunningSignals readout. EOS from the source ends the episode before the
-    policy is consulted for that step; running out of budget ends it after the loop.
+
+def run_episodes(
+    source: TokenSource,
+    cfgs: Sequence[EngineConfig],
+    gold: float,
+    example_id: str,
+    model: str = "",
+) -> List[Optional[EpisodeRecord]]:
+    """Run one example under every config in one pass over a single stream,
+    and score each cell.
+
+    A cell's episode: request min(chunk_size, remaining budget) tokens, append,
+    track the first marker sighting (scanning only text a new sighting can
+    overlap), and (unless method is fixed) ask the policy for an action on the
+    RunningSignals readout. EOS from the source ends it before the policy reads
+    that step; running out of budget ends it after the loop.
+
+    An action only stops or continues the stream, so cells that request the
+    same tokens read the same steps: each step is pulled, appended and scanned
+    once, pushed once while a controller cell runs, and given one confidence per
+    distinct calibrator. A cell whose request would differ (a partial last chunk,
+    or another chunk size or marker than the first cell's) leaves the pass: its
+    slot comes back None, for the caller to run it alone on a fresh stream. A
+    source failure errors every running cell, a readout failure only the
+    controller cells.
     """
+    k, mark = cfgs[0].chunk_size, cfgs[0].policy.marker
+    records: List[Optional[EpisodeRecord]] = [None] * len(cfgs)
+    actions: List[List[Tuple[str, str, int]]] = [[] for _ in cfgs]
+    live = [i for i, cfg in enumerate(cfgs) if (cfg.chunk_size, cfg.policy.marker) == (k, mark)]
+    calibrators: dict = {}  # calibrator -> the controller cells that read its confidence
+    for i in live:
+        if cfgs[i].method is not Method.FIXED:
+            calibrators.setdefault(cfgs[i].calibrator, []).append(i)
     text = ""
-    tokens_used = 0
-    steps = 0
+    tokens_used = steps = settled = low = 0
     signals = RunningSignals()
     marker = MarkerState()
-    actions: List[Tuple[str, str, int]] = []
-    stop: Optional[StopCause] = None
-    error: Optional[str] = None
 
-    try:
-        while tokens_used < cfg.budget:
-            request = min(cfg.chunk_size, cfg.budget - tokens_used)
+    def finish(cells: List[int], stop: StopCause, exc: Optional[Exception] = None) -> None:
+        error = None if exc is None else f"{type(exc).__name__}: {exc}"
+        predicted = extract_answer(text, mark)
+        correct = error is None and predicted is not None and answers_match(predicted, gold)
+        for i in cells:
+            if exc is not None:
+                logger.warning("episode %s errored mid-run: %s", example_id, exc)
+            live.remove(i)
+            records[i] = EpisodeRecord(
+                example_id=example_id,
+                method=cfgs[i].method.value,
+                budget=cfgs[i].budget,
+                tokens_used=tokens_used,
+                steps=steps,
+                actions=tuple(actions[i]),
+                stop_cause=stop.value,
+                first_marker_tokens=marker.first_marker_tokens,
+                generated_text=text,
+                predicted_answer=predicted,
+                gold_answer=gold,
+                correct=correct,
+                # EOS and budget exhaustion are not controller stops: fixed never halts early.
+                early_halt=(stop not in (StopCause.EOS, StopCause.BUDGET_EXHAUSTED)
+                            and tokens_used < cfgs[i].budget),
+                model=model,
+                error=error,
+            )
+
+    while live:
+        request = k
+        if tokens_used + k > low:  # a cell at its cap ends; one that would read less leaves
+            request = min(k, max(cfgs[i].budget for i in live) - tokens_used)
+            finish([i for i in live if cfgs[i].budget == tokens_used], StopCause.BUDGET_EXHAUSTED)
+            live = [i for i in live if min(k, cfgs[i].budget - tokens_used) == request]
+            if not live:
+                break
+        if settled != len(live):  # cells only leave, so a new length means a new set
+            settled = len(live)
+            low = min(cfgs[i].budget for i in live)
+            groups = [(cal, run) for cal, cells in calibrators.items()
+                      if (run := [i for i in cells if i in live])]
+        try:
             step = source.next_chunk(request)
-            if step is None:
-                stop = StopCause.EOS
-                break
-            # A well-behaved source never over-delivers; clamp so replayed
-            # traces cannot push past the hard cap.
-            tokens_used += min(step.tokens_in_chunk, request)
-            steps += 1
-            text += step.chunk_text
-            if marker.first_marker_tokens is None:
-                cut = len(text) - len(step.chunk_text) - len(cfg.policy.marker) + 1
-                marker = update_marker(marker, text[max(0, cut):], tokens_used, cfg.policy.marker)
-            if step.eos:
-                stop = StopCause.EOS
-                break
-            if cfg.method is Method.FIXED:
-                continue
-            readout = signals.push(step)
-            conf = confidence(readout, cfg.calibrator)
-            action = decide(tokens_used, cfg.budget - tokens_used, readout.entropy, conf, marker,
-                            cfg.policy)
-            actions.append((action.kind.value, action.reason.value, tokens_used))
-            if action.kind is ActionKind.CONTINUE:
-                continue
-            named = action.reason if action.kind is ActionKind.STOP else action.kind
-            stop = StopCause(named.value)  # a STOP by its reason, the ESCALATE by its kind
+        except (BithaltError, OSError) as exc:  # source failure: keep the episodes, flag them
+            finish(live[:], StopCause.EOS, exc)
             break
-    except (BithaltError, OSError) as exc:  # source failure: keep the episode, flag it
-        logger.warning("episode %s errored mid-run: %s", example_id, exc)
-        error = f"{type(exc).__name__}: {exc}"
-        stop = stop or StopCause.EOS
-
-    if stop is None:
-        stop = StopCause.BUDGET_EXHAUSTED
-
-    predicted = extract_answer(text, cfg.policy.marker)
-    correct = error is None and predicted is not None and answers_match(predicted, gold)
-    # EOS and budget exhaustion are not controller stops: fixed never halts early.
-    early = stop not in (StopCause.EOS, StopCause.BUDGET_EXHAUSTED) and tokens_used < cfg.budget
-
-    return EpisodeRecord(
-        example_id=example_id,
-        method=cfg.method.value,
-        budget=cfg.budget,
-        tokens_used=tokens_used,
-        steps=steps,
-        actions=tuple(actions),
-        stop_cause=stop.value,
-        first_marker_tokens=marker.first_marker_tokens,
-        generated_text=text,
-        predicted_answer=predicted,
-        gold_answer=gold,
-        correct=correct,
-        early_halt=early,
-        model=model,
-        error=error,
-    )
+        if step is None:
+            finish(live[:], StopCause.EOS)
+            break
+        # A well-behaved source never over-delivers; clamp so replayed
+        # traces cannot push past the hard cap.
+        tokens_used += min(step.tokens_in_chunk, request)
+        steps += 1
+        text += step.chunk_text
+        if marker.first_marker_tokens is None:
+            cut = len(text) - len(step.chunk_text) - len(mark) + 1
+            marker = update_marker(marker, text[max(0, cut):], tokens_used, mark)
+        if step.eos:
+            finish(live[:], StopCause.EOS)
+            break
+        if not groups:
+            continue
+        try:
+            readout = signals.push(step)
+            for cal, cells in groups:
+                conf = confidence(readout, cal)
+                for i in cells:
+                    cfg = cfgs[i]
+                    action = decide(tokens_used, cfg.budget - tokens_used, readout.entropy, conf,
+                                    marker, cfg.policy)
+                    actions[i].append((action.kind.value, action.reason.value, tokens_used))
+                    if action.kind is not ActionKind.CONTINUE:
+                        # A STOP by its reason, the ESCALATE by its kind.
+                        named = action.reason if action.kind is ActionKind.STOP else action.kind
+                        finish([i], StopCause(named.value))
+        except (BithaltError, OSError) as exc:
+            finish([i for _, cells in groups for i in cells if i in live], StopCause.EOS, exc)
+    return records

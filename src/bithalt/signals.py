@@ -1,8 +1,8 @@
 """Online per-step signals: token entropy and the two stability proxies.
 
 ``RunningSignals.push`` is the one implementation of both stability proxies:
-the engine holds one RunningSignals per episode and pushes each step, with
-O(1) work per step. The whole-history readouts (``trace_stability``,
+the engine holds one RunningSignals per pass over an example and pushes each
+step once, with O(1) work per step. The whole-history readouts (``trace_stability``,
 ``hidden_stability``, ``SignalReadout.from_histories``) are folds that push a
 history through a fresh RunningSignals.
 

@@ -3,7 +3,7 @@
 A Scenario scripts per-segment entropy, chunk text, and optional hidden-state
 rotation, plus where the answer marker and EOS land in the token stream.
 Everything is deterministic: the same scenario always replays to the same
-episode, so the sources of a grid's cells share each full chunk they generate.
+episode.
 """
 
 from __future__ import annotations
@@ -79,18 +79,13 @@ def _format_answer(value: float) -> str:
 class ScenarioSource:
     """TokenSource that walks a scenario's token script chunk by chunk.
 
-    Sources given one ``shared`` list take step i and the state after it from
-    entry i, appending it if they are first, while each chunk is a full one on
-    the chunk_size grid. Any other chunk (the last, partial one under a budget
-    off the grid) is generated from the source's own state, off the list for good.
+    chunk_size is checked, not kept: each call's max_tokens sizes its chunk.
     """
 
-    def __init__(self, scenario: Scenario, chunk_size: int, shared: Optional[list] = None):
+    def __init__(self, scenario: Scenario, chunk_size: int):
         if chunk_size < 1:
             raise ConfigError("chunk_size must be >= 1")
         self.scenario = scenario
-        self._chunk_size = chunk_size
-        self._shared = shared
         self._state = (0, 0, 0.0)  # position, step index, hidden angle
         self._limit = scenario.eos_at if scenario.eos_at is not None else scenario.total_tokens()
 
@@ -103,10 +98,11 @@ class ScenarioSource:
                 return seg
         return self.scenario.segments[-1]
 
-    def _generate(self, n: int) -> Tuple[StepSignals, Tuple[int, int, float]]:
-        """The step of the next n tokens from this source's state, and the state after it."""
+    def next_chunk(self, max_tokens: int) -> Optional[StepSignals]:
         start, step, angle = self._state
-        end = start + n
+        if start >= self._limit:
+            return None
+        end = start + min(max_tokens, self._limit - start)
         seg = self._segment_at(end - 1)
 
         text = seg.text_template.replace("{i}", str(step))
@@ -120,24 +116,9 @@ class ScenarioSource:
             hidden = (math.cos(angle), math.sin(angle))
 
         eos = s.eos_at is not None and end >= s.eos_at
-        return StepSignals(chunk_text=text, tokens_in_chunk=n, entropy=seg.entropy,
-                           hidden=hidden, eos=eos), (end, step + 1, angle)
-
-    def next_chunk(self, max_tokens: int) -> Optional[StepSignals]:
-        pos, index, _ = self._state
-        left = self._limit - pos
-        if left <= 0:
-            return None
-        shared = self._shared  # a chunk on the grid: chunk_size tokens, or the rest if fewer
-        if shared is not None and (max_tokens == self._chunk_size
-                                   or left <= min(max_tokens, self._chunk_size)):
-            if index == len(shared):
-                shared.append(self._generate(min(max_tokens, left)))
-            chunk, self._state = shared[index]
-            return chunk
-        self._shared = None  # off the grid: every later chunk is this source's own
-        chunk, self._state = self._generate(min(max_tokens, left))
-        return chunk
+        self._state = (end, step + 1, angle)
+        return StepSignals(chunk_text=text, tokens_in_chunk=end - start, entropy=seg.entropy,
+                           hidden=hidden, eos=eos)
 
 
 def scenario_suite_canonical() -> List[Scenario]:

@@ -210,7 +210,7 @@ def read_trace(path) -> Tuple[TraceMeta, List[StepSignals]]:
     """Parse a trace file into its header metadata and ordered steps.
 
     Wrap the steps in a ReplaySource to feed them to the engine; build a
-    fresh source per episode.
+    fresh source per pass.
     """
     lines = _read_jsonl(path, "trace/v1", TRACE_SCHEMA)
     meta = parse_fields(path, 1, "header", TraceMeta, next(lines)[1])

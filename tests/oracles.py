@@ -1,14 +1,18 @@
 """Independent brute-force oracles used by the test suite.
 
-The policy oracle re-reads the halting rule case by case, and the hidden
-stability oracle recomputes the cosine mean over a whole history; both
+The policy oracle re-reads the halting rule case by case, the hidden
+stability oracle recomputes the cosine mean over a whole history, and the
+episode oracle re-runs one cell's loop from its documented rules; they
 deliberately share no code with the implementation under test.
 """
 
 import math
 from numbers import Real
 
+from bithalt.calibrate import confidence
+from bithalt.engine import EpisodeRecord, answers_match, extract_answer
 from bithalt.errors import InvalidInputError
+from bithalt.signals import SignalReadout
 
 
 def oracle_tail(bits):
@@ -80,3 +84,63 @@ def oracle_hidden_stability(hiddens):
             products.append(x * y)
         total += math.fsum(products)
     return total / (len(units) - 1)
+
+
+def oracle_episode(source, cfg, gold, example_id):
+    """The record of one cell run alone on ``source``, a stream that does not fail.
+
+    Each step requests min(k, B - tokens so far) tokens and counts at most
+    that many. The stream's end, or a step flagged EOS, ends the episode
+    before the policy reads that step (stop "eos"); reaching B ends it with
+    "budget_exhausted". The marker is first seen at the token count after the
+    first step whose text so far holds it. A fixed cell never asks the
+    policy. A controller cell asks oracle_decide with the step's entropy and
+    the confidence of the readout over every step so far, recomputed from the
+    whole history: trace stability is the share of identical pairs among
+    consecutive stripped chunks that both hold at least 8 characters (1.0
+    with fewer than two such pairs), and hidden stability is
+    oracle_hidden_stability over the steps that carry a vector, clipped to
+    [0, 1]. A stop ends the episode under its reason, an escalate under its
+    kind. An early halt is a controller's ending before B.
+    """
+    p = cfg.policy
+    text, used, steps, t_star, stop = "", 0, 0, None, None
+    actions, chunks, hiddens = [], [], []
+    while stop is None and used < cfg.budget:
+        request = min(cfg.chunk_size, cfg.budget - used)
+        step = source.next_chunk(request)
+        if step is None:
+            stop = "eos"
+            break
+        used += min(step.tokens_in_chunk, request)
+        steps += 1
+        text += step.chunk_text
+        if t_star is None and p.marker in text:
+            t_star = used
+        if step.eos:
+            stop = "eos"
+            break
+        if cfg.method.value == "fixed":
+            continue
+        chunks.append(step.chunk_text.strip())
+        if step.hidden is not None:
+            hiddens.append(step.hidden)
+        pairs = [(a, b) for a, b in zip(chunks, chunks[1:]) if min(len(a), len(b)) >= 8]
+        trace = 1.0 if len(pairs) < 2 else sum(a == b for a, b in pairs) / len(pairs)
+        raw = oracle_hidden_stability(hiddens)
+        conf = confidence(SignalReadout(step.entropy, trace, min(max(raw, 0.0), 1.0), raw),
+                          cfg.calibrator)
+        action, reason = oracle_decide(used, cfg.budget - used, step.entropy, conf, t_star,
+                                       p.theta_h, p.theta_c, p.theta_e, p.floor_tokens,
+                                       p.budget_buffer, p.effective_bits)
+        actions.append((action, reason, used))
+        if action != "continue":
+            stop = reason if action == "stop" else action
+    stop = stop or "budget_exhausted"
+    predicted = extract_answer(text, p.marker)
+    return EpisodeRecord(
+        example_id=example_id, method=cfg.method.value, budget=cfg.budget, tokens_used=used,
+        steps=steps, actions=tuple(actions), stop_cause=stop, first_marker_tokens=t_star,
+        generated_text=text, predicted_answer=predicted, gold_answer=gold,
+        correct=predicted is not None and answers_match(predicted, gold),
+        early_halt=stop not in ("eos", "budget_exhausted") and used < cfg.budget)

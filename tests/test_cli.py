@@ -795,14 +795,16 @@ class TestGoldenRecords:
         for path in golden:
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
-    def test_budgets_off_the_chunk_grid_reproduce_golden_records(self, tmp_path):
+    @pytest.mark.parametrize("budgets", ["200,300", "200,300,512,1024"])
+    def test_budgets_off_the_chunk_grid_reproduce_golden_records(self, tmp_path, budgets):
         # 200 and 300 are not multiples of 16: an episode that runs to its
-        # budget ends on a partial chunk of 8 or 12 tokens.
+        # budget ends on a partial chunk of 8 or 12 tokens. Beside larger
+        # budgets, such a cell leaves the pass and runs alone.
         out = tmp_path / "out"
-        assert run_cli("simulate", "--budgets", "200,300", "--chunk-size", "16", "--bits", "8",
+        assert run_cli("simulate", "--budgets", budgets, "--chunk-size", "16", "--bits", "8",
                        "--out", str(out)) == 0
         golden = sorted(GOLDEN_RECORDS_OFFGRID.glob("records_*.jsonl"))
-        assert [p.name for p in golden] == sorted(p.name for p in out.glob("records_*.jsonl"))
+        assert [p.name for p in golden] == sorted(p.name for p in out.glob("records_*_b[23]*"))
         for path in golden:
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 

@@ -11,6 +11,7 @@ from bithalt.engine import (
     answers_match,
     extract_answer,
     run_episode,
+    run_episodes,
 )
 from bithalt.errors import ConfigError, InvalidInputError
 from bithalt.policy import PolicyConfig, update_marker
@@ -237,6 +238,63 @@ class TestRunEpisode:
         assert len(seen) == 8
         assert all(got is (cfg.calibrator if name == "confidence" else cfg.policy)
                    for name, got in seen)
+
+
+class StepListSource:
+    """Serves the given steps in order; call number ``fail_at`` raises instead."""
+
+    def __init__(self, steps, fail_at=None):
+        self._steps = iter(steps)
+        self._calls = 0
+        self._fail_at = fail_at
+
+    def next_chunk(self, max_tokens):
+        self._calls += 1
+        if self._calls == self._fail_at:
+            raise ConnectionError("backend fell over")
+        return next(self._steps, None)
+
+
+class TestPassErrors:
+    """A failure inside a pass errors the cells it would error if each ran alone."""
+
+    STEPS = [StepSignals("x" * 10, 16, entropy=3.0, hidden=(1.0, float(i))) for i in range(8)]
+    # Two cells per method that exhaust B=32 before step 4, one adaptive cell that
+    # stops confidently at step 1, and three that are still running at step 4.
+    CFGS = [engine_cfg(method, budget=budget) for method in Method for budget in (32, 256)] + [
+        engine_cfg("adaptive", policy=PolicyConfig(floor_tokens=0, theta_h=3.5, theta_c=0.1))]
+
+    def run_both(self, steps, fail_at=None):
+        together = run_episodes(StepListSource(steps, fail_at), self.CFGS, 1.0, "e")
+        assert together == [run_episode(StepListSource(steps, fail_at), cfg, 1.0, "e")
+                            for cfg in self.CFGS]
+        assert [(r.stop_cause, r.tokens_used) for r in together if r.budget == 32] == [
+            ("budget_exhausted", 32)] * 3
+        assert (together[-1].stop_cause, together[-1].tokens_used) == ("confident_stop", 16)
+        return together
+
+    def test_a_readout_failure_errors_only_the_running_controller_cells(self):
+        steps = list(self.STEPS)
+        steps[3] = dataclasses.replace(steps[3], hidden=(float("nan"), 0.0))
+        records = self.run_both(steps)
+        assert [(r.method, r.budget, r.tokens_used) for r in records if r.error] == [
+            ("adaptive", 256, 64), ("bitcal", 256, 64)]
+        assert {r.error for r in records if r.error} == {
+            "InvalidInputError: hidden vector contains non-finite entries"}
+        fixed = records[1]
+        assert (fixed.error, fixed.stop_cause, fixed.tokens_used) == (None, "eos", 128)
+
+    def test_a_source_failure_errors_every_running_cell(self):
+        records = self.run_both(self.STEPS, fail_at=4)
+        assert [(r.method, r.budget, r.tokens_used) for r in records if r.error] == [
+            ("fixed", 256, 48), ("adaptive", 256, 48), ("bitcal", 256, 48)]
+        assert {r.error for r in records if r.error} == {"ConnectionError: backend fell over"}
+
+    def test_a_cell_of_another_chunk_size_or_marker_leaves_at_once(self):
+        cfgs = [engine_cfg("bitcal"), engine_cfg("bitcal", chunk_size=8),
+                engine_cfg("fixed", policy=PolicyConfig(marker="ANSWER:"))]
+        records = run_episodes(StepListSource(self.STEPS), cfgs, 1.0, "e")
+        assert records == [run_episode(StepListSource(self.STEPS), cfgs[0], 1.0, "e"), None, None]
 
 
 class TestEngineConfig:

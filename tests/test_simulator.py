@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bithalt import cli
-from bithalt.engine import EngineConfig, Method, StopCause, run_episode
+from bithalt import cli, engine
+from bithalt.engine import EngineConfig, Method, StopCause, run_episode, run_episodes
 from bithalt.errors import ConfigError, TraceParseError
-from bithalt.policy import DEFAULT_MARKER
+from bithalt.policy import DEFAULT_MARKER, PolicyConfig
+from bithalt.signals import RunningSignals
 from bithalt.simulate import (
     Scenario,
     ScenarioSource,
@@ -21,6 +22,9 @@ from bithalt.simulate import (
     load_scenario_dir,
     scenario_suite_canonical,
 )
+from bithalt.trace_io import ReplaySource
+
+from oracles import oracle_episode
 
 REPO_SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -188,86 +192,116 @@ def scenarios(draw):
         Segment,
         length=st.integers(1, 48),
         entropy=st.sampled_from([0.2, 1.0, 3.0, 4.5]),
+        # "## 42 ##" splits a marker across any two consecutive chunks.
         text_template=st.sampled_from(["The running total is 17 so far.", "path {i} fails",
-                                       f"tally {DEFAULT_MARKER} 13", "ok"]),
+                                       f"tally {DEFAULT_MARKER} 13", "ok", "## 42 ##"]),
         hidden_rotation=st.sampled_from([None, 0.0, 0.3, 2.0])), min_size=1, max_size=4)))
     offset = st.one_of(st.none(), st.integers(1, sum(seg.length for seg in segments)))
     return Scenario("s", segments, 42.0, draw(st.sampled_from([42.0, 13.0])),
                     marker_at=draw(offset), eos_at=draw(offset))
 
 
-class TestSharedSteps:
-    """Sources that share one scenario's list of full chunks give the steps and
-    records of a fresh, unshared source each."""
+class TestOnePass:
+    """Every cell of a pass, and every cell that left it and ran alone, gives
+    the record of the independent episode oracle."""
 
     @given(scenarios(), st.integers(1, 32), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_shared_cells_in_any_order_give_unshared_records(self, scenario, k, data):
+    @settings(max_examples=150, deadline=None)
+    def test_every_cell_equals_the_oracle(self, scenario, k, data):
         budgets = data.draw(st.lists(st.integers(k, 12 * k), min_size=1, max_size=3))
-        if k > 1:  # at least one budget off the k grid: its last chunk is partial
+        budgets.append(k * data.draw(st.integers(1, 8)))  # on the k grid
+        if k > 1:  # off the k grid: a cell that runs to its budget ends on a partial chunk
             budgets.append(k * data.draw(st.integers(1, 8)) + data.draw(st.integers(1, k - 1)))
-        floor = data.draw(st.sampled_from([0, 16, 128]))
-        bits = data.draw(st.sampled_from([4, 8, 16]))
+        theta_h = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.5]))
+        thresholds = dict(theta_h=theta_h, theta_c=data.draw(st.sampled_from([0.3, 0.75, 0.9])),
+                          theta_e=theta_h + data.draw(st.sampled_from([0.5, 1.0, 2.5])))
         cells = data.draw(st.permutations(list(itertools.product(Method, budgets))))
-        shared = []
-        for method, budget in cells:
-            cfg = EngineConfig(method=method, budget=budget, chunk_size=k, served_bits=bits)
-            cfg = dataclasses.replace(cfg, policy=dataclasses.replace(cfg.policy,
-                                                                      floor_tokens=floor))
-            run = partial(run_episode, cfg=cfg, gold=42.0, example_id="s")
-            assert run(ScenarioSource(scenario, k, shared)) == run(ScenarioSource(scenario, k))
 
-    @given(scenarios(), st.integers(1, 32), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_interleaved_sources_of_any_request_sizes_give_unshared_steps(self, scenario, k,
-                                                                          data):
-        requests = data.draw(st.lists(st.lists(st.one_of(st.just(k), st.integers(1, 2 * k)),
-                                               max_size=40), min_size=1, max_size=4))
-        order = data.draw(st.permutations([i for i, r in enumerate(requests) for _ in r]))
-        shared = []
-        sources = [ScenarioSource(scenario, k, shared) for _ in requests]
-        got = [[] for _ in requests]
-        pending = [iter(r) for r in requests]
-        for i in order:
-            got[i].append(sources[i].next_chunk(next(pending[i])))
-        for steps, sizes in zip(got, requests):
-            fresh = ScenarioSource(scenario, k)
-            assert steps == [fresh.next_chunk(n) for n in sizes]
+        def policy():
+            return PolicyConfig(floor_tokens=data.draw(st.sampled_from([0, 16, 128])),
+                                budget_buffer=data.draw(st.sampled_from([0, 8, 32])), **thresholds)
+        cfgs = [EngineConfig(method=method, budget=budget, chunk_size=k, policy=policy(),
+                             served_bits=data.draw(st.sampled_from([4, 8, 16])))
+                for method, budget in cells]
+        # A replay of the script drained in k-token chunks serves whole chunks
+        # whatever the request, so a partial request is clamped.
+        drained = ScenarioSource(scenario, k)
+        recorded = list(iter(partial(drained.next_chunk, k), None))
+        for stream in (partial(ScenarioSource, scenario, k), partial(ReplaySource, recorded)):
+            records = run_episodes(stream(), cfgs, 42.0, "s")
+            for cfg, record in zip(cfgs, records):
+                if record is None:  # it left the pass: the runner runs it alone
+                    record = run_episode(stream(), cfg, 42.0, "s")
+                assert record == oracle_episode(stream(), cfg, 42.0, "s")
 
 
-def _spy_generate(monkeypatch, seen):
-    """Append (scenario id, start, tokens, the step) for every step a ScenarioSource makes."""
-    real = ScenarioSource._generate
+def _spy(monkeypatch, holder, name, seen, tag):
+    """Append (tag, args, result) to ``seen`` for every call of holder.name."""
+    real = getattr(holder, name)
 
-    def spy(self, n):
-        out = real(self, n)
-        seen.append((self.scenario.scenario_id, self._state[0], n, out[0]))
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append((tag, args, out))
         return out
-    monkeypatch.setattr(ScenarioSource, "_generate", spy)
+    monkeypatch.setattr(holder, name, spy)
 
 
-class TestGridSharing:
-    def test_each_full_chunk_of_an_example_is_generated_once(self, tmp_path, monkeypatch):
+class TestOnePassCounts:
+    @pytest.mark.parametrize("bits", [4, 16])
+    def test_each_step_is_pulled_pushed_and_calibrated_once(self, tmp_path, monkeypatch, bits):
         seen = []
-        _spy_generate(monkeypatch, seen)
+        _spy(monkeypatch, ScenarioSource, "next_chunk", seen, "pull")
+        _spy(monkeypatch, RunningSignals, "push", seen, "push")
+        _spy(monkeypatch, engine, "confidence", seen, "confidence")
+        _spy(monkeypatch, cli, "run_episodes", seen, "pass")
+        _spy(monkeypatch, cli, "run_episode", seen, "alone")
+        assert cli.main(["simulate", "--budgets", "256,512", "--bits", str(bits),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert not [tag for tag, *_ in seen if tag == "alone"]  # on the grid, no cell leaves
+        passes = [i for i, (tag, *_) in enumerate(seen) if tag == "pass"]
+        assert len(passes) == len(scenario_suite_canonical())
+        for start, end in zip([-1] + passes, passes):
+            calls = seen[start + 1:end]
+            _, (_, cfgs), records = seen[end]
+            pulled = [out for tag, _, out in calls if tag == "pull"]
+            steps = max(r.steps for r in records)
+            # One pull per step, and one more that finds the stream's end.
+            assert None not in pulled[:steps] and pulled[steps:] in ([], [None])
+            # One push per step on which a controller cell decides.
+            assert sum(tag == "push" for tag, *_ in calls) == max(len(r.actions) for r in records)
+            # One confidence per such step for each calibrator with a cell still running.
+            groups = {}
+            for cfg, r in zip(cfgs, records):
+                if cfg.method is not Method.FIXED:
+                    groups[cfg.calibrator] = max(groups.get(cfg.calibrator, 0), len(r.actions))
+            assert len(groups) == (1 if bits == 16 else 2)
+            assert sum(tag == "confidence" for tag, *_ in calls) == sum(groups.values())
+
+    def test_off_grid_cells_that_reach_a_partial_chunk_run_alone(self, tmp_path, monkeypatch):
+        seen = []
+        _spy(monkeypatch, cli, "run_episodes", seen, "pass")
+        _spy(monkeypatch, cli, "run_episode", seen, "alone")
         assert cli.main(["simulate", "--budgets", "200,300,512", "--out",
                          str(tmp_path / "out")]) == 0
-        for s in scenario_suite_canonical():
-            limit = s.eos_at or s.total_tokens()
-            starts = [start for sid, start, n, _ in seen
-                      if sid == s.scenario_id and n == min(16, limit - start)]
-            assert starts == list(range(0, 16 * len(starts), 16)), s.scenario_id
-        # The rest are the last, partial chunks under budgets 200 and 300.
-        assert {n for *_, n, _ in seen if n != 16} <= {8, 12}
+        left = [(cfg.method.value, cfg.budget) for tag, (_, cfgs), out in seen
+                if tag == "pass" for cfg, r in zip(cfgs, out) if r is None]
+        alone = [(cfg.method.value, cfg.budget) for tag, (_, cfg), _ in seen if tag == "alone"]
+        assert alone == left
+        # Only fixed cells get that far: at 200 and 300 in the four 512-token
+        # scenarios, and at 200 in marker-then-revision, whose stream ends at 256.
+        # Every controller cell has stopped by token 192.
+        assert sorted(alone) == sorted([("fixed", 200), ("fixed", 300)] * 4 + [("fixed", 200)])
+        assert all(record.tokens_used == record.budget for tag, _, record in seen
+                   if tag == "alone")
 
     def test_an_examples_steps_are_freed_before_the_next_one_loads(self, tmp_path,
                                                                    monkeypatch):
         seen, loads = [], []
-        _spy_generate(monkeypatch, seen)
+        _spy(monkeypatch, ScenarioSource, "next_chunk", seen, "pull")
         real_grid = cli._run_grid
 
         def load_after_the_last_is_freed(load):
-            refs = [weakref.ref(step) for *_, step in seen]
+            refs = [weakref.ref(step) for *_, step in seen if step is not None]
             seen.clear()
             loads.append((len(refs), sum(ref() is not None for ref in refs)))
             return load()

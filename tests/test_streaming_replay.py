@@ -70,11 +70,11 @@ def test_a_bad_body_mid_run_skips_that_trace_in_every_cell(tmp_path, monkeypatch
     traces = write_text_traces(tmp_path / "traces", 3)
     break_body(traces / "t1.jsonl")
     events = []
-    real_read, real_run = cli.read_trace, cli.run_episode
+    real_read, real_pass = cli.read_trace, cli.run_episodes
     monkeypatch.setattr(cli, "read_trace",
                         lambda path: events.append(("parse", path.stem)) or real_read(path))
-    monkeypatch.setattr(cli, "run_episode", lambda source, cfg, **kw: events.append(
-        ("run", kw["example_id"])) or real_run(source, cfg, **kw))
+    monkeypatch.setattr(cli, "run_episodes", lambda source, cfgs, **kw: events.extend(
+        [("run", kw["example_id"])] * len(cfgs)) or real_pass(source, cfgs, **kw))
     out = tmp_path / "out"
     assert cli.main(["replay", "--traces", str(traces), "--budgets", "256,512",
                      "--out", str(out)]) == 2
