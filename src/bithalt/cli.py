@@ -255,7 +255,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise TraceParseError(args.scenarios, "no scenario files found")
     else:
         scenarios = scenario_suite_canonical()
-    examples = [Example(lambda s=s: partial(ScenarioSource, s, cfg["chunk_size"]),
+    examples = [Example(lambda s=s: partial(ScenarioSource, s),
                         s.gold_answer, s.scenario_id, "sim", cfg["bits"]) for s in scenarios]
     _run_grid(examples, cfg, Path(args.out), "simulate")
     return 0

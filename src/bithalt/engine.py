@@ -161,20 +161,22 @@ def run_episodes(
     An action only stops or continues the stream, so cells that request the
     same tokens read the same steps: each step is pulled, appended and scanned
     once, pushed once while a controller cell runs, and given one confidence per
-    distinct calibrator. A cell whose request would differ (a partial last chunk,
-    or another chunk size or marker than the first cell's) leaves the pass: its
-    slot comes back None, for the caller to run it alone on a fresh stream. A
-    source failure errors every running cell, a readout failure only the
-    controller cells.
+    distinct calibrator. Every config must share one chunk size and marker. A
+    cell whose request would differ (its last chunk would be partial) leaves the
+    pass: its slot comes back None, for the caller to run it alone on a fresh
+    stream. A source failure errors every running cell, a readout failure only
+    the controller cells.
     """
     k, mark = cfgs[0].chunk_size, cfgs[0].policy.marker
+    if any((cfg.chunk_size, cfg.policy.marker) != (k, mark) for cfg in cfgs):
+        raise ConfigError("every config of a pass must share chunk_size and marker")
     records: List[Optional[EpisodeRecord]] = [None] * len(cfgs)
     actions: List[List[Tuple[str, str, int]]] = [[] for _ in cfgs]
-    live = [i for i, cfg in enumerate(cfgs) if (cfg.chunk_size, cfg.policy.marker) == (k, mark)]
+    live = list(range(len(cfgs)))
     calibrators: dict = {}  # calibrator -> the controller cells that read its confidence
-    for i in live:
-        if cfgs[i].method is not Method.FIXED:
-            calibrators.setdefault(cfgs[i].calibrator, []).append(i)
+    for i, cfg in enumerate(cfgs):
+        if cfg.method is not Method.FIXED:
+            calibrators.setdefault(cfg.calibrator, []).append(i)
     text = ""
     tokens_used = steps = settled = low = 0
     signals = RunningSignals()

@@ -77,14 +77,10 @@ def _format_answer(value: float) -> str:
 
 
 class ScenarioSource:
-    """TokenSource that walks a scenario's token script chunk by chunk.
+    """TokenSource that walks a scenario's token script chunk by chunk; each
+    call's max_tokens sizes its chunk."""
 
-    chunk_size is checked, not kept: each call's max_tokens sizes its chunk.
-    """
-
-    def __init__(self, scenario: Scenario, chunk_size: int):
-        if chunk_size < 1:
-            raise ConfigError("chunk_size must be >= 1")
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self._state = (0, 0, 0.0)  # position, step index, hidden angle
         self._limit = scenario.eos_at if scenario.eos_at is not None else scenario.total_tokens()

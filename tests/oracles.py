@@ -2,8 +2,12 @@
 
 The policy oracle re-reads the halting rule case by case, the hidden
 stability oracle recomputes the cosine mean over a whole history, and the
-episode oracle re-runs one cell's loop from its documented rules; they
-deliberately share no code with the implementation under test.
+episode oracle re-runs one cell's loop from its documented rules. The policy
+and stability oracles share no code with the implementation under test. The
+episode oracle reuses four pieces of it that have their own tests:
+calibrate.confidence (test_calibrator), extract_answer and answers_match
+(test_engine), and the EpisodeRecord it fills in. A fault in those pieces
+would show in the oracle too, so it tests the loop, not them.
 """
 
 import math

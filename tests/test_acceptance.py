@@ -96,9 +96,9 @@ def test_criterion_4_variant_identity():
         adaptive_cfg = EngineConfig(method=Method.ADAPTIVE, budget=512, served_bits=4)
         forced_cfg = EngineConfig(method=Method.BITCAL, budget=512, served_bits=4,
                                   effective_bits_override=16)
-        a = run_episode(ScenarioSource(s, 16), adaptive_cfg, s.gold_answer,
+        a = run_episode(ScenarioSource(s), adaptive_cfg, s.gold_answer,
                         s.scenario_id, model="sim")
-        f = run_episode(ScenarioSource(s, 16), forced_cfg, s.gold_answer,
+        f = run_episode(ScenarioSource(s), forced_cfg, s.gold_answer,
                         s.scenario_id, model="sim")
         ok &= dataclasses.replace(f, method="adaptive") == a
 
@@ -106,10 +106,10 @@ def test_criterion_4_variant_identity():
     # exactly the 32-token tail (2 chunks of 16).
     marker = next(s for s in scenario_suite_canonical()
                   if s.scenario_id == "marker-then-revision")
-    a = run_episode(ScenarioSource(marker, 16),
+    a = run_episode(ScenarioSource(marker),
                     EngineConfig(method=Method.ADAPTIVE, budget=512, served_bits=4),
                     marker.gold_answer, marker.scenario_id)
-    b = run_episode(ScenarioSource(marker, 16),
+    b = run_episode(ScenarioSource(marker),
                     EngineConfig(method=Method.BITCAL, budget=512, served_bits=4),
                     marker.gold_answer, marker.scenario_id)
     ok &= b.tokens_used - a.tokens_used == 32
@@ -173,10 +173,10 @@ def test_criterion_7_qualitative_claims_in_simulation():
     # (a) The served-4-bit confirmation tail converts the adaptive
     # marker-then-revision failure into a correct stop.
     s = suite["marker-then-revision"]
-    adaptive = run_episode(ScenarioSource(s, 16),
+    adaptive = run_episode(ScenarioSource(s),
                            EngineConfig(method=Method.ADAPTIVE, budget=512, served_bits=4),
                            s.gold_answer, s.scenario_id)
-    bitcal = run_episode(ScenarioSource(s, 16),
+    bitcal = run_episode(ScenarioSource(s),
                          EngineConfig(method=Method.BITCAL, budget=512, served_bits=4),
                          s.gold_answer, s.scenario_id)
     ok = (not adaptive.correct) and adaptive.early_halt and bitcal.correct
@@ -186,7 +186,7 @@ def test_criterion_7_qualitative_claims_in_simulation():
     # enough that BOTH adaptive variants stop confidently with no answer.
     s = suite["confident-early-wrong"]
     for method in (Method.ADAPTIVE, Method.BITCAL):
-        rec = run_episode(ScenarioSource(s, 16),
+        rec = run_episode(ScenarioSource(s),
                           EngineConfig(method=method, budget=512, served_bits=4),
                           s.gold_answer, s.scenario_id)
         ok &= rec.stop_cause == "confident_stop"

@@ -46,7 +46,7 @@ def write_scenario_traces(traces, scenarios):
     """Drain each scenario at k=16 into a 4-bit trace, as a served model would log it."""
     traces.mkdir()
     for s in scenarios:
-        source = ScenarioSource(s, 16)
+        source = ScenarioSource(s)
         steps = list(iter(lambda: source.next_chunk(16), None))
         meta = TraceMeta(example_id=s.scenario_id, gold_answer=s.gold_answer, model="sim",
                          served_bits=4)
@@ -58,7 +58,7 @@ def write_header_bits_traces(traces):
     """marker-then-revision drained at k=16 into traces with 4-, 8- and 16-bit headers."""
     scenario = next(s for s in scenario_suite_canonical()
                     if s.scenario_id == "marker-then-revision")
-    source = ScenarioSource(scenario, 16)
+    source = ScenarioSource(scenario)
     steps = list(iter(lambda: source.next_chunk(16), None))
     traces.mkdir()
     for bits in (4, 8, 16):
@@ -795,16 +795,19 @@ class TestGoldenRecords:
         for path in golden:
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
-    @pytest.mark.parametrize("budgets", ["200,300", "200,300,512,1024"])
-    def test_budgets_off_the_chunk_grid_reproduce_golden_records(self, tmp_path, budgets):
+    @pytest.mark.parametrize("larger", [(), (512, 1024)], ids=["200,300", "200,300,512,1024"])
+    def test_budgets_off_the_chunk_grid_reproduce_golden_records(self, tmp_path, larger):
         # 200 and 300 are not multiples of 16: an episode that runs to its
         # budget ends on a partial chunk of 8 or 12 tokens. Beside larger
         # budgets, such a cell leaves the pass and runs alone.
         out = tmp_path / "out"
+        budgets = ",".join(map(str, (200, 300, *larger)))
         assert run_cli("simulate", "--budgets", budgets, "--chunk-size", "16", "--bits", "8",
                        "--out", str(out)) == 0
         golden = sorted(GOLDEN_RECORDS_OFFGRID.glob("records_*.jsonl"))
-        assert [p.name for p in golden] == sorted(p.name for p in out.glob("records_*_b[23]*"))
+        extra = [f"records_{m.value}_b{b}.jsonl" for m in Method for b in larger]
+        assert sorted([p.name for p in golden] + extra) == sorted(
+            p.name for p in out.glob("records_*.jsonl"))
         for path in golden:
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 

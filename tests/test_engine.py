@@ -98,14 +98,14 @@ class TestRunEpisode:
             emitted_answer=42.0,
             marker_at=160,
         )
-        rec = run_episode(ScenarioSource(s, 16), engine_cfg("bitcal", bits=4),
+        rec = run_episode(ScenarioSource(s), engine_cfg("bitcal", bits=4),
                           42.0, "tail")
         assert rec.first_marker_tokens == 160
         assert rec.tokens_used == 192
         assert rec.stop_cause == StopCause.TAIL_STOP.value
         assert rec.correct is True
 
-        rec_a = run_episode(ScenarioSource(s, 16), engine_cfg("adaptive", bits=4),
+        rec_a = run_episode(ScenarioSource(s), engine_cfg("adaptive", bits=4),
                             42.0, "tail")
         assert rec_a.tokens_used == 160
         assert rec_a.stop_cause == StopCause.TAIL_STOP.value
@@ -135,7 +135,7 @@ class TestRunEpisode:
             gold_answer=1.0,
             emitted_answer=1.0,
         )
-        src = ScenarioSource(s, 16)
+        src = ScenarioSource(s)
         emitted = []
         orig = src.next_chunk
 
@@ -158,8 +158,8 @@ class TestRunEpisode:
             marker_at=300,
         )
         cfg = engine_cfg("bitcal")
-        a = run_episode(ScenarioSource(s, 16), cfg, 1.0, "det")
-        b = run_episode(ScenarioSource(s, 16), cfg, 1.0, "det")
+        a = run_episode(ScenarioSource(s), cfg, 1.0, "det")
+        b = run_episode(ScenarioSource(s), cfg, 1.0, "det")
         assert a == b
 
     def test_adaptive_equals_bitcal_forced_sixteen(self):
@@ -170,10 +170,10 @@ class TestRunEpisode:
             emitted_answer=9.0,
             marker_at=200,
         )
-        adaptive = run_episode(ScenarioSource(s, 16), engine_cfg("adaptive"), 9.0, "f")
+        adaptive = run_episode(ScenarioSource(s), engine_cfg("adaptive"), 9.0, "f")
         forced_cfg = dataclasses.replace(engine_cfg("bitcal", bits=4),
                                          effective_bits_override=16)
-        forced = run_episode(ScenarioSource(s, 16), forced_cfg, 9.0, "f")
+        forced = run_episode(ScenarioSource(s), forced_cfg, 9.0, "f")
         assert dataclasses.replace(forced, method="adaptive") == adaptive
 
     def test_errored_source_flagged(self):
@@ -290,11 +290,12 @@ class TestPassErrors:
             ("fixed", 256, 48), ("adaptive", 256, 48), ("bitcal", 256, 48)]
         assert {r.error for r in records if r.error} == {"ConnectionError: backend fell over"}
 
-    def test_a_cell_of_another_chunk_size_or_marker_leaves_at_once(self):
-        cfgs = [engine_cfg("bitcal"), engine_cfg("bitcal", chunk_size=8),
-                engine_cfg("fixed", policy=PolicyConfig(marker="ANSWER:"))]
-        records = run_episodes(StepListSource(self.STEPS), cfgs, 1.0, "e")
-        assert records == [run_episode(StepListSource(self.STEPS), cfgs[0], 1.0, "e"), None, None]
+    @pytest.mark.parametrize("other", [dict(chunk_size=8),
+                                       dict(policy=PolicyConfig(marker="ANSWER:"))])
+    def test_a_pass_needs_one_chunk_size_and_marker(self, other):
+        cfgs = [engine_cfg("bitcal"), engine_cfg("fixed", **other)]
+        with pytest.raises(ConfigError, match="share chunk_size and marker"):
+            run_episodes(StepListSource(self.STEPS), cfgs, 1.0, "e")
 
 
 class TestEngineConfig:

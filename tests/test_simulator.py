@@ -35,7 +35,7 @@ def run(scenario, method, budget=512, bits=4, **policy_kwargs):
         cfg = dataclasses.replace(
             cfg, policy=dataclasses.replace(cfg.policy, **policy_kwargs)
         )
-    return run_episode(ScenarioSource(scenario, cfg.chunk_size), cfg,
+    return run_episode(ScenarioSource(scenario), cfg,
                        scenario.gold_answer, scenario.scenario_id, model="sim")
 
 
@@ -48,16 +48,11 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             Scenario("s", (Segment(10, 1.0, "t"),), 1.0, 1.0, marker_at=11)
 
-    def test_chunk_size_must_be_positive(self):
-        s = Scenario("s", (Segment(10, 1.0, "t"),), 1.0, 1.0)
-        with pytest.raises(ConfigError):
-            ScenarioSource(s, 0)
-
 
 class TestScenarioSource:
     def test_token_totals_match_script(self):
         s = Scenario("s", (Segment(100, 1.0, "t{i}"), Segment(55, 2.0, "u{i}")), 1.0, 1.0)
-        src = ScenarioSource(s, 16)
+        src = ScenarioSource(s)
         total = 0
         while (step := src.next_chunk(16)) is not None:
             total += step.tokens_in_chunk
@@ -101,7 +96,7 @@ class TestScenarioSource:
         s = Scenario(
             "s", (Segment(64, 1.0, "t{i}", hidden_rotation=math.pi / 3),), 1.0, 1.0
         )
-        src = ScenarioSource(s, 16)
+        src = ScenarioSource(s)
         hiddens = []
         while (step := src.next_chunk(16)) is not None:
             hiddens.append(step.hidden)
@@ -225,9 +220,9 @@ class TestOnePass:
                 for method, budget in cells]
         # A replay of the script drained in k-token chunks serves whole chunks
         # whatever the request, so a partial request is clamped.
-        drained = ScenarioSource(scenario, k)
+        drained = ScenarioSource(scenario)
         recorded = list(iter(partial(drained.next_chunk, k), None))
-        for stream in (partial(ScenarioSource, scenario, k), partial(ReplaySource, recorded)):
+        for stream in (partial(ScenarioSource, scenario), partial(ReplaySource, recorded)):
             records = run_episodes(stream(), cfgs, 42.0, "s")
             for cfg, record in zip(cfgs, records):
                 if record is None:  # it left the pass: the runner runs it alone
@@ -246,7 +241,7 @@ def _spy(monkeypatch, holder, name, seen, tag):
     monkeypatch.setattr(holder, name, spy)
 
 
-class TestOnePassCounts:
+class TestGridSharing:
     @pytest.mark.parametrize("bits", [4, 16])
     def test_each_step_is_pulled_pushed_and_calibrated_once(self, tmp_path, monkeypatch, bits):
         seen = []
