@@ -3,12 +3,12 @@
 simulate and replay differ only in how they load examples (scenarios or
 recorded traces). One runner scores both one example at a time: each is loaded
 once, run under every method x budget cell in one pass over a single stream
-(engine.run_episodes) and dropped, so a replay holds one trace's steps. A cell
-that leaves the pass, as its last chunk would be partial, runs alone on a fresh
-stream. replay reads every header first; a body that fails to parse is reported
-when its turn comes and skipped in every cell. sweep runs either one, then
-report. A replayed trace runs at the bit width in its header unless bits is set
-by a flag or the config file; if it is not, run_meta.json reads "bits": null.
+(engine.run_episodes) and dropped, so a replay holds one trace's steps. Cells
+whose last chunk is partial split off and finish over a fresh stream. replay
+reads every header first; a body that fails to parse is reported when its turn
+comes and skipped in every cell. sweep runs either one, then report. A replayed
+trace runs at the bit width in its header unless bits is set by a flag or the
+config file; if it is not, run_meta.json reads "bits": null.
 
 Config resolution is layered: built-in defaults <- the command's own defaults
 <- optional JSON config file (--config) <- explicit command-line flags, highest
@@ -35,7 +35,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .calibrate import CalibratorConfig
-from .engine import EngineConfig, Method, TokenSource, run_episode, run_episodes
+# run_episode stays importable here: perfbench/tracer.py wraps it (test_tracer_targets_resolve).
+from .engine import EngineConfig, Method, TokenSource, run_episode, run_episodes  # noqa: F401
 from .errors import BithaltError, ConfigError, EmptyRunError, TraceParseError
 from .metrics import emit_summary_table, format_summary_rows, summarize_all
 from .policy import PolicyConfig
@@ -208,9 +209,8 @@ class Example(NamedTuple):
 
 def _run_grid(examples: Sequence[Example], cfg: dict, out_dir: Path, command: str,
               **header) -> int:
-    """Load each example, run it under every method x budget cell in one pass
-    (a cell that leaves it runs alone on a fresh stream) and drop it before the
-    next one loads; then write each cell's records, sorted by example id.
+    """Load each example, run it under every method x budget cell in one pass and
+    drop it before the next one loads; then write each cell's records, sorted by example id.
     Configs are built first, so a bad value fails before any episode. An
     example that fails to load is reported, skipped in every cell and counted."""
     cells = {(budget, method): [] for budget in cfg["budgets"] for method in cfg["methods"]}
@@ -226,9 +226,9 @@ def _run_grid(examples: Sequence[Example], cfg: dict, out_dir: Path, command: st
             failed += 1
             continue
         cfgs = [engine_cfgs[method, budget, ex.served_bits] for budget, method in cells]
-        run = dict(gold=ex.gold, example_id=ex.example_id, model=ex.model)
-        for records, cell, record in zip(cells.values(), cfgs, run_episodes(source(), cfgs, **run)):
-            records.append(run_episode(source(), cell, **run) if record is None else record)
+        for records, record in zip(cells.values(), run_episodes(
+                source, cfgs, gold=ex.gold, example_id=ex.example_id, model=ex.model)):
+            records.append(record)
         del source  # release this example's steps before the next one is parsed
     if failed == len(examples):  # only a trace can fail to load
         raise EmptyRunError("every trace file failed to parse")

@@ -1,7 +1,8 @@
 """Per-example episode loop: chunked generation under a hard token budget,
 with the optional halting controller, plus answer extraction and scoring.
 ``run_episodes`` runs every config of one example in one pass over a single
-stream; ``run_episode`` is its one-config case.
+stream, split where some cells' last chunk is partial; ``run_episode`` is its
+one-config case.
 
 An EngineConfig settles the effective precision when it is built (16 bits for
 adaptive, the served bits for bitcal and fixed, or the override): its
@@ -11,14 +12,16 @@ from __future__ import annotations
 
 import logging
 import re
+from copy import copy
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 from .calibrate import CalibratorConfig, confidence
 from .errors import BithaltError, ConfigError
 from .policy import (
     DEFAULT_MARKER,
+    Action,
     ActionKind,
     MarkerState,
     PolicyConfig,
@@ -43,6 +46,15 @@ class StopCause(str, Enum):
     CONFIDENT_STOP = "confident_stop"
     ESCALATE = "escalate"
     TAIL_STOP = "tail_stop"
+
+
+# Each decision's recorded action and reason, and the stop it makes (None for a
+# continue): a STOP by its reason, the ESCALATE by its kind.
+_DECISIONS = {
+    action: (action.kind.value, action.reason.value,
+             None if action.kind is ActionKind.CONTINUE else StopCause(
+                 (action.reason if action.kind is ActionKind.STOP else action.kind).value))
+    for action in Action}
 
 
 class TokenSource(Protocol):
@@ -138,19 +150,19 @@ def run_episode(
     model: str = "",
 ) -> EpisodeRecord:
     """Run one example to termination under one config and score it: the
-    one-cell pass of ``run_episodes``, which no cell leaves."""
-    return run_episodes(source, [cfg], gold, example_id, model)[0]
+    one-cell pass of ``run_episodes``, which never splits."""
+    return run_episodes(lambda: source, [cfg], gold, example_id, model)[0]
 
 
 def run_episodes(
-    source: TokenSource,
+    stream: Callable[[], TokenSource],
     cfgs: Sequence[EngineConfig],
     gold: float,
     example_id: str,
     model: str = "",
-) -> List[Optional[EpisodeRecord]]:
-    """Run one example under every config in one pass over a single stream,
-    and score each cell.
+) -> List[EpisodeRecord]:
+    """Run one example under every config in one pass over a single stream
+    from ``stream()``, and score each cell.
 
     A cell's episode: request min(chunk_size, remaining budget) tokens, append,
     track the first marker sighting (scanning only text a new sighting can
@@ -161,26 +173,22 @@ def run_episodes(
     An action only stops or continues the stream, so cells that request the
     same tokens read the same steps: each step is pulled, appended and scanned
     once, pushed once while a controller cell runs, and given one confidence per
-    distinct calibrator. Every config must share one chunk size and marker. A
-    cell whose request would differ (its last chunk would be partial) leaves the
-    pass: its slot comes back None, for the caller to run it alone on a fresh
-    stream. A source failure errors every running cell, a readout failure only
-    the controller cells.
+    distinct calibrator. Every config must share one chunk size and marker. Where
+    some cells' request would differ (their last chunk is partial), the pass
+    splits: those cells go on from its state (text, token and step counts, marker,
+    a copy of the RunningSignals, their actions) over a fresh ``stream()``
+    forwarded by the pass's full chunks. A source failure errors every running
+    cell, a readout failure only the controller cells.
     """
     k, mark = cfgs[0].chunk_size, cfgs[0].policy.marker
     if any((cfg.chunk_size, cfg.policy.marker) != (k, mark) for cfg in cfgs):
         raise ConfigError("every config of a pass must share chunk_size and marker")
     records: List[Optional[EpisodeRecord]] = [None] * len(cfgs)
     actions: List[List[Tuple[str, str, int]]] = [[] for _ in cfgs]
-    live = list(range(len(cfgs)))
     calibrators: dict = {}  # calibrator -> the controller cells that read its confidence
     for i, cfg in enumerate(cfgs):
         if cfg.method is not Method.FIXED:
             calibrators.setdefault(cfg.calibrator, []).append(i)
-    text = ""
-    tokens_used = steps = settled = low = 0
-    signals = RunningSignals()
-    marker = MarkerState()
 
     def finish(cells: List[int], stop: StopCause, exc: Optional[Exception] = None) -> None:
         error = None if exc is None else f"{type(exc).__name__}: {exc}"
@@ -210,53 +218,64 @@ def run_episodes(
                 error=error,
             )
 
-    while live:
-        request = k
-        if tokens_used + k > low:  # a cell at its cap ends; one that would read less leaves
-            request = min(k, max(cfgs[i].budget for i in live) - tokens_used)
-            finish([i for i in live if cfgs[i].budget == tokens_used], StopCause.BUDGET_EXHAUSTED)
-            live = [i for i in live if min(k, cfgs[i].budget - tokens_used) == request]
-            if not live:
+    # The pass, then each set of cells that split from it, with the state they go on from.
+    passes = [(list(range(len(cfgs))), "", 0, 0, MarkerState(), RunningSignals())]
+    while passes:
+        live, text, tokens_used, steps, marker, signals = passes.pop()
+        source = stream()
+        for _ in range(steps):  # every request before a split was k: the pass's steps again
+            source.next_chunk(k)
+        settled = low = 0
+        while live:
+            request = k
+            if tokens_used + k > low:  # a cell at its cap ends; one that would read less splits
+                request = min(k, max(cfgs[i].budget for i in live) - tokens_used)
+                finish([i for i in live if cfgs[i].budget == tokens_used],
+                       StopCause.BUDGET_EXHAUSTED)
+                split = [i for i in live if min(k, cfgs[i].budget - tokens_used) != request]
+                if split:
+                    live = [i for i in live if i not in split]
+                    passes.append((split, text, tokens_used, steps, marker, copy(signals)))
+                if not live:
+                    break
+            if settled != len(live):  # cells only leave, so a new length means a new set
+                settled = len(live)
+                low = min(cfgs[i].budget for i in live)
+                groups = [(cal, run) for cal, cells in calibrators.items()
+                          if (run := [i for i in cells if i in live])]
+            try:
+                step = source.next_chunk(request)
+            except (BithaltError, OSError) as exc:  # source failure: keep the episodes, flag them
+                finish(live[:], StopCause.EOS, exc)
                 break
-        if settled != len(live):  # cells only leave, so a new length means a new set
-            settled = len(live)
-            low = min(cfgs[i].budget for i in live)
-            groups = [(cal, run) for cal, cells in calibrators.items()
-                      if (run := [i for i in cells if i in live])]
-        try:
-            step = source.next_chunk(request)
-        except (BithaltError, OSError) as exc:  # source failure: keep the episodes, flag them
-            finish(live[:], StopCause.EOS, exc)
-            break
-        if step is None:
-            finish(live[:], StopCause.EOS)
-            break
-        # A well-behaved source never over-delivers; clamp so replayed
-        # traces cannot push past the hard cap.
-        tokens_used += min(step.tokens_in_chunk, request)
-        steps += 1
-        text += step.chunk_text
-        if marker.first_marker_tokens is None:
-            cut = len(text) - len(step.chunk_text) - len(mark) + 1
-            marker = update_marker(marker, text[max(0, cut):], tokens_used, mark)
-        if step.eos:
-            finish(live[:], StopCause.EOS)
-            break
-        if not groups:
-            continue
-        try:
-            readout = signals.push(step)
-            for cal, cells in groups:
-                conf = confidence(readout, cal)
-                for i in cells:
-                    cfg = cfgs[i]
-                    action = decide(tokens_used, cfg.budget - tokens_used, readout.entropy, conf,
-                                    marker, cfg.policy)
-                    actions[i].append((action.kind.value, action.reason.value, tokens_used))
-                    if action.kind is not ActionKind.CONTINUE:
-                        # A STOP by its reason, the ESCALATE by its kind.
-                        named = action.reason if action.kind is ActionKind.STOP else action.kind
-                        finish([i], StopCause(named.value))
-        except (BithaltError, OSError) as exc:
-            finish([i for _, cells in groups for i in cells if i in live], StopCause.EOS, exc)
+            if step is None:
+                finish(live[:], StopCause.EOS)
+                break
+            # A well-behaved source never over-delivers; clamp so replayed
+            # traces cannot push past the hard cap.
+            tokens_used += min(step.tokens_in_chunk, request)
+            steps += 1
+            text += step.chunk_text
+            if marker.first_marker_tokens is None:
+                cut = len(text) - len(step.chunk_text) - len(mark) + 1
+                marker = update_marker(marker, text[max(0, cut):], tokens_used, mark)
+            if step.eos:
+                finish(live[:], StopCause.EOS)
+                break
+            if not groups:
+                continue
+            try:
+                readout = signals.push(step)
+                for cal, cells in groups:
+                    conf = confidence(readout, cal)
+                    for i in cells:
+                        cfg = cfgs[i]
+                        kind, reason, stop = _DECISIONS[decide(
+                            tokens_used, cfg.budget - tokens_used, readout.entropy, conf,
+                            marker, cfg.policy)]
+                        actions[i].append((kind, reason, tokens_used))
+                        if stop is not None:
+                            finish([i], stop)
+            except (BithaltError, OSError) as exc:
+                finish([i for _, cells in groups for i in cells if i in live], StopCause.EOS, exc)
     return records

@@ -1,10 +1,11 @@
 """Online per-step signals: token entropy and the two stability proxies.
 
-``RunningSignals.push`` is the one implementation of both stability proxies:
-the engine holds one RunningSignals per pass over an example and pushes each
-step once, with O(1) work per step. The whole-history readouts (``trace_stability``,
-``hidden_stability``, ``SignalReadout.from_histories``) are folds that push a
-history through a fresh RunningSignals.
+``StepSignals`` is plain data. ``RunningSignals.push`` is the one
+implementation of both stability proxies: the engine holds one RunningSignals
+per pass over an example and pushes each step once, with O(1) work per step;
+cells that split from the pass go on with a copy. The whole-history readouts
+(``trace_stability``, ``hidden_stability``, ``SignalReadout.from_histories``)
+are folds that push a history through a fresh RunningSignals.
 
 Hidden stability is computed with the standard library and exactly rounded
 sums (``math.fsum``), so it gives the same bits on every Python and every
@@ -81,35 +82,6 @@ class StepSignals:
                    for v in (self.distribution, self.hidden))
         return (self.chunk_text, self.tokens_in_chunk, self.entropy, *vectors, self.eos)
 
-    def step_entropy(self) -> float:
-        """Entropy in nats, computed from the distribution at most once per step."""
-        if self.entropy is not None:
-            return self.entropy
-        if "_entropy" not in self.__dict__:  # a memo, not a field: out of == and files
-            object.__setattr__(self, "_entropy", entropy(self.distribution))
-        return self.__dict__["_entropy"]
-
-    def hidden_unit(self) -> array:
-        """The hidden vector over (2-norm + HIDDEN_NORM_EPS), computed at most
-        once per step; an invalid vector raises InvalidInputError on every read."""
-        if "_hidden_unit" not in self.__dict__:  # a memo, like _entropy
-            object.__setattr__(self, "_hidden_unit", _unit_vector(self.hidden))
-        return self.__dict__["_hidden_unit"]
-
-    def cosine(self, nxt: "StepSignals") -> float:
-        """fsum(a_i * b_i) over this step's and then ``nxt``'s unit vector,
-        computed at most once per (step, nxt) pair, as every cell of a replay
-        pairs the same two steps; a mismatched pair raises on every read. The
-        memo is kept on the earlier step, so a stream can still free its past."""
-        memo = self.__dict__.get("_cosine")  # (nxt, cosine), like _entropy
-        if memo is None or memo[0] is not nxt:
-            unit, next_unit = self.hidden_unit(), nxt.hidden_unit()
-            if len(unit) != len(next_unit):
-                raise InvalidInputError(_ONE_DIMENSION)
-            memo = (nxt, _dot(unit, next_unit))
-            object.__setattr__(self, "_cosine", memo)
-        return memo[1]
-
 
 def _dot(a: array, b: array) -> float:
     return math.fsum(map(mul, a, b))
@@ -159,30 +131,36 @@ class SignalReadout:
 
 class RunningSignals:
     """Trace and hidden stability over one episode's steps, updated with O(1)
-    work per step. A step's hidden vector is read, through its ``hidden_unit``
-    memo, once a second vector arrives to pair it with; with fewer than two,
-    both readouts are 1.0. Each consecutive cosine is read through the earlier
-    step's ``cosine`` memo, and the cosines are added left to right."""
+    work per step. A hidden vector is read once a second vector arrives to pair
+    it with, the earlier one first; with fewer than two, both readouts are 1.0.
+    The consecutive cosines are added left to right."""
 
     def __init__(self):
         self._prev_chunk = ""  # shorter than MIN_CHUNK_CHARS: the first pair is not eligible
         self._eligible = self._equal = self._n = 0
-        self._prev: Optional[StepSignals] = None  # the last step with a hidden vector
+        self._first = None  # the first hidden vector, unread until a second arrives
+        self._unit: Optional[array] = None  # the last hidden vector, read: over its norm
         self._sum = 0.0  # consecutive cosines, added left to right
 
     def push(self, step: StepSignals) -> SignalReadout:
         """Append one step to the histories and return the readout over them."""
-        step_entropy = step.step_entropy()
+        step_entropy = entropy(step.distribution) if step.entropy is None else step.entropy
         cur = step.chunk_text.strip()
         if min(len(self._prev_chunk), len(cur)) >= MIN_CHUNK_CHARS:
             self._eligible += 1
             self._equal += self._prev_chunk == cur
         self._prev_chunk = cur
         if step.hidden is not None:
-            if self._prev is not None:
-                self._sum += self._prev.cosine(step)
+            if self._unit is None and self._first is None:
+                self._first = step.hidden
+            else:
+                prev = _unit_vector(self._first) if self._unit is None else self._unit
+                unit = _unit_vector(step.hidden)
+                if len(prev) != len(unit):
+                    raise InvalidInputError(_ONE_DIMENSION)
+                self._sum += _dot(prev, unit)
                 self._n += 1
-            self._prev = step
+                self._first, self._unit = None, unit
         raw = self._sum / self._n if self._n else 1.0
         trace = 1.0 if self._eligible < 2 else self._equal / self._eligible
         return SignalReadout(step_entropy, trace, min(max(raw, 0.0), 1.0), raw)

@@ -13,7 +13,7 @@ Trace file (schema ``trace/v2``; ``trace/v1`` still reads):
   ``probs`` and ``hidden`` are base64 strings of little-endian float64 bytes
   (v1 wrote them as JSON lists of numbers; either form reads). They are read
   back as ``array('d')`` without numpy, and validated where they are used:
-  ``entropy`` checks a distribution, ``StepSignals.hidden_unit`` a hidden vector.
+  ``entropy`` checks a distribution, ``RunningSignals.push`` a hidden vector.
 
 Files are read one line at a time, split at "\n" only (U+2028, U+2029 and
 U+0085 may stand unescaped inside a JSON string); ``decode`` makes each line,

@@ -146,8 +146,12 @@ class TestReplay:
                        "--out", str(tmp_path / "out")) == 0
         assert 0 < len(calls) <= len(steps)
 
-    def test_cosine_computed_once_per_step_pair_across_the_grid(self, tmp_path, monkeypatch):
-        # Both controllers at both budgets pair the same two step objects.
+    @pytest.mark.parametrize("budgets,splits", [("256,512", 0), ("100,256", 1)])
+    def test_cosine_computed_once_per_step_pair_across_the_grid(self, tmp_path, monkeypatch,
+                                                               budgets, splits):
+        # Both controllers at both budgets read one cosine per step pair. At
+        # B=100 the cells split at token 96 and read the pair ending at the
+        # split step once more, from the copy of the pass's RunningSignals.
         steps = [StepSignals(chunk_text=f"thinking {j}\n", tokens_in_chunk=16, entropy=3.0,
                              hidden=[float(j + 1), 1.0, -2.0]) for j in range(12)]
         traces = tmp_path / "traces"
@@ -156,9 +160,9 @@ class TestReplay:
         calls = []
         real = signals._dot
         monkeypatch.setattr(signals, "_dot", lambda a, b: calls.append(1) or real(a, b))
-        assert run_cli("replay", "--traces", str(traces), "--budgets", "256,512",
+        assert run_cli("replay", "--traces", str(traces), "--budgets", budgets,
                        "--out", str(tmp_path / "out")) == 0
-        assert 0 < len(calls) <= len(steps) - 1
+        assert len(calls) == len(steps) - 1 + splits
 
     def test_one_engine_config_per_method_budget_and_bits(self, tmp_path, monkeypatch):
         traces = tmp_path / "traces"

@@ -1,4 +1,5 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -265,7 +266,7 @@ class TestPassErrors:
         engine_cfg("adaptive", policy=PolicyConfig(floor_tokens=0, theta_h=3.5, theta_c=0.1))]
 
     def run_both(self, steps, fail_at=None):
-        together = run_episodes(StepListSource(steps, fail_at), self.CFGS, 1.0, "e")
+        together = run_episodes(partial(StepListSource, steps, fail_at), self.CFGS, 1.0, "e")
         assert together == [run_episode(StepListSource(steps, fail_at), cfg, 1.0, "e")
                             for cfg in self.CFGS]
         assert [(r.stop_cause, r.tokens_used) for r in together if r.budget == 32] == [
@@ -290,12 +291,24 @@ class TestPassErrors:
             ("fixed", 256, 48), ("adaptive", 256, 48), ("bitcal", 256, 48)]
         assert {r.error for r in records if r.error} == {"ConnectionError: backend fell over"}
 
+    def test_a_source_failure_at_the_split_step_errors_the_cells_that_split(self):
+        # At token 48 the B=56 cells would read 8 tokens, so they split from the
+        # pass; their fresh stream fails on the same call as the pass's.
+        cfgs = self.CFGS + [engine_cfg(method, budget=56) for method in Method]
+        records = run_episodes(partial(StepListSource, self.STEPS, 4), cfgs, 1.0, "e")
+        assert records == [run_episode(StepListSource(self.STEPS, 4), cfg, 1.0, "e")
+                           for cfg in cfgs]
+        assert [(r.method, r.budget, r.tokens_used) for r in records if r.error] == [
+            ("fixed", 256, 48), ("adaptive", 256, 48), ("bitcal", 256, 48),
+            ("fixed", 56, 48), ("adaptive", 56, 48), ("bitcal", 56, 48)]
+        assert {r.error for r in records if r.error} == {"ConnectionError: backend fell over"}
+
     @pytest.mark.parametrize("other", [dict(chunk_size=8),
                                        dict(policy=PolicyConfig(marker="ANSWER:"))])
     def test_a_pass_needs_one_chunk_size_and_marker(self, other):
         cfgs = [engine_cfg("bitcal"), engine_cfg("fixed", **other)]
         with pytest.raises(ConfigError, match="share chunk_size and marker"):
-            run_episodes(StepListSource(self.STEPS), cfgs, 1.0, "e")
+            run_episodes(partial(StepListSource, self.STEPS), cfgs, 1.0, "e")
 
 
 class TestEngineConfig:

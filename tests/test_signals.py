@@ -10,7 +10,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import oracle_hidden_stability
 
-from bithalt import signals
 from bithalt.errors import InvalidDistributionError, InvalidInputError
 from bithalt.signals import (
     HIDDEN_NORM_EPS,
@@ -210,10 +209,6 @@ class TestStepSignals:
             StepSignals(chunk_text="x", tokens_in_chunk=1, entropy=1.0,
                         distribution=[0.5, 0.5])
 
-    def test_step_entropy_from_distribution(self):
-        s = StepSignals(chunk_text="x", tokens_in_chunk=1, distribution=[0.25] * 4)
-        assert s.step_entropy() == pytest.approx(math.log(4), rel=1e-12)
-
     def test_non_finite_entropy_rejected(self):
         with pytest.raises(InvalidInputError):
             StepSignals(chunk_text="x", tokens_in_chunk=1, entropy=float("nan"))
@@ -222,16 +217,6 @@ class TestStepSignals:
     def test_fewer_than_one_token_rejected(self, tokens):
         with pytest.raises(InvalidInputError, match=f"tokens must be >= 1, got {tokens}"):
             StepSignals(chunk_text="x", tokens_in_chunk=tokens, entropy=1.0)
-
-    def test_entropy_computed_once_per_step(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(signals, "entropy", lambda d: calls.append(d) or 1.25)
-        s = StepSignals(chunk_text="x", tokens_in_chunk=1, distribution=[0.5, 0.5])
-        assert [s.step_entropy() for _ in range(3)] == [1.25] * 3
-        assert len(calls) == 1
-        # The memo is not a field: equality and the stored distribution are unchanged.
-        assert s == StepSignals(chunk_text="x", tokens_in_chunk=1, distribution=[0.5, 0.5])
-        assert s.distribution == [0.5, 0.5]
 
     def test_equality_compares_vectors_by_float64_bytes(self):
         a, b = read_trace(NAN_HIDDEN_TRACE)[1], read_trace(NAN_HIDDEN_TRACE)[1]
@@ -248,35 +233,6 @@ class TestStepSignals:
                                distribution=np.array([0.5, 0.5]),
                                hidden=np.array([1.0, float("nan")]))
         assert as_list == as_array and hash(as_list) == hash(as_array)
-
-    def test_invalid_distribution_raises_on_every_read(self):
-        s = StepSignals(chunk_text="x", tokens_in_chunk=1, distribution=[0.5, 0.4])
-        for _ in range(2):
-            with pytest.raises(InvalidDistributionError):
-                s.step_entropy()
-
-    def test_hidden_unit_computed_once_per_step(self, monkeypatch):
-        calls = []
-        real = signals._unit_vector
-        monkeypatch.setattr(signals, "_unit_vector", lambda h: calls.append(h) or real(h))
-        s = StepSignals(chunk_text="x", tokens_in_chunk=1, entropy=1.0, hidden=(3.0, 4.0))
-        for _ in range(3):
-            assert s.hidden_unit() == array("d", [3.0 / (5.0 + 1e-8), 4.0 / (5.0 + 1e-8)])
-        assert len(calls) == 1
-        assert s == StepSignals(chunk_text="x", tokens_in_chunk=1, entropy=1.0,
-                                hidden=(3.0, 4.0))
-
-    @pytest.mark.parametrize("hidden,message", [
-        ((1.0, float("nan")), "non-finite"),
-        (((1.0, 0.0),), "one dimension"),
-        (np.array(5.0), "one dimension"),
-        (np.ones((3, 1)), "one dimension"),
-    ])
-    def test_invalid_hidden_raises_on_every_read(self, hidden, message):
-        s = StepSignals(chunk_text="x", tokens_in_chunk=1, entropy=1.0, hidden=hidden)
-        for _ in range(2):
-            with pytest.raises(InvalidInputError, match=message):
-                s.hidden_unit()
 
 
 # Chunks that are short, whitespace-padded or repeated, so that every trace
@@ -343,8 +299,8 @@ class TestRunningSignals:
     @given(STEPS, st.lists(st.integers(min_value=0, max_value=25), min_size=1, max_size=4))
     @settings(max_examples=200, deadline=None)
     def test_steps_shared_by_cells_give_the_oracle_readouts(self, steps, lengths):
-        # A replay pushes the same step objects through one RunningSignals per
-        # cell, and a cell may stop early; the cosine memo must not change a bit.
+        # Several RunningSignals may read the same step objects, as a replay's
+        # pass and the copy a split cell goes on with do; none may change a bit.
         shared = [_step(*step) for step in steps]
         for n in lengths:
             running = RunningSignals()
@@ -355,32 +311,44 @@ class TestRunningSignals:
                     hiddens.append(hidden)
                 assert running.push(step) == oracle_readout(h, chunks, hiddens)
 
-    def test_cosine_memo_is_kept_per_step_pair(self, monkeypatch):
-        calls = []
-        real = signals._dot
-        monkeypatch.setattr(signals, "_dot", lambda a, b: calls.append(1) or real(a, b))
-        a, b, c = (_step(1.0, "x", hidden) for hidden in (BASE, (2.0, 0.0, -1.0), BASE))
-        for nxt in (b, c, b, c):
-            running = RunningSignals()
-            running.push(a)
-            readout = running.push(nxt)
-            assert readout.hidden_stability_raw == oracle_hidden_stability(
-                [a.hidden, nxt.hidden])
-        assert len(calls) == 4  # a memo keyed on the pair, not on a alone
-        for _ in range(3):
-            assert a.cosine(c) == oracle_hidden_stability([a.hidden, c.hidden])
-        assert len(calls) == 4
-
     def test_a_stream_frees_its_past_steps(self):
-        # The memo sits on the earlier step, so a step no one else holds is freed
-        # once the next pair is read, as in a live or simulated stream.
+        # RunningSignals holds no step, so a step no one else holds is freed once
+        # it is pushed, as in a live or simulated stream.
         running, alive = RunningSignals(), []
         for i in range(20):
             step = _step(1.0, "x", (math.cos(i), math.sin(i), 0.0))
             alive.append(weakref.ref(step))
             running.push(step)
             del step
-        assert sum(ref() is not None for ref in alive) == 1
+        assert sum(ref() is not None for ref in alive) == 0
+
+    def test_entropy_from_distribution(self):
+        step = StepSignals(chunk_text="x", tokens_in_chunk=1, distribution=[0.25] * 4)
+        assert RunningSignals().push(step).entropy == pytest.approx(math.log(4), rel=1e-12)
+
+    def test_invalid_distribution_raises_on_every_push(self):
+        running = RunningSignals()
+        step = StepSignals(chunk_text="x", tokens_in_chunk=1, distribution=[0.5, 0.4])
+        for _ in range(2):
+            with pytest.raises(InvalidDistributionError):
+                running.push(step)
+
+    @pytest.mark.parametrize("hidden,message", [
+        ((1.0, float("nan")), "non-finite"),
+        (((1.0, 0.0),), "one dimension"),
+        (np.array(5.0), "one dimension"),
+        (np.ones((3, 1)), "one dimension"),
+    ])
+    def test_invalid_hidden_raises_on_every_read(self, hidden, message):
+        # Read once a second vector arrives, in either position of the pair.
+        for hiddens in ([hidden, (1.0, 0.0)], [(1.0, 0.0), hidden]):
+            with pytest.raises(InvalidInputError, match=message):
+                hidden_stability(hiddens)
+        running = RunningSignals()
+        assert running.push(_step(1.0, "x", hidden)).hidden_stability_raw == 1.0
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match=message):
+                running.push(_step(1.0, "x", (1.0, 0.0)))
 
     def test_anti_parallel_raw_is_clipped(self):
         running = RunningSignals()

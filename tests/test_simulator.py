@@ -197,8 +197,8 @@ def scenarios(draw):
 
 
 class TestOnePass:
-    """Every cell of a pass, and every cell that left it and ran alone, gives
-    the record of the independent episode oracle."""
+    """Every cell of a pass, including the cells that split from it, gives the
+    record of the independent episode oracle."""
 
     @given(scenarios(), st.integers(1, 32), st.data())
     @settings(max_examples=150, deadline=None)
@@ -213,7 +213,8 @@ class TestOnePass:
         cells = data.draw(st.permutations(list(itertools.product(Method, budgets))))
 
         def policy():
-            return PolicyConfig(floor_tokens=data.draw(st.sampled_from([0, 16, 128])),
+            # Floor 4096: controller cells also run to an off-grid budget and split.
+            return PolicyConfig(floor_tokens=data.draw(st.sampled_from([0, 16, 128, 4096])),
                                 budget_buffer=data.draw(st.sampled_from([0, 8, 32])), **thresholds)
         cfgs = [EngineConfig(method=method, budget=budget, chunk_size=k, policy=policy(),
                              served_bits=data.draw(st.sampled_from([4, 8, 16])))
@@ -223,10 +224,7 @@ class TestOnePass:
         drained = ScenarioSource(scenario)
         recorded = list(iter(partial(drained.next_chunk, k), None))
         for stream in (partial(ScenarioSource, scenario), partial(ReplaySource, recorded)):
-            records = run_episodes(stream(), cfgs, 42.0, "s")
-            for cfg, record in zip(cfgs, records):
-                if record is None:  # it left the pass: the runner runs it alone
-                    record = run_episode(stream(), cfg, 42.0, "s")
+            for cfg, record in zip(cfgs, run_episodes(stream, cfgs, 42.0, "s")):
                 assert record == oracle_episode(stream(), cfg, 42.0, "s")
 
 
@@ -272,22 +270,40 @@ class TestGridSharing:
             assert len(groups) == (1 if bits == 16 else 2)
             assert sum(tag == "confidence" for tag, *_ in calls) == sum(groups.values())
 
-    def test_off_grid_cells_that_reach_a_partial_chunk_run_alone(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("floor", [None, "4096"])
+    def test_off_grid_cells_split_from_the_pass(self, tmp_path, monkeypatch, floor):
         seen = []
+        _spy(monkeypatch, ScenarioSource, "next_chunk", seen, "pull")
+        _spy(monkeypatch, engine, "decide", seen, "decide")
         _spy(monkeypatch, cli, "run_episodes", seen, "pass")
         _spy(monkeypatch, cli, "run_episode", seen, "alone")
-        assert cli.main(["simulate", "--budgets", "200,300,512", "--out",
-                         str(tmp_path / "out")]) == 0
-        left = [(cfg.method.value, cfg.budget) for tag, (_, cfgs), out in seen
-                if tag == "pass" for cfg, r in zip(cfgs, out) if r is None]
-        alone = [(cfg.method.value, cfg.budget) for tag, (_, cfg), _ in seen if tag == "alone"]
-        assert alone == left
-        # Only fixed cells get that far: at 200 and 300 in the four 512-token
-        # scenarios, and at 200 in marker-then-revision, whose stream ends at 256.
-        # Every controller cell has stopped by token 192.
-        assert sorted(alone) == sorted([("fixed", 200), ("fixed", 300)] * 4 + [("fixed", 200)])
-        assert all(record.tokens_used == record.budget for tag, _, record in seen
-                   if tag == "alone")
+        argv = ["simulate", "--budgets", "200,300,512", "--out", str(tmp_path / "out")]
+        assert cli.main(argv + (["--floor", floor] if floor else [])) == 0
+        assert not [tag for tag, *_ in seen if tag == "alone"]  # every cell ends in its pass
+        passes = [i for i, (tag, *_) in enumerate(seen) if tag == "pass"]
+        split_cells = []
+        for start, end in zip([-1] + passes, passes):
+            calls = seen[start + 1:end]
+            *_, records = seen[end]
+            assert sum(tag == "decide" for tag, *_ in calls) == sum(len(r.actions)
+                                                                    for r in records)
+            # A cell at 200 or 300 that reads past token 192 or 288 splits there,
+            # with the other cells of its budget; its stream is forwarded by the
+            # pass's full chunks, then gives it its partial one.
+            split = [r for r in records if r.budget < 512 and r.steps > r.budget // 16]
+            split_cells += [(r.method, r.budget) for r in split]
+            pulled = [out for tag, _, out in calls if tag == "pull"]
+            steps = max(r.steps for r in records if r.budget == 512)
+            assert pulled.count(None) <= 1  # the pass may find the stream's end
+            assert len(pulled) == steps + pulled.count(None) + sum(
+                budget // 16 + 1 for budget in {r.budget for r in split})
+            assert all(r.tokens_used == r.budget for r in split)
+        # At 200 and 300 in the four 512-token scenarios, and at 200 in
+        # marker-then-revision, whose stream ends at 256. By default every
+        # controller cell has stopped by token 192; past the floor of 4096 none stops.
+        methods = ["fixed"] if floor is None else ["fixed", "adaptive", "bitcal"]
+        assert sorted(split_cells) == sorted(
+            [(m, b) for m in methods for b in (200, 300)] * 4 + [(m, 200) for m in methods])
 
     def test_an_examples_steps_are_freed_before_the_next_one_loads(self, tmp_path,
                                                                    monkeypatch):
