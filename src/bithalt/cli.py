@@ -4,7 +4,7 @@ simulate and replay differ only in how they load examples (scenarios or
 recorded traces). One runner scores both one example at a time: each is loaded
 once, run under every method x budget cell in one pass over a single stream
 (engine.run_episodes) and dropped, so a replay holds one trace's steps. Cells
-whose last chunk is partial split off and finish over a fresh stream. replay
+whose last chunk is partial split off and finish over a fork of it. replay
 reads every header first; a body that fails to parse is reported when its turn
 comes and skipped in every cell. sweep runs either one, then report. A replayed
 trace runs at the bit width in its header unless bits is set by a flag or the
@@ -198,9 +198,9 @@ def build_engine_config(cfg: dict, method: str, budget: int, served_bits: int) -
 
 
 class Example(NamedTuple):
-    """One row of the grid: how to load and stream it, and how to score it."""
+    """One row of the grid: how to load its source, and how to score it."""
 
-    load: Callable[[], Callable[[], TokenSource]]  # loads once; gives a fresh stream per call
+    load: Callable[[], TokenSource]
     gold: float
     example_id: str
     model: str
@@ -255,7 +255,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise TraceParseError(args.scenarios, "no scenario files found")
     else:
         scenarios = scenario_suite_canonical()
-    examples = [Example(lambda s=s: partial(ScenarioSource, s),
+    examples = [Example(partial(ScenarioSource, s),
                         s.gold_answer, s.scenario_id, "sim", cfg["bits"]) for s in scenarios]
     _run_grid(examples, cfg, Path(args.out), "simulate")
     return 0
@@ -275,7 +275,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         except TraceParseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             continue
-        examples.append(Example(lambda path=path: partial(ReplaySource, read_trace(path)[1]),
+        examples.append(Example(lambda path=path: ReplaySource(read_trace(path)[1]),
                                 meta.gold_answer, meta.example_id, meta.model,
                                 meta.served_bits if cfg["bits"] is None else cfg["bits"]))
     # Post-divergence chunks come from the producing run and are counterfactual

@@ -1,8 +1,8 @@
 """Per-example episode loop: chunked generation under a hard token budget,
 with the optional halting controller, plus answer extraction and scoring.
 ``run_episodes`` runs every config of one example in one pass over a single
-stream, split where some cells' last chunk is partial; ``run_episode`` is its
-one-config case.
+stream; where some cells' last chunk is partial, the pass splits and those cells
+go on over a fork of its stream. ``run_episode`` is its one-config case.
 
 An EngineConfig settles the effective precision when it is built (16 bits for
 adaptive, the served bits for bitcal and fixed, or the override): its
@@ -15,7 +15,7 @@ import re
 from copy import copy
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 from .calibrate import CalibratorConfig, confidence
 from .errors import BithaltError, ConfigError
@@ -62,7 +62,8 @@ class TokenSource(Protocol):
 
     ``next_chunk(max_tokens)`` returns the next step (with at most
     ``max_tokens`` tokens), or None once the stream is exhausted. A step
-    carrying ``eos=True`` is the stream's last.
+    carrying ``eos=True`` is the stream's last. ``copy(source)`` forks it: an
+    independent stream at the same position, which reading either leaves alone.
     """
 
     def next_chunk(self, max_tokens: int) -> Optional[StepSignals]: ...
@@ -151,18 +152,18 @@ def run_episode(
 ) -> EpisodeRecord:
     """Run one example to termination under one config and score it: the
     one-cell pass of ``run_episodes``, which never splits."""
-    return run_episodes(lambda: source, [cfg], gold, example_id, model)[0]
+    return run_episodes(source, [cfg], gold, example_id, model)[0]
 
 
 def run_episodes(
-    stream: Callable[[], TokenSource],
+    source: TokenSource,
     cfgs: Sequence[EngineConfig],
     gold: float,
     example_id: str,
     model: str = "",
 ) -> List[EpisodeRecord]:
-    """Run one example under every config in one pass over a single stream
-    from ``stream()``, and score each cell.
+    """Run one example under every config in one pass over ``source``, and
+    score each cell.
 
     A cell's episode: request min(chunk_size, remaining budget) tokens, append,
     track the first marker sighting (scanning only text a new sighting can
@@ -176,9 +177,9 @@ def run_episodes(
     distinct calibrator. Every config must share one chunk size and marker. Where
     some cells' request would differ (their last chunk is partial), the pass
     splits: those cells go on from its state (text, token and step counts, marker,
-    a copy of the RunningSignals, their actions) over a fresh ``stream()``
-    forwarded by the pass's full chunks. A source failure errors every running
-    cell, a readout failure only the controller cells.
+    a copy of the RunningSignals, their actions) over ``copy(source)``, a fork of
+    the pass's stream, reading at most one more step: their partial last chunk.
+    A source failure errors every running cell; a readout failure only the controller cells.
     """
     k, mark = cfgs[0].chunk_size, cfgs[0].policy.marker
     if any((cfg.chunk_size, cfg.policy.marker) != (k, mark) for cfg in cfgs):
@@ -196,7 +197,8 @@ def run_episodes(
         correct = error is None and predicted is not None and answers_match(predicted, gold)
         for i in cells:
             if exc is not None:
-                logger.warning("episode %s errored mid-run: %s", example_id, exc)
+                logger.warning("episode %s %s B=%d errored mid-run: %s", example_id,
+                               cfgs[i].method.value, cfgs[i].budget, exc)
             live.remove(i)
             records[i] = EpisodeRecord(
                 example_id=example_id,
@@ -219,12 +221,9 @@ def run_episodes(
             )
 
     # The pass, then each set of cells that split from it, with the state they go on from.
-    passes = [(list(range(len(cfgs))), "", 0, 0, MarkerState(), RunningSignals())]
+    passes = [(list(range(len(cfgs))), "", 0, 0, MarkerState(), RunningSignals(), source)]
     while passes:
-        live, text, tokens_used, steps, marker, signals = passes.pop()
-        source = stream()
-        for _ in range(steps):  # every request before a split was k: the pass's steps again
-            source.next_chunk(k)
+        live, text, tokens_used, steps, marker, signals, source = passes.pop()
         settled = low = 0
         while live:
             request = k
@@ -235,7 +234,8 @@ def run_episodes(
                 split = [i for i in live if min(k, cfgs[i].budget - tokens_used) != request]
                 if split:
                     live = [i for i in live if i not in split]
-                    passes.append((split, text, tokens_used, steps, marker, copy(signals)))
+                    passes.append((split, text, tokens_used, steps, marker, copy(signals),
+                                   copy(source)))
                 if not live:
                     break
             if settled != len(live):  # cells only leave, so a new length means a new set

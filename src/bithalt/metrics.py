@@ -75,7 +75,7 @@ def summarize(
     clean = [r for r in records if r.error is None]
     n_errored = len(records) - len(clean)
     if not clean:
-        raise EmptyRunError("all records errored")
+        raise EmptyRunError("all records errored for model %r, method %s, B=%d" % min(groups))
     n = len(clean)
     n_correct = sum(r.correct for r in clean)
     n_early_incorrect = sum(r.early_halt and not r.correct for r in clean)

@@ -78,7 +78,7 @@ def _format_answer(value: float) -> str:
 
 class ScenarioSource:
     """TokenSource that walks a scenario's token script chunk by chunk; each
-    call's max_tokens sizes its chunk."""
+    call's max_tokens sizes its chunk. It holds only immutable values, so a copy forks it."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario

@@ -67,13 +67,15 @@ class TraceMeta:
 
 class ReplaySource:
     """Replays logged steps in order; post-divergence chunks are whatever the
-    original run generated (counterfactual under a different controller)."""
+    original run generated (counterfactual under a different controller). It
+    holds the steps and the next index, so a shallow copy forks it."""
 
     def __init__(self, steps: List[StepSignals]):
-        self._steps = iter(steps)
+        self._steps, self._next = steps, 0
 
     def next_chunk(self, max_tokens: int) -> Optional[StepSignals]:
-        return next(self._steps, None)
+        self._next += 1
+        return self._steps[self._next - 1] if self._next <= len(self._steps) else None
 
 
 # Trace step keys that differ from their StepSignals field names.
@@ -207,11 +209,8 @@ def read_trace_meta(path) -> TraceMeta:
 
 
 def read_trace(path) -> Tuple[TraceMeta, List[StepSignals]]:
-    """Parse a trace file into its header metadata and ordered steps.
-
-    Wrap the steps in a ReplaySource to feed them to the engine; build a
-    fresh source per pass.
-    """
+    """Parse a trace file into its header metadata and ordered steps; wrap the
+    steps in a ReplaySource to feed them to the engine."""
     lines = _read_jsonl(path, "trace/v1", TRACE_SCHEMA)
     meta = parse_fields(path, 1, "header", TraceMeta, next(lines)[1])
     steps: List[StepSignals] = []

@@ -1,5 +1,4 @@
 import dataclasses
-from functools import partial
 
 import numpy as np
 import pytest
@@ -242,10 +241,11 @@ class TestRunEpisode:
 
 
 class StepListSource:
-    """Serves the given steps in order; call number ``fail_at`` raises instead."""
+    """Serves the given steps in order; call number ``fail_at`` raises instead.
+    A shallow copy forks it, call count included."""
 
     def __init__(self, steps, fail_at=None):
-        self._steps = iter(steps)
+        self._steps, self._next = steps, 0
         self._calls = 0
         self._fail_at = fail_at
 
@@ -253,7 +253,10 @@ class StepListSource:
         self._calls += 1
         if self._calls == self._fail_at:
             raise ConnectionError("backend fell over")
-        return next(self._steps, None)
+        if self._next == len(self._steps):
+            return None
+        self._next += 1
+        return self._steps[self._next - 1]
 
 
 class TestPassErrors:
@@ -266,7 +269,7 @@ class TestPassErrors:
         engine_cfg("adaptive", policy=PolicyConfig(floor_tokens=0, theta_h=3.5, theta_c=0.1))]
 
     def run_both(self, steps, fail_at=None):
-        together = run_episodes(partial(StepListSource, steps, fail_at), self.CFGS, 1.0, "e")
+        together = run_episodes(StepListSource(steps, fail_at), self.CFGS, 1.0, "e")
         assert together == [run_episode(StepListSource(steps, fail_at), cfg, 1.0, "e")
                             for cfg in self.CFGS]
         assert [(r.stop_cause, r.tokens_used) for r in together if r.budget == 32] == [
@@ -293,9 +296,10 @@ class TestPassErrors:
 
     def test_a_source_failure_at_the_split_step_errors_the_cells_that_split(self):
         # At token 48 the B=56 cells would read 8 tokens, so they split from the
-        # pass; their fresh stream fails on the same call as the pass's.
+        # pass; their fork carries the pass's call count, so it fails on the same
+        # call as the pass's.
         cfgs = self.CFGS + [engine_cfg(method, budget=56) for method in Method]
-        records = run_episodes(partial(StepListSource, self.STEPS, 4), cfgs, 1.0, "e")
+        records = run_episodes(StepListSource(self.STEPS, 4), cfgs, 1.0, "e")
         assert records == [run_episode(StepListSource(self.STEPS, 4), cfg, 1.0, "e")
                            for cfg in cfgs]
         assert [(r.method, r.budget, r.tokens_used) for r in records if r.error] == [
@@ -308,7 +312,7 @@ class TestPassErrors:
     def test_a_pass_needs_one_chunk_size_and_marker(self, other):
         cfgs = [engine_cfg("bitcal"), engine_cfg("fixed", **other)]
         with pytest.raises(ConfigError, match="share chunk_size and marker"):
-            run_episodes(partial(StepListSource, self.STEPS), cfgs, 1.0, "e")
+            run_episodes(StepListSource(self.STEPS), cfgs, 1.0, "e")
 
 
 class TestEngineConfig:

@@ -149,6 +149,13 @@ class TestSummarize:
         assert s.n_errored == 1
         assert s.accuracy == pytest.approx(50.0)
 
+    def test_all_errored_names_its_group(self):
+        records = [sample_record(i, method="adaptive", budget=200, model="7b",
+                                 error="RuntimeError: x", correct=False) for i in range(2)]
+        with pytest.raises(EmptyRunError) as exc:
+            summarize(records)
+        assert str(exc.value) == "all records errored for model '7b', method adaptive, B=200"
+
     def test_savings_absent_without_reference(self):
         s = summarize(build_group("bitcal", 512, 5, 5, 0, 100))
         assert s.savings_pct is None

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import weakref
+from copy import copy
 from functools import partial
 from pathlib import Path
 
@@ -223,9 +224,38 @@ class TestOnePass:
         # whatever the request, so a partial request is clamped.
         drained = ScenarioSource(scenario)
         recorded = list(iter(partial(drained.next_chunk, k), None))
-        for stream in (partial(ScenarioSource, scenario), partial(ReplaySource, recorded)):
-            for cfg, record in zip(cfgs, run_episodes(stream, cfgs, 42.0, "s")):
-                assert record == oracle_episode(stream(), cfg, 42.0, "s")
+        for new_source in (partial(ScenarioSource, scenario), partial(ReplaySource, recorded)):
+            for cfg, record in zip(cfgs, run_episodes(new_source(), cfgs, 42.0, "s")):
+                assert record == oracle_episode(new_source(), cfg, 42.0, "s")
+
+
+class TestForkContract:
+    """``copy(source)`` is an independent stream at the source's position."""
+
+    SCENARIO = Scenario("fork", (Segment(100, 1.0, "step {i}", hidden_rotation=0.3),
+                                 Segment(60, 3.0, "then {i}")), 42.0, 42.0,
+                        marker_at=90, eos_at=150)
+
+    @pytest.mark.parametrize("kind", ["scenario", "replay"])
+    @pytest.mark.parametrize("j", [0, 1, 5, 9, 10])
+    def test_a_copy_forks_the_stream(self, kind, j):
+        recorded = list(iter(partial(ScenarioSource(self.SCENARIO).next_chunk, 16), None))
+        new_source = {"scenario": partial(ScenarioSource, self.SCENARIO),
+                      "replay": partial(ReplaySource, recorded)}[kind]
+
+        def forwarded():  # a fresh source after j full pulls
+            src = new_source()
+            for _ in range(j):
+                src.next_chunk(16)
+            return src
+
+        def read(src, first):  # one request of ``first`` tokens, then full ones to the end
+            return [src.next_chunk(first)] + list(iter(partial(src.next_chunk, 16), None))
+
+        src = forwarded()
+        fork = copy(src)
+        assert read(fork, 8) == read(forwarded(), 8)
+        assert read(src, 16) == read(forwarded(), 16)  # reading the fork moved no step of src
 
 
 def _spy(monkeypatch, holder, name, seen, tag):
@@ -273,6 +303,7 @@ class TestGridSharing:
     @pytest.mark.parametrize("floor", [None, "4096"])
     def test_off_grid_cells_split_from_the_pass(self, tmp_path, monkeypatch, floor):
         seen = []
+        _spy(monkeypatch, ScenarioSource, "__init__", seen, "build")
         _spy(monkeypatch, ScenarioSource, "next_chunk", seen, "pull")
         _spy(monkeypatch, engine, "decide", seen, "decide")
         _spy(monkeypatch, cli, "run_episodes", seen, "pass")
@@ -288,15 +319,16 @@ class TestGridSharing:
             assert sum(tag == "decide" for tag, *_ in calls) == sum(len(r.actions)
                                                                     for r in records)
             # A cell at 200 or 300 that reads past token 192 or 288 splits there,
-            # with the other cells of its budget; its stream is forwarded by the
-            # pass's full chunks, then gives it its partial one.
+            # with the other cells of its budget, onto a fork of the pass's stream
+            # that gives it its partial chunk: one pull per split, and one source
+            # per example.
             split = [r for r in records if r.budget < 512 and r.steps > r.budget // 16]
             split_cells += [(r.method, r.budget) for r in split]
             pulled = [out for tag, _, out in calls if tag == "pull"]
             steps = max(r.steps for r in records if r.budget == 512)
             assert pulled.count(None) <= 1  # the pass may find the stream's end
-            assert len(pulled) == steps + pulled.count(None) + sum(
-                budget // 16 + 1 for budget in {r.budget for r in split})
+            assert len(pulled) == steps + pulled.count(None) + len({r.budget for r in split})
+            assert sum(tag == "build" for tag, *_ in calls) == 1
             assert all(r.tokens_used == r.budget for r in split)
         # At 200 and 300 in the four 512-token scenarios, and at 200 in
         # marker-then-revision, whose stream ends at 256. By default every

@@ -73,8 +73,8 @@ def test_a_bad_body_mid_run_skips_that_trace_in_every_cell(tmp_path, monkeypatch
     real_read, real_pass = cli.read_trace, cli.run_episodes
     monkeypatch.setattr(cli, "read_trace",
                         lambda path: events.append(("parse", path.stem)) or real_read(path))
-    monkeypatch.setattr(cli, "run_episodes", lambda stream, cfgs, **kw: events.extend(
-        [("run", kw["example_id"])] * len(cfgs)) or real_pass(stream, cfgs, **kw))
+    monkeypatch.setattr(cli, "run_episodes", lambda source, cfgs, **kw: events.extend(
+        [("run", kw["example_id"])] * len(cfgs)) or real_pass(source, cfgs, **kw))
     out = tmp_path / "out"
     assert cli.main(["replay", "--traces", str(traces), "--budgets", "256,512",
                      "--out", str(out)]) == 2

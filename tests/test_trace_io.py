@@ -180,6 +180,19 @@ class TestTraceV1:
         assert by_method["fixed"].error is None and by_method["adaptive"].error is None
         assert "non-finite" in by_method["bitcal"].error
 
+    def test_each_mid_run_error_names_its_cell(self, tmp_path, caplog, capsys):
+        # Past a floor of 4096 every controller cell reaches the NaN hidden entry;
+        # the B=200 cells split from the pass at token 192 and log after it.
+        assert main(["sweep", "--traces", str(V1_TRACES), "--budgets", "200,256",
+                     "--floor", "4096", "--out", str(tmp_path / "out")]) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            f"episode v1-nan-hidden {method} B={budget} errored mid-run: "
+            "hidden vector contains non-finite entries"
+            for budget in (256, 200) for method in ("adaptive", "bitcal")]
+        # Every record of the adaptive B=200 group errored, so report refuses it by name.
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: all records errored for model '7b', method adaptive, B=200")
+
     @pytest.mark.parametrize("probs", [["0.5", "0.5"], [True, False]])
     def test_list_element_that_is_not_a_number_is_parse_error(self, tmp_path, capsys, probs):
         # float() would read "0.5" as 0.5 and true as 1.0; a JSON list in a
