@@ -10,21 +10,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, InvalidInputError, require_finite
+from .policy import precision_tier
 from .signals import SignalReadout
 
 
 def bit_scale(bits: int) -> float:
-    """Multiplicative confidence scale keyed to nominal weight precision.
-
-    Conservative (0.85) at <=4 bits, neutral up to 8, mildly optimistic above.
-    """
-    if bits < 1:
-        raise ConfigError(f"bits must be >= 1, got {bits}")
-    if bits <= 4:
-        return 0.85
-    if bits <= 8:
-        return 1.00
-    return 1.05
+    """Multiplicative confidence scale keyed to nominal weight precision: the
+    scale column of policy.PRECISION_TIERS (conservative at few bits)."""
+    return precision_tier(bits)[1]
 
 
 def normalized_uncertainty(entropy: float, h_max: float) -> float:

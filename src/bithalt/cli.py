@@ -6,9 +6,10 @@ once, run under every method x budget cell in one pass over a single stream
 (engine.run_episodes) and dropped, so a replay holds one trace's steps. Cells
 whose last chunk is partial split off and finish over a fork of it. replay
 reads every header first; a body that fails to parse is reported when its turn
-comes and skipped in every cell. sweep runs either one, then report. A replayed
-trace runs at the bit width in its header unless bits is set by a flag or the
-config file; if it is not, run_meta.json reads "bits": null.
+comes and skipped in every cell. Both write only files; sweep runs either one,
+then report, which prints the summary.csv it writes. A replayed trace runs at
+the bit width in its header unless bits is set by a flag or the config file; if
+it is not, run_meta.json reads "bits": null.
 
 Config resolution is layered: built-in defaults <- the command's own defaults
 <- optional JSON config file (--config) <- explicit command-line flags, highest
@@ -161,14 +162,15 @@ def resolve_config(args: argparse.Namespace, **command_defaults) -> dict:
     for flag, layer in ((False, file_cfg), (True, flags)):
         cfg.update((k, _parse(k, v, flag)) for k, v in layer.items() if v is not None)
 
-    methods = [m.strip() for m in cfg["methods"].split(",") if m.strip()]
+    # A repeated method or budget names one cell, so it is kept once, in first-seen order.
+    methods = list(dict.fromkeys(m.strip() for m in cfg["methods"].split(",") if m.strip()))
     for m in methods:
         if m not in VALID_METHODS:
             raise UsageError(f"unknown method {m!r}; valid methods: {', '.join(VALID_METHODS)}")
     if not methods:
         raise UsageError("at least one method is required")
     try:
-        budgets = [int(b) for b in cfg["budgets"].split(",") if b.strip()]
+        budgets = list(dict.fromkeys(int(b) for b in cfg["budgets"].split(",") if b.strip()))
     except ValueError:
         raise UsageError(f"budgets must be a comma-separated integer list, got {cfg['budgets']!r}")
     if not budgets:
@@ -209,10 +211,10 @@ class Example(NamedTuple):
 
 def _run_grid(examples: Sequence[Example], cfg: dict, out_dir: Path, command: str,
               **header) -> int:
-    """Load each example, run it under every method x budget cell in one pass and
-    drop it before the next one loads; then write each cell's records, sorted by example id.
-    Configs are built first, so a bad value fails before any episode. An
-    example that fails to load is reported, skipped in every cell and counted."""
+    """Run each example under every method x budget cell in one pass, dropping it before
+    the next one loads, then write each cell's records sorted by example id; print nothing,
+    as only report turns records into numbers. Configs are built first, so a bad value fails
+    before any episode. An example that fails to load is reported, skipped and counted."""
     cells = {(budget, method): [] for budget in cfg["budgets"] for method in cfg["methods"]}
     keys = dict.fromkeys((method, budget, ex.served_bits)
                          for budget, method in cells for ex in examples)
@@ -238,10 +240,6 @@ def _run_grid(examples: Sequence[Example], cfg: dict, out_dir: Path, command: st
         write_records(records, out_dir / f"records_{method}_b{budget}.jsonl",
                       metadata={"command": command, "method": method, "budget": budget,
                                 **header})
-        n_correct = sum(r.correct for r in records)
-        avg = sum(r.tokens_used for r in records) / len(records)
-        print(f"{method} B={budget}: n={len(records)} correct={n_correct} "
-              f"avg_tokens={avg:.1f}")
     meta = {"command": command, "config": {k: cfg[k] for k in sorted(cfg, key=str)}}
     write_text(out_dir / "run_meta.json", json.dumps(meta, indent=2) + "\n")
     return failed

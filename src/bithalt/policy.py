@@ -91,15 +91,23 @@ class PolicyConfig:
             raise ConfigError("must be non-empty", field="marker")
 
 
-def tail_length(bits: int) -> int:
-    """Confirmation tokens required after the first marker sighting."""
+# The precision tiers both bit-aware rules read: (widest bit width, confidence scale,
+# post-marker tail tokens), the last row for every wider width. Lookups read _TIER_OF_BITS.
+PRECISION_TIERS = ((4, 0.85, 32), (8, 1.00, 16), (None, 1.05, 0))
+_TIER_OF_BITS = {bits: next(row for row in PRECISION_TIERS if bits <= row[0])
+                 for bits in range(1, PRECISION_TIERS[-2][0] + 1)}
+
+
+def precision_tier(bits: int) -> tuple:
+    """The row of PRECISION_TIERS that holds a bit width."""
     if bits < 1:
         raise ConfigError(f"bits must be >= 1, got {bits}")
-    if bits <= 4:
-        return 32
-    if bits <= 8:
-        return 16
-    return 0
+    return _TIER_OF_BITS.get(bits, PRECISION_TIERS[-1])
+
+
+def tail_length(bits: int) -> int:
+    """Confirmation tokens required after the first marker sighting."""
+    return precision_tier(bits)[2]
 
 
 def update_marker(

@@ -47,6 +47,10 @@ class TestNormalizedUncertainty:
         with pytest.raises(InvalidInputError):
             normalized_uncertainty(float("inf"), 10.0)
 
+    def test_nonpositive_ceiling_rejected(self):
+        with pytest.raises(ConfigError, match=r"h_max must be > 0, got 0\.0"):
+            normalized_uncertainty(1.0, 0.0)
+
 
 class TestCalibratorConfig:
     @given(

@@ -75,8 +75,15 @@ class TestSimulate:
         files = sorted(p.name for p in out.glob("records_*.jsonl"))
         assert files == ["records_adaptive_b512.jsonl", "records_bitcal_b512.jsonl",
                          "records_fixed_b512.jsonl"]
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 3
+        assert capsys.readouterr().out == ""  # only report turns records into numbers
+
+    def test_repeated_methods_and_budgets_run_and_list_once(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--methods", "fixed,bitcal,fixed", "--budgets", "512,256,512",
+                       "--out", str(out)) == 0
+        assert len(list(out.glob("records_*.jsonl"))) == 4
+        config = json.loads((out / "run_meta.json").read_text())["config"]
+        assert (config["methods"], config["budgets"]) == (["fixed", "bitcal"], [512, 256])
 
     def test_unknown_method_names_valid_values(self, tmp_path, capsys):
         code = run_cli("simulate", "--methods", "adaptve", "--out", str(tmp_path / "o"))
@@ -336,6 +343,21 @@ class TestReport:
         out.mkdir()
         assert run_cli("report", "--out", str(out)) == 2
 
+    @pytest.mark.parametrize("command,flag,message", [
+        ("report", "--records", "hold no records"),  # a record file with only its header
+        ("simulate", "--scenarios", "no scenario files found"),
+        ("replay", "--traces", "no trace files found"),
+    ])
+    def test_empty_input_is_data_error(self, tmp_path, capsys, command, flag, message):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        if message == "hold no records":
+            write_records([], inputs / "records_fixed_b512.jsonl")
+        assert run_cli(command, flag, str(inputs), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
 
 DEEP = "[" * 200_000 + "]" * 200_000  # nested far past the interpreter's recursion limit
 DIGITS = "1" * 5_001  # past Python's default integer digit limit (4,300)
@@ -437,6 +459,13 @@ class TestSweep:
         assert len(list(out.glob("records_*.jsonl"))) == 6
         assert (out / "summary.csv").exists()
 
+    @pytest.mark.parametrize("source", ["scenarios", "traces"])
+    def test_stdout_is_exactly_the_summary_csv(self, tmp_path, capsys, source):
+        traces = ["--traces", str(make_trace_dir(tmp_path))] if source == "traces" else []
+        out = tmp_path / "out"
+        assert run_cli("sweep", *traces, "--budgets", "256,512", "--out", str(out)) == 0
+        assert capsys.readouterr().out == (out / "summary.csv").read_text()
+
 
     def test_two_scenario_files_with_one_id_are_data_error(self, tmp_path, capsys):
         scenarios = tmp_path / "scenarios"
@@ -480,6 +509,12 @@ class TestConfigLayering:
         assert code == 1
         err = capsys.readouterr().err
         assert "theta_hh" in err and "theta_h" in err
+
+    def test_missing_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.json"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {cfg}: ")
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_utf8_config_is_usage_error_naming_it(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -639,7 +674,9 @@ class TestConfigValueErrors:
             cfg.write_text(json.dumps({key: value}))
             extra = ["--config", str(cfg)]
         args = ["--traces", str(make_trace_dir(tmp_path, n=1))] if command == "replay" else []
-        code = run_cli(command, *args, "--methods", "adaptive", *extra, "--out", str(out))
+        if key != "methods":  # a --methods flag would override the config file's methods
+            args += ["--methods", "adaptive"]
+        code = run_cli(command, *args, *extra, "--out", str(out))
         assert not list(out.glob("records_*.jsonl"))
         return code, capsys.readouterr().err
 
@@ -671,6 +708,19 @@ class TestConfigValueErrors:
         assert err.startswith(f"error: {key} must be >= "), err
         if field != key:
             assert field not in err
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("key,value,message", [
+        ("methods", ",", "at least one method is required"),
+        ("budgets", ",", "at least one budget is required"),
+        ("budgets", "abc", "budgets must be a comma-separated integer list, got 'abc'"),
+        # A rule over two fields names no one key, so its message is passed on as it is.
+        ("theta_h", 5, "theta_h (5.0) must be < theta_e (4.0)"),
+    ])
+    def test_usage_error_message(self, tmp_path, capsys, key, value, message, via):
+        code, err = self._run(tmp_path, capsys, key, value, via)
+        assert code == 1
+        assert err == f"error: {message}\n"
 
     def test_budget_below_chunk_size_names_budgets_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -45,6 +45,10 @@ class TestWilsonInterval:
         with pytest.raises(EmptyRunError):
             wilson_interval(0, 0)
 
+    def test_more_successes_than_trials_rejected(self):
+        with pytest.raises(ValueError, match=r"successes 5 outside \[0, 4\]"):
+            wilson_interval(5, 4)
+
     def test_monotone_in_successes(self):
         for n in (5, 20, 54):
             prev = wilson_interval(0, n)
@@ -166,6 +170,10 @@ class TestSummarize:
 
 
 class TestSummarizeAll:
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyRunError, match="no records to summarize"):
+            summarize_all([])
+
     def test_savings_wired_to_fixed_at_same_budget(self):
         records = (
             build_group("fixed", 512, 10, 9, 0, 466)

@@ -82,6 +82,11 @@ class TestPolicyConfig:
             PolicyConfig(**{name: -1})
         assert exc.value.field == name
 
+    def test_effective_bits_below_one_rejected_naming_the_field(self):
+        with pytest.raises(ConfigError, match="^effective_bits must be >= 1$") as exc:
+            PolicyConfig(effective_bits=0)
+        assert exc.value.field == "effective_bits"
+
 
 class TestDecideExamples:
     def test_below_floor_continues(self):

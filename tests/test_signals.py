@@ -50,6 +50,16 @@ class TestEntropy:
         with pytest.raises(InvalidDistributionError):
             entropy([0.5, 0.4])
 
+    @pytest.mark.parametrize("distribution,message", [
+        ([], "non-empty 1-d vector"),
+        ([[0.5, 0.5]], "non-empty 1-d vector"),
+        ([float("nan"), 1.0], "non-finite entries"),
+        ([float("inf"), 0.0], "non-finite entries"),
+    ])
+    def test_malformed_vector_rejected(self, distribution, message):
+        with pytest.raises(InvalidDistributionError, match=message):
+            entropy(distribution)
+
     @given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2, max_size=30))
     def test_permutation_invariant(self, weights):
         p = np.array(weights) / sum(weights)

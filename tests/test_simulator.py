@@ -45,6 +45,14 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             Segment(0, 1.0, "text")
 
+    def test_negative_segment_entropy_rejected(self):
+        with pytest.raises(ConfigError, match="segment entropy must be >= 0"):
+            Segment(10, -0.5, "text")
+
+    def test_scenario_without_segments_rejected(self):
+        with pytest.raises(ConfigError, match="scenario needs at least one segment"):
+            Scenario("s", (), 1.0, 1.0)
+
     def test_offsets_must_fit_script(self):
         with pytest.raises(ConfigError):
             Scenario("s", (Segment(10, 1.0, "t"),), 1.0, 1.0, marker_at=11)
@@ -84,6 +92,12 @@ class TestScenarioSource:
         assert rec.tokens_used == 160
         assert rec.early_halt is True
         assert rec.correct is False
+
+    def test_fractional_answer_is_emitted_in_full_and_scored(self):
+        s = Scenario("s", (Segment(64, 0.5, "step {i}"),), 2.5, 2.5, marker_at=32)
+        rec = run(s, "fixed", budget=64)
+        assert "#### 2.5" in rec.generated_text
+        assert (rec.predicted_answer, rec.correct) == (2.5, True)
 
     def test_eos_flag_truncates_stream(self):
         s = Scenario("s", (Segment(100, 1.0, "t{i}"),), 1.0, 1.0, eos_at=50)

@@ -298,6 +298,21 @@ class TestTraceValidation:
         _, steps = read_trace(path)
         assert [s.chunk_text for s in steps] == [text, "y"]
 
+    @pytest.mark.parametrize("kind", ["trace", "records"])
+    def test_blank_body_lines_are_skipped(self, tmp_path, kind):
+        path = tmp_path / "t.jsonl"
+        if kind == "trace":
+            write_trace(META, make_steps(3), path)
+            read = read_trace
+        else:
+            write_records([sample_record(i) for i in range(3)], path)
+            read = read_records
+        expected = read(path)
+        header, *body = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([header, "", *body[:2], "  \t", *body[2:], ""]) + "\n",
+                        encoding="utf-8")
+        assert read(path) == expected
+
     def test_invalid_utf8_is_a_parse_error_naming_its_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
         write_trace(META, make_steps(3), path)
