@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, InvalidInputError, require_finite
-from .policy import precision_tier
+from .policy import _TIER_OF_BITS, PRECISION_TIERS, precision_tier
 from .signals import SignalReadout
 
 
@@ -31,6 +31,7 @@ def normalized_uncertainty(entropy: float, h_max: float) -> float:
 
 @dataclass(frozen=True)
 class CalibratorConfig:
+    """The entropy ceiling, the three signal weights, the temperature and the bit width."""
     h_max: float = 10.0
     w_entropy: float = 0.40
     w_trace: float = 0.35
@@ -54,16 +55,28 @@ class CalibratorConfig:
 
 
 def confidence(readout: SignalReadout, cfg: CalibratorConfig) -> float:
-    """Weighted signal mix, bit-scaled, clipped, then tempered.
+    """Weighted signal mix, bit-scaled, clipped, then tempered, in this order:
 
-    Monotone: non-increasing in entropy, non-decreasing in each stability
-    proxy. Output always lies in [0, 1].
+        u = clip(entropy / h_max), an entropy that is not finite an InvalidInputError
+        c_raw = (w_entropy * (1 - u) + w_trace * clip(trace_stability)
+                 + w_hidden * clip(hidden_stability)) / (w_entropy + w_trace + w_hidden)
+        c = clip(c_raw * bit_scale(effective_bits))
+        return clip(c ** (1 / temperature))
+
+    where clip(x) is min(max(x, 0.0), 1.0). Monotone: non-increasing in entropy,
+    non-decreasing in each stability proxy. Output always lies in [0, 1].
     """
-    u = normalized_uncertainty(readout.entropy, cfg.h_max)
-    tau_tr = min(max(readout.trace_stability, 0.0), 1.0)
-    tau_hid = min(max(readout.hidden_stability, 0.0), 1.0)
-    c_raw = ((cfg.w_entropy * (1.0 - u) + cfg.w_trace * tau_tr + cfg.w_hidden * tau_hid)
-             / (cfg.w_entropy + cfg.w_trace + cfg.w_hidden))
-    c = min(max(c_raw * bit_scale(cfg.effective_bits), 0.0), 1.0)
-    c = min(max(c ** (1.0 / cfg.temperature), 0.0), 1.0)
-    return c
+    # Run per step and calibrator: each clip is spelt out as min(max(...)) evaluates it (the
+    # first argument wins a tie, NaN passes), and the scale is read as bit_scale reads it.
+    u = readout.entropy
+    if not math.isfinite(u):
+        raise InvalidInputError("entropy must be finite")
+    u /= cfg.h_max
+    tr, hid = readout.trace_stability, readout.hidden_stability
+    c = ((cfg.w_entropy * (1.0 - (0.0 if u < 0.0 else 1.0 if u > 1.0 else u))
+          + cfg.w_trace * (0.0 if tr < 0.0 else 1.0 if tr > 1.0 else tr)
+          + cfg.w_hidden * (0.0 if hid < 0.0 else 1.0 if hid > 1.0 else hid))
+         / (cfg.w_entropy + cfg.w_trace + cfg.w_hidden)
+         * _TIER_OF_BITS.get(cfg.effective_bits, PRECISION_TIERS[-1])[1])
+    c = (0.0 if c < 0.0 else 1.0 if c > 1.0 else c) ** (1.0 / cfg.temperature)
+    return 0.0 if c < 0.0 else 1.0 if c > 1.0 else c

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import sys
 from functools import partial
@@ -39,11 +40,30 @@ from .calibrate import CalibratorConfig
 # run_episode stays importable here: perfbench/tracer.py wraps it (test_tracer_targets_resolve).
 from .engine import EngineConfig, Method, TokenSource, run_episode, run_episodes  # noqa: F401
 from .errors import BithaltError, ConfigError, EmptyRunError, TraceParseError
-from .metrics import emit_summary_table, format_summary_rows, summarize_all
 from .policy import PolicyConfig
-from .simulate import ScenarioSource, load_scenario_dir, scenario_suite_canonical
 from .trace_io import (ReplaySource, _coerce, decode, read_records, read_trace,
                        read_trace_meta, write_records, write_text)
+
+# Layers that one command runs, imported when it runs, so a process compiles only what it
+# runs. A command binds their names as globals, keeping any set already (perfbench/tracer.py
+# wraps them there); read earlier as attributes, one loads its layer (PEP 562).
+_LAZY = {".simulate": ("ScenarioSource", "load_scenario_dir", "scenario_suite_canonical"),
+         ".metrics": ("emit_summary_table", "format_summary_rows", "summarize_all")}
+
+
+def _load(layer: str) -> None:
+    module = importlib.import_module(layer, __package__)
+    for name in _LAZY[layer]:
+        globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    for layer, names in _LAZY.items():
+        if name in names:
+            _load(layer)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 VALID_METHODS = tuple(m.value for m in Method)
 
@@ -246,6 +266,7 @@ def _run_grid(examples: Sequence[Example], cfg: dict, out_dir: Path, command: st
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _load(".simulate")
     cfg = resolve_config(args)
     if getattr(args, "scenarios", None):
         scenarios = load_scenario_dir(args.scenarios)
@@ -283,6 +304,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    _load(".metrics")
     records_dir = Path(getattr(args, "records", None) or args.out)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

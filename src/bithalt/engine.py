@@ -10,7 +10,6 @@ adaptive, the served bits for bitcal and fixed, or the override): its
 
 from __future__ import annotations
 
-import logging
 import re
 from copy import copy
 from dataclasses import dataclass, field, replace
@@ -30,8 +29,6 @@ from .policy import (
 )
 from .signals import RunningSignals, StepSignals
 
-logger = logging.getLogger(__name__)
-
 
 class Method(str, Enum):
     FIXED = "fixed"
@@ -49,11 +46,12 @@ class StopCause(str, Enum):
 
 
 # Each decision's recorded action and reason, and the stop it makes (None for a
-# continue): a STOP by its reason, the ESCALATE by its kind.
+# continue): a STOP by its reason, the ESCALATE by its kind. Keyed by member name,
+# whose str hash is cached, where Enum.__hash__ is a Python-level call.
 _DECISIONS = {
-    action: (action.kind.value, action.reason.value,
-             None if action.kind is ActionKind.CONTINUE else StopCause(
-                 (action.reason if action.kind is ActionKind.STOP else action.kind).value))
+    action._name_: (action.kind.value, action.reason.value,
+                    None if action.kind is ActionKind.CONTINUE else StopCause(
+                        (action.reason if action.kind is ActionKind.STOP else action.kind).value))
     for action in Action}
 
 
@@ -71,6 +69,7 @@ class TokenSource(Protocol):
 
 @dataclass(frozen=True)
 class EngineConfig:
+    """One cell's settings: method, budget, chunk size and served bits."""
     method: Method
     budget: int
     chunk_size: int = 16
@@ -99,6 +98,7 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class EpisodeRecord:
+    """One scored episode; a record file holds one per line, fields in this order."""
     example_id: str
     method: str
     budget: int
@@ -191,14 +191,18 @@ def run_episodes(
         if cfg.method is not Method.FIXED:
             calibrators.setdefault(cfg.calibrator, []).append(i)
 
-    def finish(cells: List[int], stop: StopCause, exc: Optional[Exception] = None) -> None:
+    # text is an argument: CPython appends in place to a plain local but copies a closure cell.
+    def finish(cells: List[int], text: str, stop: StopCause,
+               exc: Optional[Exception] = None) -> None:
         error = None if exc is None else f"{type(exc).__name__}: {exc}"
         predicted = extract_answer(text, mark)
         correct = error is None and predicted is not None and answers_match(predicted, gold)
         for i in cells:
             if exc is not None:
-                logger.warning("episode %s %s B=%d errored mid-run: %s", example_id,
-                               cfgs[i].method.value, cfgs[i].budget, exc)
+                import logging  # loaded only when an episode errors
+                logging.getLogger(__name__).warning(
+                    "episode %s %s B=%d errored mid-run: %s", example_id,
+                    cfgs[i].method.value, cfgs[i].budget, exc)
             live.remove(i)
             records[i] = EpisodeRecord(
                 example_id=example_id,
@@ -229,7 +233,7 @@ def run_episodes(
             request = k
             if tokens_used + k > low:  # a cell at its cap ends; one that would read less splits
                 request = min(k, max(cfgs[i].budget for i in live) - tokens_used)
-                finish([i for i in live if cfgs[i].budget == tokens_used],
+                finish([i for i in live if cfgs[i].budget == tokens_used], text,
                        StopCause.BUDGET_EXHAUSTED)
                 split = [i for i in live if min(k, cfgs[i].budget - tokens_used) != request]
                 if split:
@@ -246,10 +250,10 @@ def run_episodes(
             try:
                 step = source.next_chunk(request)
             except (BithaltError, OSError) as exc:  # source failure: keep the episodes, flag them
-                finish(live[:], StopCause.EOS, exc)
+                finish(live[:], text, StopCause.EOS, exc)
                 break
             if step is None:
-                finish(live[:], StopCause.EOS)
+                finish(live[:], text, StopCause.EOS)
                 break
             # A well-behaved source never over-delivers; clamp so replayed
             # traces cannot push past the hard cap.
@@ -260,7 +264,7 @@ def run_episodes(
                 cut = len(text) - len(step.chunk_text) - len(mark) + 1
                 marker = update_marker(marker, text[max(0, cut):], tokens_used, mark)
             if step.eos:
-                finish(live[:], StopCause.EOS)
+                finish(live[:], text, StopCause.EOS)
                 break
             if not groups:
                 continue
@@ -272,10 +276,11 @@ def run_episodes(
                         cfg = cfgs[i]
                         kind, reason, stop = _DECISIONS[decide(
                             tokens_used, cfg.budget - tokens_used, readout.entropy, conf,
-                            marker, cfg.policy)]
+                            marker, cfg.policy)._name_]
                         actions[i].append((kind, reason, tokens_used))
                         if stop is not None:
-                            finish([i], stop)
+                            finish([i], text, stop)
             except (BithaltError, OSError) as exc:
-                finish([i for _, cells in groups for i in cells if i in live], StopCause.EOS, exc)
+                finish([i for _, cells in groups for i in cells if i in live], text,
+                       StopCause.EOS, exc)
     return records

@@ -40,6 +40,7 @@ def wilson_interval(successes: int, n: int) -> Tuple[float, float]:
 
 @dataclass(frozen=True)
 class RunSummary:
+    """One (model, method, budget) group's counts, rates and token mean: a summary row."""
     method: str
     budget: int
     n: int

@@ -67,6 +67,7 @@ class MarkerState:
 
 @dataclass(frozen=True)
 class PolicyConfig:
+    """The halting rule's thresholds, floor, buffer, bit width and answer marker."""
     theta_h: float = 2.0
     theta_c: float = 0.75
     theta_e: float = 4.0

@@ -21,6 +21,7 @@ from .trace_io import decode, from_fields, parse_fields
 
 @dataclass(frozen=True)
 class Segment:
+    """A run of tokens that share one entropy, chunk text and hidden rotation."""
     length: int
     entropy: float
     text_template: str
@@ -39,6 +40,7 @@ class Segment:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A scripted example: its segments, answers, and where the marker and EOS land."""
     scenario_id: str
     segments: Tuple[Segment, ...]
     gold_answer: float

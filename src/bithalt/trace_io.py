@@ -48,9 +48,14 @@ from .signals import StepSignals
 TRACE_SCHEMA = "trace/v2"
 RECORD_SCHEMA = "records/v1"
 
+# json.dumps's settings less its check for circular references, which cost a dict
+# entry per container and which records, of strings, numbers and tuples, cannot fail.
+_encode = json.JSONEncoder(check_circular=False).encode
+
 
 @dataclass(frozen=True)
 class TraceMeta:
+    """A trace's header: the example, its gold answer, and the model and bits serving it."""
     example_id: str
     gold_answer: float
     model: str = ""
@@ -267,9 +272,9 @@ def write_records(records: List[EpisodeRecord], path, metadata: Optional[dict] =
     header = {"schema": RECORD_SCHEMA}
     if metadata:
         header.update(metadata)
-    lines = [json.dumps(header)]
-    # Shallow on purpose: asdict would deep-copy every actions tuple.
-    lines.extend(json.dumps({f.name: getattr(r, f.name) for f in fields(r)}) for r in records)
+    lines = [_encode(header)]
+    # A record's __dict__ holds its fields in order (asdict would deep-copy each actions tuple).
+    lines.extend(map(_encode, map(vars, records)))
     write_text(path, "\n".join(lines) + "\n")
 
 

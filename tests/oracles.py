@@ -1,19 +1,19 @@
 """Independent brute-force oracles used by the test suite.
 
-The policy oracle re-reads the halting rule case by case, the hidden
-stability oracle recomputes the cosine mean over a whole history, and the
-episode oracle re-runs one cell's loop from its documented rules. The policy
-and stability oracles share no code with the implementation under test. The
-episode oracle reuses four pieces of it that have their own tests:
-calibrate.confidence (test_calibrator), extract_answer and answers_match
-(test_engine), and the EpisodeRecord it fills in. A fault in those pieces
-would show in the oracle too, so it tests the loop, not them.
+The policy oracle re-reads the halting rule case by case, the confidence
+oracle recomputes the calibrator's formula term by term, the hidden stability
+oracle recomputes the cosine mean over a whole history, and the episode oracle
+re-runs one cell's loop from its documented rules. The policy, confidence and
+stability oracles share no code with the implementation under test. The
+episode oracle reuses three pieces of it that have their own tests:
+extract_answer and answers_match (test_engine), and the EpisodeRecord it fills
+in. A fault in those pieces would show in the oracle too, so it tests the loop,
+not them.
 """
 
 import math
 from numbers import Real
 
-from bithalt.calibrate import confidence
 from bithalt.engine import EpisodeRecord, answers_match, extract_answer
 from bithalt.errors import InvalidInputError
 from bithalt.signals import SignalReadout
@@ -26,6 +26,38 @@ def oracle_tail(bits):
         return 16
     else:
         return 0
+
+
+def oracle_bit_scale(bits):
+    if bits <= 4:
+        return 0.85
+    elif bits <= 8:
+        return 1.00
+    else:
+        return 1.05
+
+
+def clip(x):
+    return min(max(x, 0.0), 1.0)
+
+
+def oracle_confidence(readout, cfg):
+    """The confidence of one readout, in the order the calibrator documents.
+
+    u is the entropy over h_max, clipped to [0, 1]; an entropy that is not
+    finite is an InvalidInputError. The weighted mix of 1 - u and the two
+    clipped stability proxies is divided by the sum of the weights, scaled by
+    the bit width's scale and clipped, then raised to 1 / temperature and
+    clipped again.
+    """
+    if not math.isfinite(readout.entropy):
+        raise InvalidInputError("entropy must be finite")
+    u = clip(readout.entropy / cfg.h_max)
+    weighted = (cfg.w_entropy * (1.0 - u) + cfg.w_trace * clip(readout.trace_stability)
+                + cfg.w_hidden * clip(readout.hidden_stability))
+    c_raw = weighted / (cfg.w_entropy + cfg.w_trace + cfg.w_hidden)
+    c = clip(c_raw * oracle_bit_scale(cfg.effective_bits))
+    return clip(c ** (1.0 / cfg.temperature))
 
 
 def oracle_decide(t, remaining, h, c, t_star, theta_h, theta_c, theta_e,
@@ -132,8 +164,8 @@ def oracle_episode(source, cfg, gold, example_id):
         pairs = [(a, b) for a, b in zip(chunks, chunks[1:]) if min(len(a), len(b)) >= 8]
         trace = 1.0 if len(pairs) < 2 else sum(a == b for a, b in pairs) / len(pairs)
         raw = oracle_hidden_stability(hiddens)
-        conf = confidence(SignalReadout(step.entropy, trace, min(max(raw, 0.0), 1.0), raw),
-                          cfg.calibrator)
+        conf = oracle_confidence(SignalReadout(step.entropy, trace, clip(raw), raw),
+                                 cfg.calibrator)
         action, reason = oracle_decide(used, cfg.budget - used, step.entropy, conf, t_star,
                                        p.theta_h, p.theta_c, p.theta_e, p.floor_tokens,
                                        p.budget_buffer, p.effective_bits)

@@ -13,6 +13,7 @@ from bithalt.calibrate import (
 )
 from bithalt.errors import ConfigError, InvalidInputError
 from bithalt.signals import SignalReadout
+from oracles import oracle_confidence
 
 
 def readout(h, tr, hid):
@@ -153,3 +154,30 @@ class TestConfidence:
             )
             r = readout(float(rng.random() * 20), float(rng.random()), float(rng.random()))
             assert 0.0 <= confidence(r, cfg) <= 1.0
+
+
+# Readout values inside and outside [0, 1], with both signed zeros and the clip bounds.
+SIGNAL = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                   st.floats(min_value=-2.0, max_value=2.0),
+                   st.floats(allow_nan=False, allow_infinity=False))
+POSITIVE = st.floats(min_value=0.0, max_value=1e6, exclude_min=True)
+
+
+class TestConfidenceOracle:
+    """confidence equals oracle_confidence bit for bit: a rewrite that reorders the
+    arithmetic can move a value across a threshold, which approx would not see."""
+
+    @given(SIGNAL, SIGNAL, SIGNAL, POSITIVE,
+           st.tuples(*[st.floats(min_value=0.0, max_value=1e6)] * 3), POSITIVE,
+           st.integers(min_value=1, max_value=32))
+    def test_bit_exact(self, h, tr, hid, h_max, weights, temperature, bits):
+        assume(sum(weights) > 0)
+        cfg = CalibratorConfig(h_max, *weights, temperature, bits)
+        r = readout(h, tr, hid)
+        assert confidence(r, cfg).hex() == oracle_confidence(r, cfg).hex()
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entropy_is_the_same_error(self, h):
+        for fn in (confidence, oracle_confidence):
+            with pytest.raises(InvalidInputError, match="^entropy must be finite$"):
+                fn(readout(h, 0.5, 0.5), CalibratorConfig())

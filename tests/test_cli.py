@@ -801,6 +801,55 @@ class TestNumpyImport:
             f" '--out', {str(tmp_path / 'out')!r}]) == 0")
 
 
+class TestImportFootprint:
+    """Each command imports only the layers it runs: bithalt.simulate for simulate and
+    sweep, bithalt.metrics and decimal for report and sweep, and logging only when an
+    episode errors."""
+
+    LAYERS = ("bithalt.simulate", "bithalt.metrics", "decimal", "logging")
+
+    def _loaded(self, code):
+        """The LAYERS that running ``code`` in a fresh interpreter imports."""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys\nbefore = set(sys.modules)\n" + code +
+             f"\nprint(*(m for m in {self.LAYERS!r} if m in set(sys.modules) - before))"],
+            env=env, capture_output=True, text=True, check=True)
+        return set(done.stdout.splitlines()[-1].split())
+
+    def _main(self, *argv):
+        return f"from bithalt.cli import main\nassert main({[str(a) for a in argv]!r}) == 0"
+
+    def test_simulate_runs_neither_metrics_nor_logging(self, tmp_path):
+        assert self._loaded(self._main("simulate", "--bits", "4", "--out", tmp_path)) == {
+            "bithalt.simulate"}
+
+    def test_replay_runs_neither_simulate_nor_metrics_nor_logging(self, tmp_path):
+        traces = write_scenario_traces(tmp_path / "traces", scenario_suite_canonical())
+        assert self._loaded(self._main("replay", "--traces", traces,
+                                       "--out", tmp_path / "out")) == set()
+
+    def test_report_runs_neither_simulate_nor_logging(self, tmp_path):
+        assert self._loaded(self._main("report", "--records", GOLDEN_RECORDS,
+                                       "--out", tmp_path)) == {"bithalt.metrics", "decimal"}
+
+    def test_sweep_as_main_reproduces_the_golden_records_and_report(self, tmp_path):
+        # python -m bithalt.cli runs the module as __main__, not as bithalt.cli.
+        out = tmp_path / "sweep"
+        assert self._loaded(
+            "import runpy\n"
+            f"sys.argv = ['bithalt', 'sweep', '--bits', '4', '--out', {str(out)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('bithalt.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n") == {
+                "bithalt.simulate", "bithalt.metrics", "decimal"}
+        for path in sorted(GOLDEN_RECORDS.glob("records_*.jsonl")):
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+        assert (out / "summary.csv").read_bytes() == (
+            GOLDEN_REPORT / "summary.csv").read_bytes()
+
+
 class TestDeterminism:
     def test_simulate_twice_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -377,3 +378,25 @@ class TestMarkerWindow:
         assert rec.first_marker_tokens == 151 * 4
         assert len(scanned) == 151
         assert max(scanned) <= len(chunk.format(0)) + len("####") - 1
+
+
+class TestFlatStepCost:
+    """A step costs the same at any step index: appending a chunk to the text does
+    not copy the text generated so far."""
+
+    @staticmethod
+    def seconds_per_step(steps):
+        scenario = Scenario("long", (Segment(steps, 3.0, "thinking step {i}. "),), 1.0, 1.0)
+        cfg = engine_cfg("fixed", budget=steps, chunk_size=1)
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            rec = run_episode(ScenarioSource(scenario), cfg, 1.0, "long")
+            best = min(best, time.perf_counter() - start)
+        assert rec.steps == steps
+        return best / steps
+
+    def test_per_step_time_at_64000_steps_is_under_three_times_that_at_4000(self):
+        # A copy of the whole text per step makes the ratio grow with the step count
+        # (about 9 at these counts); a flat step cost keeps it near 1.
+        assert self.seconds_per_step(64_000) < 3 * self.seconds_per_step(4_000)

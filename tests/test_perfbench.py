@@ -2,6 +2,8 @@
 
 import importlib
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +31,23 @@ def test_tracer_targets_resolve():
             assert holder is not None and name in vars(holder), span
         else:
             assert hasattr(holder, name), span
+
+
+def test_tracer_sees_every_layer_the_commands_call(tmp_path):
+    # A name that resolves is not enough: a command that called around the wrapper,
+    # say through a name bound before the tracer set it, would read zero calls.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    calls = {}
+    for i, argv in enumerate((["simulate", "--bits", "4", "--scenarios", "scenarios"],
+                              ["report"])):
+        spans = tmp_path / f"spans-{i}.json"
+        subprocess.run([sys.executable, "perfbench/tracer.py", str(spans), "--", *argv,
+                        "--out", str(tmp_path / "out")],
+                       cwd=ROOT, env=env, capture_output=True, check=True, timeout=300)
+        for name, row in json.loads(spans.read_text())["totals"].items():
+            calls[name] = calls.get(name, 0) + row[0]
+    for name in ("simulate.load_scenario_dir", "simulate.next_chunk",
+                 "trace_io.write_records", "trace_io.read_records", "metrics.summarize_all",
+                 "metrics.emit_summary_table", "calibrate.confidence", "policy.decide",
+                 "policy.update_marker"):
+        assert calls.get(name, 0) > 0, name

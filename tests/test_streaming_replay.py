@@ -89,7 +89,7 @@ def test_a_bad_body_mid_run_skips_that_trace_in_every_cell(tmp_path, monkeypatch
     for path in record_files:
         assert [r.example_id for r in read_records(path)[1]] == ["t0", "t2"]
     assert (out / "run_meta.json").exists()
-    assert all(" n=2 " in line for line in captured.out.splitlines())
+    assert captured.out == ""  # only report prints, and replay does not run it
 
 
 def test_every_trace_failing_writes_nothing_and_exits_2(tmp_path, capsys):
