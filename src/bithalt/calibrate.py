@@ -10,23 +10,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, InvalidInputError, require_finite
-from .policy import _TIER_OF_BITS, PRECISION_TIERS, precision_tier
+from .policy import _TIER_OF_BITS, PRECISION_TIERS
 from .signals import SignalReadout
-
-
-def bit_scale(bits: int) -> float:
-    """Multiplicative confidence scale keyed to nominal weight precision: the
-    scale column of policy.PRECISION_TIERS (conservative at few bits)."""
-    return precision_tier(bits)[1]
-
-
-def normalized_uncertainty(entropy: float, h_max: float) -> float:
-    """clip(entropy / h_max, 0, 1)."""
-    if not math.isfinite(entropy):
-        raise InvalidInputError("entropy must be finite")
-    if h_max <= 0:
-        raise ConfigError(f"h_max must be > 0, got {h_max}")
-    return min(max(entropy / h_max, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -60,14 +45,14 @@ def confidence(readout: SignalReadout, cfg: CalibratorConfig) -> float:
         u = clip(entropy / h_max), an entropy that is not finite an InvalidInputError
         c_raw = (w_entropy * (1 - u) + w_trace * clip(trace_stability)
                  + w_hidden * clip(hidden_stability)) / (w_entropy + w_trace + w_hidden)
-        c = clip(c_raw * bit_scale(effective_bits))
+        c = clip(c_raw * scale), scale the policy.PRECISION_TIERS column for effective_bits
         return clip(c ** (1 / temperature))
 
     where clip(x) is min(max(x, 0.0), 1.0). Monotone: non-increasing in entropy,
     non-decreasing in each stability proxy. Output always lies in [0, 1].
     """
     # Run per step and calibrator: each clip is spelt out as min(max(...)) evaluates it (the
-    # first argument wins a tie, NaN passes), and the scale is read as bit_scale reads it.
+    # first argument wins a tie, NaN passes), and the scale is read from policy.PRECISION_TIERS.
     u = readout.entropy
     if not math.isfinite(u):
         raise InvalidInputError("entropy must be finite")

@@ -9,7 +9,8 @@ reads every header first; a body that fails to parse is reported when its turn
 comes and skipped in every cell. Both write only files; sweep runs either one,
 then report, which prints the summary.csv it writes. A replayed trace runs at
 the bit width in its header unless bits is set by a flag or the config file; if
-it is not, run_meta.json reads "bits": null.
+it is not, run_meta.json reads "bits": null. report reads records through
+trace_io and scores them in metrics: it loads no engine, calibrate or policy.
 
 Config resolution is layered: built-in defaults <- the command's own defaults
 <- optional JSON config file (--config) <- explicit command-line flags, highest
@@ -32,22 +33,20 @@ import dataclasses
 import importlib
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .calibrate import CalibratorConfig
-# run_episode stays importable here: perfbench/tracer.py wraps it (test_tracer_targets_resolve).
-from .engine import EngineConfig, Method, TokenSource, run_episode, run_episodes  # noqa: F401
 from .errors import BithaltError, ConfigError, EmptyRunError, TraceParseError
-from .policy import PolicyConfig
-from .trace_io import (ReplaySource, _coerce, decode, read_records, read_trace,
+from .trace_io import (Method, ReplaySource, _coerce, decode, read_records, read_trace,
                        read_trace_meta, write_records, write_text)
 
 # Layers that one command runs, imported when it runs, so a process compiles only what it
 # runs. A command binds their names as globals, keeping any set already (perfbench/tracer.py
 # wraps them there); read earlier as attributes, one loads its layer (PEP 562).
-_LAZY = {".simulate": ("ScenarioSource", "load_scenario_dir", "scenario_suite_canonical"),
+_LAZY = {".engine": ("EngineConfig", "CalibratorConfig", "PolicyConfig", "TokenSource",
+                     "run_episode", "run_episodes"),
+         ".simulate": ("ScenarioSource", "load_scenario_dir", "scenario_suite_canonical"),
          ".metrics": ("emit_summary_table", "format_summary_rows", "summarize_all")}
 
 
@@ -58,6 +57,9 @@ def _load(layer: str) -> None:
 
 
 def __getattr__(name: str):
+    if name in ("CONFIG_FIELDS", "DEFAULTS"):
+        _bind_run_tables()
+        return globals()[name]
     for layer, names in _LAZY.items():
         if name in names:
             _load(layer)
@@ -67,36 +69,35 @@ def __getattr__(name: str):
 
 VALID_METHODS = tuple(m.value for m in Method)
 
-# CLI/config key -> (config dataclass, field, help text). Each key's default and
-# flag type come from the dataclass field, so every default is stated once.
-CONFIG_FIELDS = {
-    "bits": (EngineConfig, "served_bits", "served weight precision b in bits"),
-    "chunk_size": (EngineConfig, "chunk_size", "tokens per controller step k"),
-    "h_max": (CalibratorConfig, "h_max", "entropy normalization ceiling"),
-    "w_entropy": (CalibratorConfig, "w_entropy", "entropy signal weight"),
-    "w_trace": (CalibratorConfig, "w_trace", "trace-stability signal weight"),
-    "w_hidden": (CalibratorConfig, "w_hidden", "hidden-stability signal weight"),
-    "temperature": (CalibratorConfig, "temperature", "confidence temperature gamma"),
-    "theta_h": (PolicyConfig, "theta_h", "entropy-stop threshold"),
-    "theta_c": (PolicyConfig, "theta_c", "confidence-stop threshold"),
-    "theta_e": (PolicyConfig, "theta_e", "entropy-escalate threshold"),
-    "floor": (PolicyConfig, "floor_tokens", "min tokens before halting m"),
-    "buffer": (PolicyConfig, "budget_buffer", "min remaining budget to continue"),
-    "marker": (PolicyConfig, "marker", "answer delimiter"),
-}
 
-
-# Dataclass field -> the CLI/config key that sets it, for error messages.
-_KEY_OF_FIELD = {"budget": "budgets",
-                 **{name: key for key, (_, name, _) in CONFIG_FIELDS.items()}}
-
-
-DEFAULTS = {
-    "methods": ",".join(VALID_METHODS),
-    "budgets": "512",
-    **{key: next(f.default for f in dataclasses.fields(cls) if f.name == name)
-       for key, (cls, name, _) in CONFIG_FIELDS.items()},
-}
+@cache
+def _bind_run_tables() -> None:
+    """Bind the config tables, loading the engine layer they read: only run commands do."""
+    global CONFIG_FIELDS, DEFAULTS
+    _load(".engine")
+    # CLI/config key -> (config dataclass, field, help text). Each key's default and
+    # flag type come from the dataclass field, so every default is stated once.
+    CONFIG_FIELDS = {
+        "bits": (EngineConfig, "served_bits", "served weight precision b in bits"),
+        "chunk_size": (EngineConfig, "chunk_size", "tokens per controller step k"),
+        "h_max": (CalibratorConfig, "h_max", "entropy normalization ceiling"),
+        "w_entropy": (CalibratorConfig, "w_entropy", "entropy signal weight"),
+        "w_trace": (CalibratorConfig, "w_trace", "trace-stability signal weight"),
+        "w_hidden": (CalibratorConfig, "w_hidden", "hidden-stability signal weight"),
+        "temperature": (CalibratorConfig, "temperature", "confidence temperature gamma"),
+        "theta_h": (PolicyConfig, "theta_h", "entropy-stop threshold"),
+        "theta_c": (PolicyConfig, "theta_c", "confidence-stop threshold"),
+        "theta_e": (PolicyConfig, "theta_e", "entropy-escalate threshold"),
+        "floor": (PolicyConfig, "floor_tokens", "min tokens before halting m"),
+        "buffer": (PolicyConfig, "budget_buffer", "min remaining budget to continue"),
+        "marker": (PolicyConfig, "marker", "answer delimiter"),
+    }
+    DEFAULTS = {
+        "methods": ",".join(VALID_METHODS),
+        "budgets": "512",
+        **{key: next(f.default for f in dataclasses.fields(cls) if f.name == name)
+           for key, (cls, name, _) in CONFIG_FIELDS.items()},
+    }
 
 
 class UsageError(ConfigError):
@@ -109,6 +110,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: _Parser) -> None:
+    _bind_run_tables()
     p.add_argument("--config", metavar="PATH", help="JSON config file layered under flags")
     p.add_argument("--methods", metavar="LIST",
                    help=f"comma-separated controller methods (default: {DEFAULTS['methods']})")
@@ -121,7 +123,8 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--out", metavar="DIR", required=True, help="output directory")
 
 
-def build_parser() -> _Parser:
+def build_parser(command: Optional[str] = None) -> _Parser:
+    """Every command's parser; given one command, only that one takes the run options."""
     parser = _Parser(prog="bithalt", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -129,11 +132,9 @@ def build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="run scripted scenarios through the controller")
     p_sim.add_argument("--scenarios", metavar="DIR",
                        help="scenario JSON directory (default: built-in suite)")
-    _add_common(p_sim)
 
     p_rep = sub.add_parser("replay", help="replay recorded traces under requested controllers")
     p_rep.add_argument("--traces", metavar="DIR", required=True, help="trace JSONL directory")
-    _add_common(p_rep)
 
     p_rpt = sub.add_parser("report", help="aggregate record files into summary.csv")
     p_rpt.add_argument("--records", metavar="DIR",
@@ -145,8 +146,9 @@ def build_parser() -> _Parser:
     source.add_argument("--scenarios", metavar="DIR",
                         help="scenario JSON directory (default: built-in suite)")
     source.add_argument("--traces", metavar="DIR", help="replay this trace directory instead")
-    _add_common(p_swp)
-
+    for name in ("simulate", "replay", "sweep"):
+        if command in (None, name):
+            _add_common(sub.choices[name])
     return parser
 
 
@@ -176,6 +178,7 @@ def _parse(key: str, value, flag: bool):
 
 def resolve_config(args: argparse.Namespace, **command_defaults) -> dict:
     """Built-in defaults <- command defaults <- config file <- flags; None is unset."""
+    _bind_run_tables()
     cfg = {**DEFAULTS, **command_defaults}
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
     flags = {key: getattr(args, key, None) for key in DEFAULTS}
@@ -213,10 +216,11 @@ def build_engine_config(cfg: dict, method: str, budget: int, served_bits: int) -
             policy=PolicyConfig(**kwargs[PolicyConfig]),
             **kwargs[EngineConfig],
         )
-    except ConfigError as exc:
-        if exc.field not in _KEY_OF_FIELD:
+    except ConfigError as exc:  # named by the CLI/config key that sets the field
+        keys = {"budget": "budgets", **{name: k for k, (_, name, _) in CONFIG_FIELDS.items()}}
+        if exc.field not in keys:
             raise
-        raise UsageError(f"{_KEY_OF_FIELD[exc.field]} {exc.requirement}") from None
+        raise UsageError(f"{keys[exc.field]} {exc.requirement}") from None
 
 
 class Example(NamedTuple):
@@ -311,10 +315,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     record_files = sorted(records_dir.glob("records_*.jsonl"))
     if not record_files:
         raise EmptyRunError(f"no record files under {records_dir}")
-    records = []
-    for path in record_files:
-        _, recs = read_records(path)
-        records.extend(recs)
+    records = [record for path in record_files for record in read_records(path)[1]]
     if not records:
         raise EmptyRunError(f"record files under {records_dir} hold no records")
     summaries = summarize_all(records)
@@ -338,7 +339,8 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:  # includes UsageError
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from copy import copy
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import List, Optional, Protocol, Sequence, Tuple
 
 from .calibrate import CalibratorConfig, confidence
@@ -28,21 +27,7 @@ from .policy import (
     update_marker,
 )
 from .signals import RunningSignals, StepSignals
-
-
-class Method(str, Enum):
-    FIXED = "fixed"
-    ADAPTIVE = "adaptive"
-    BITCAL = "bitcal"
-
-
-class StopCause(str, Enum):
-    EOS = "eos"
-    BUDGET_EXHAUSTED = "budget_exhausted"
-    BUFFER_STOP = "buffer_stop"
-    CONFIDENT_STOP = "confident_stop"
-    ESCALATE = "escalate"
-    TAIL_STOP = "tail_stop"
+from .trace_io import EpisodeRecord, Method, StopCause
 
 
 # Each decision's recorded action and reason, and the stop it makes (None for a
@@ -94,26 +79,6 @@ class EngineConfig:
             bits = 16 if self.method is Method.ADAPTIVE else self.served_bits
         object.__setattr__(self, "calibrator", replace(self.calibrator, effective_bits=bits))
         object.__setattr__(self, "policy", replace(self.policy, effective_bits=bits))
-
-
-@dataclass(frozen=True)
-class EpisodeRecord:
-    """One scored episode; a record file holds one per line, fields in this order."""
-    example_id: str
-    method: str
-    budget: int
-    tokens_used: int
-    steps: int
-    actions: Tuple[Tuple[str, str, int], ...]  # (action, reason, cumulative tokens)
-    stop_cause: str
-    first_marker_tokens: Optional[int]
-    generated_text: str
-    predicted_answer: Optional[float]
-    gold_answer: float
-    correct: bool
-    early_halt: bool
-    model: str = ""
-    error: Optional[str] = None
 
 
 _NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)")

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .engine import EpisodeRecord, Method
 from .errors import EmptyRunError, GroupingError
-from .trace_io import write_text
+from .trace_io import EpisodeRecord, Method, write_text
 
 # Standard normal quantile at 97.5%; below printed precision vs plain 1.96.
 Z95 = 1.959964
@@ -141,13 +140,18 @@ SUMMARY_COLUMNS = (
 )
 
 
+def _quoted(text: str) -> str:
+    """A model name as an RFC 4180 field: quoted, quotes doubled, if it holds , " or a newline."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def format_summary_rows(summaries: Sequence[RunSummary]) -> List[str]:
     """The header and one row per summary, in the given (``summarize_all``) order."""
     rows = [SUMMARY_COLUMNS]
     for s in summaries:
         rows.append(",".join([s.method, str(s.budget), str(s.n), _pct(s.accuracy),
                               _pct(s.ci_low), _pct(s.ci_high), _toks(s.avg_tokens),
-                              _pct(s.premature_stop_pct), _pct(s.savings_pct), s.model]))
+                              _pct(s.premature_stop_pct), _pct(s.savings_pct), _quoted(s.model)]))
     return rows
 
 

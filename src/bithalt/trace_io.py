@@ -1,4 +1,4 @@
-"""Line-delimited trace and episode-record files.
+"""Line-delimited trace and episode-record files, and the record types they hold.
 
 Both formats are JSONL with a schema-versioned header line followed by one
 object per line. Scalars are serialized as decimal text via ``repr`` (full
@@ -19,7 +19,8 @@ Files are read one line at a time, split at "\n" only (U+2028, U+2029 and
 U+0085 may stand unescaped inside a JSON string); ``decode`` makes each line,
 or a scenario or config file, one JSON object or a parse error naming it.
 
-Record file (schema ``records/v1``):
+Record file (schema ``records/v1``), of the types EpisodeRecord, Method and
+StopCause, defined here so that ``report`` loads no controller module:
   header: {"schema", ...free-form run metadata (no timestamps)}
   record: EpisodeRecord fields in fixed order.
 
@@ -38,10 +39,10 @@ import os
 import sys
 from array import array
 from dataclasses import MISSING, dataclass, fields
+from enum import Enum
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
-from .engine import EpisodeRecord, Method, StopCause
 from .errors import TraceParseError, UnsupportedSchemaError, require_finite
 from .signals import StepSignals
 
@@ -259,6 +260,41 @@ def write_trace(meta: TraceMeta, steps: List[StepSignals], path) -> None:
             obj["eos"] = True
         lines.append(json.dumps(obj))
     write_text(path, "\n".join(lines) + "\n")
+
+
+class Method(str, Enum):
+    FIXED = "fixed"
+    ADAPTIVE = "adaptive"
+    BITCAL = "bitcal"
+
+
+class StopCause(str, Enum):
+    EOS = "eos"
+    BUDGET_EXHAUSTED = "budget_exhausted"
+    BUFFER_STOP = "buffer_stop"
+    CONFIDENT_STOP = "confident_stop"
+    ESCALATE = "escalate"
+    TAIL_STOP = "tail_stop"
+
+
+@dataclass(frozen=True)
+class EpisodeRecord:
+    """One scored episode; a record file holds one per line, fields in this order."""
+    example_id: str
+    method: str
+    budget: int
+    tokens_used: int
+    steps: int
+    actions: Tuple[Tuple[str, str, int], ...]  # (action, reason, cumulative tokens)
+    stop_cause: str
+    first_marker_tokens: Optional[int]
+    generated_text: str
+    predicted_answer: Optional[float]
+    gold_answer: float
+    correct: bool
+    early_halt: bool
+    model: str = ""
+    error: Optional[str] = None
 
 
 def _actions(value) -> Tuple[Tuple[str, str, int], ...]:

@@ -2,15 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from bithalt.calibrate import (
-    CalibratorConfig,
-    bit_scale,
-    confidence,
-    normalized_uncertainty,
-)
+from bithalt.calibrate import CalibratorConfig, confidence
 from bithalt.errors import ConfigError, InvalidInputError
 from bithalt.signals import SignalReadout
 from oracles import oracle_confidence
@@ -19,38 +14,6 @@ from oracles import oracle_confidence
 def readout(h, tr, hid):
     return SignalReadout(entropy=h, trace_stability=tr, hidden_stability=hid,
                          hidden_stability_raw=hid)
-
-
-class TestBitScale:
-    @pytest.mark.parametrize("bits,expected", [
-        (1, 0.85), (4, 0.85), (5, 1.00), (8, 1.00), (9, 1.05), (16, 1.05),
-    ])
-    def test_bands(self, bits, expected):
-        assert bit_scale(bits) == expected
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ConfigError):
-            bit_scale(0)
-
-
-class TestNormalizedUncertainty:
-    def test_zero(self):
-        assert normalized_uncertainty(0.0, 10.0) == 0.0
-
-    def test_boundary(self):
-        assert normalized_uncertainty(10.0, 10.0) == 1.0
-
-    def test_clip_engages_above_h_max(self):
-        # ln of a ~152k vocabulary exceeds the default ceiling.
-        assert normalized_uncertainty(11.9, 10.0) == 1.0
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(InvalidInputError):
-            normalized_uncertainty(float("inf"), 10.0)
-
-    def test_nonpositive_ceiling_rejected(self):
-        with pytest.raises(ConfigError, match=r"h_max must be > 0, got 0\.0"):
-            normalized_uncertainty(1.0, 0.0)
 
 
 class TestCalibratorConfig:
@@ -170,6 +133,13 @@ class TestConfidenceOracle:
     @given(SIGNAL, SIGNAL, SIGNAL, POSITIVE,
            st.tuples(*[st.floats(min_value=0.0, max_value=1e6)] * 3), POSITIVE,
            st.integers(min_value=1, max_value=32))
+    # Each precision tier's edges, at a mix the clip leaves apart under all three scales.
+    @example(5.0, 0.5, 0.5, 10.0, (0.40, 0.35, 0.25), 1.0, 1)
+    @example(5.0, 0.5, 0.5, 10.0, (0.40, 0.35, 0.25), 1.0, 4)
+    @example(5.0, 0.5, 0.5, 10.0, (0.40, 0.35, 0.25), 1.0, 5)
+    @example(5.0, 0.5, 0.5, 10.0, (0.40, 0.35, 0.25), 1.0, 8)
+    @example(5.0, 0.5, 0.5, 10.0, (0.40, 0.35, 0.25), 1.0, 9)
+    @example(5.0, 0.5, 0.5, 10.0, (0.40, 0.35, 0.25), 1.0, 16)
     def test_bit_exact(self, h, tr, hid, h_max, weights, temperature, bits):
         assume(sum(weights) > 0)
         cfg = CalibratorConfig(h_max, *weights, temperature, bits)

@@ -1,3 +1,5 @@
+import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -466,6 +468,23 @@ class TestSweep:
         assert run_cli("sweep", *traces, "--budgets", "256,512", "--out", str(out)) == 0
         assert capsys.readouterr().out == (out / "summary.csv").read_text()
 
+    def test_a_model_name_with_a_comma_quote_or_line_break_stays_one_csv_field(
+            self, tmp_path, capsys):
+        names = ["Qwen2.5-7B, 4-bit", 'the "7B" model', "line\nbreak"]
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        for i, model in enumerate(names):
+            step = StepSignals(chunk_text="#### 42\n", tokens_in_chunk=8, entropy=0.5, eos=True)
+            write_trace(TraceMeta(example_id=f"m{i}", gold_answer=42.0, model=model), [step],
+                        traces / f"m{i}.jsonl")
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--traces", str(traces), "--methods", "fixed",
+                       "--budgets", "256", "--out", str(out)) == 0
+        with open(out / "summary.csv", newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert [len(row) for row in rows] == [10] * (1 + len(names))
+        assert sorted(row[-1] for row in rows[1:]) == sorted(names)
+        assert capsys.readouterr().out == (out / "summary.csv").read_text(encoding="utf-8")
 
     def test_two_scenario_files_with_one_id_are_data_error(self, tmp_path, capsys):
         scenarios = tmp_path / "scenarios"
@@ -528,12 +547,10 @@ class TestConfigLayering:
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit):
             run_cli("simulate", "--help")
-        out = capsys.readouterr().out
-        for key, value in [("--theta-h", "2.0"), ("--floor", "128"),
-                           ("--buffer", "32"), ("--h-max", "10"),
-                           ("--chunk-size", "16"), ("--w-entropy", "0.4")]:
-            assert key in out
-            assert str(value) in out
+        out = " ".join(capsys.readouterr().out.split())  # undo the help's line wrapping
+        for key, (_, _, text) in CONFIG_FIELDS.items():
+            flag = f"--{key.replace('_', '-')} {key.upper()} {text}"
+            assert f"{flag} (default: {DEFAULTS[key]!r})" in out, key
 
     def test_defaults_mirror_published_defaults(self):
         assert DEFAULTS["chunk_size"] == 16
@@ -551,6 +568,27 @@ class TestConfigLayering:
 
     def test_seed_flag_is_usage_error(self, tmp_path):
         assert run_cli("simulate", "--seed", "42", "--out", str(tmp_path / "o")) == 1
+
+
+class TestParserPerCommand:
+    """main builds the parser for the command it runs: the run options, and the config
+    tables their help reads, are added only to that command, so report binds neither."""
+
+    @staticmethod
+    def _options(parser, command):
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return sub.choices[command]
+
+    @pytest.mark.parametrize("command", ["simulate", "replay", "report", "sweep"])
+    def test_a_command_parses_as_in_the_full_parser(self, command):
+        one, full = (self._options(build_parser(c), command) for c in (command, None))
+        assert [a.option_strings for a in one._actions] == [
+            a.option_strings for a in full._actions]
+        assert one.format_help() == full.format_help()
+
+    def test_report_takes_no_run_option(self, tmp_path, capsys):
+        assert run_cli("report", "--bits", "4", "--out", str(tmp_path)) == 1
+        assert "unrecognized arguments: --bits 4" in capsys.readouterr().err
 
 
 # One non-default value per config key, integral ones included for float keys.
@@ -803,17 +841,18 @@ class TestNumpyImport:
 
 class TestImportFootprint:
     """Each command imports only the layers it runs: bithalt.simulate for simulate and
-    sweep, bithalt.metrics and decimal for report and sweep, and logging only when an
-    episode errors."""
+    sweep, bithalt.metrics and decimal for report and sweep, logging only when an
+    episode errors, and the controller (engine, policy, calibrate) never for report."""
 
     LAYERS = ("bithalt.simulate", "bithalt.metrics", "decimal", "logging")
+    CONTROLLER = ("bithalt.engine", "bithalt.policy", "bithalt.calibrate")
 
-    def _loaded(self, code):
-        """The LAYERS that running ``code`` in a fresh interpreter imports."""
+    def _loaded(self, code, layers=LAYERS):
+        """The ``layers`` that running ``code`` in a fresh interpreter imports."""
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         done = subprocess.run(
             [sys.executable, "-c", "import sys\nbefore = set(sys.modules)\n" + code +
-             f"\nprint(*(m for m in {self.LAYERS!r} if m in set(sys.modules) - before))"],
+             f"\nprint(*(m for m in {layers!r} if m in set(sys.modules) - before))"],
             env=env, capture_output=True, text=True, check=True)
         return set(done.stdout.splitlines()[-1].split())
 
@@ -832,6 +871,14 @@ class TestImportFootprint:
     def test_report_runs_neither_simulate_nor_logging(self, tmp_path):
         assert self._loaded(self._main("report", "--records", GOLDEN_RECORDS,
                                        "--out", tmp_path)) == {"bithalt.metrics", "decimal"}
+
+    def test_report_loads_no_controller_module(self, tmp_path):
+        # The record types live in trace_io, beside their file format.
+        assert self._loaded(self._main("report", "--records", GOLDEN_RECORDS,
+                                       "--out", tmp_path), self.CONTROLLER) == set()
+
+    def test_metrics_loads_no_engine(self):
+        assert self._loaded("import bithalt.metrics", ("bithalt.engine",)) == set()
 
     def test_sweep_as_main_reproduces_the_golden_records_and_report(self, tmp_path):
         # python -m bithalt.cli runs the module as __main__, not as bithalt.cli.
