@@ -16,6 +16,27 @@ def readout(h, tr, hid):
                          hidden_stability_raw=hid)
 
 
+class TestBitScale:
+    """The precision tier's scale, as confidence applies it: entropy alone at half the
+    ceiling gives a mix of exactly 0.5, so the result is half the scale."""
+
+    @pytest.mark.parametrize("bits,expected", [
+        (1, 0.85), (4, 0.85), (5, 1.00), (8, 1.00), (9, 1.05), (16, 1.05),
+    ])
+    def test_bands(self, bits, expected):
+        cfg = CalibratorConfig(w_entropy=1.0, w_trace=0.0, w_hidden=0.0, effective_bits=bits)
+        assert confidence(readout(5.0, 0.0, 0.0), cfg) == 0.5 * expected
+
+
+class TestNormalizedUncertainty:
+    def test_clip_engages_above_h_max(self):
+        # ln of a ~152k vocabulary exceeds the default ceiling; unclipped, the
+        # entropy term would pull the mix from 0.6 down to 0.524 (8 bits scale by 1.0).
+        cfg = CalibratorConfig(effective_bits=8)
+        assert confidence(readout(11.9, 1.0, 1.0), cfg) \
+            == confidence(readout(10.0, 1.0, 1.0), cfg) == pytest.approx(0.6)
+
+
 class TestCalibratorConfig:
     @given(
         st.tuples(*[st.floats(min_value=0.0, max_value=1e6)] * 3),
