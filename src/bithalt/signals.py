@@ -88,8 +88,8 @@ def _dot(a: array, b: array) -> float:
 
 
 def _unit_vector(hidden) -> array:
-    """Read ``hidden`` as a flat, finite float64 vector and scale it by
-    1 / (sqrt(fsum(x*x)) + HIDDEN_NORM_EPS)."""
+    """Read ``hidden`` as a flat, finite float64 vector whose fsum(x*x) is finite,
+    and scale it by 1 / (sqrt(fsum(x*x)) + HIDDEN_NORM_EPS)."""
     # An array that says it is not 1-d is refused before it is read: numpy
     # 1.24 iterates an (n, 1) array as n floats.
     if getattr(hidden, "ndim", 1) != 1:
@@ -98,9 +98,15 @@ def _unit_vector(hidden) -> array:
         v = array("d", hidden)
     except TypeError:  # a scalar, or nested sequences
         raise InvalidInputError(_ONE_DIMENSION) from None
-    if not all(map(math.isfinite, v)):
-        raise InvalidInputError("hidden vector contains non-finite entries")
-    norm = math.sqrt(math.fsum(map(mul, v, v))) + HIDDEN_NORM_EPS
+    try:
+        squares = math.fsum(map(mul, v, v))
+    except OverflowError:  # a partial sum past float64 range
+        squares = math.inf
+    if not math.isfinite(squares):  # finite squares mean finite entries: scan only here
+        raise InvalidInputError("hidden vector contains non-finite entries"
+                                if not all(map(math.isfinite, v)) else
+                                "hidden vector's squared norm overflows float64")
+    norm = math.sqrt(squares) + HIDDEN_NORM_EPS
     return array("d", [x / norm for x in v])
 
 

@@ -3,31 +3,33 @@
 Both formats are JSONL with a schema-versioned header line followed by one
 object per line. Scalars are serialized as decimal text via ``repr`` (full
 round-trip precision), never as binary floats. The one exception is a trace
-step's arrays, which are long enough that decimal text dominates replay time.
+step's arrays, raw float64 bytes: any text form of them dominates replay time.
 
-Trace file (schema ``trace/v2``; ``trace/v1`` still reads):
+Trace file (schema ``trace/v3``; ``trace/v1`` and ``trace/v2`` still read):
   header: {"schema", "example_id", "gold_answer", "model", "served_bits",
            "prompt_digest"}
   step:   {"step", "chunk_text", "tokens", "entropy" XOR "probs",
            "hidden"?, "eos"?}
-  ``probs`` and ``hidden`` are base64 strings of little-endian float64 bytes
-  (v1 wrote them as JSON lists of numbers; either form reads). They are read
-  back as ``array('d')`` without numpy, and validated where they are used:
-  ``entropy`` checks a distribution, ``RunningSignals.push`` a hidden vector.
+  In v3, ``probs`` and ``hidden`` are counts (ints >= 0) of the little-endian
+  float64s whose bytes follow the step's line, ``probs`` first. v2 wrote base64
+  strings of those bytes, v1 JSON lists of numbers; either form reads in either.
+  Arrays are read back as ``array('d')`` without numpy, and validated where they
+  are used: ``entropy`` checks a distribution, ``RunningSignals.push`` a hidden vector.
 
 Files are read one line at a time, split at "\n" only (U+2028, U+2029 and
 U+0085 may stand unescaped inside a JSON string); ``decode`` makes each line,
-or a scenario or config file, one JSON object or a parse error naming it.
+or a scenario or config file, one JSON object or a parse error naming it. Line
+numbers count JSON lines only: a v3 step's array bytes are not lines.
 
 Record file (schema ``records/v1``), of the types EpisodeRecord, Method and
-StopCause, defined here so that ``report`` loads no controller module:
+StopCause, defined here so that ``report`` loads no controller or signals module:
   header: {"schema", ...free-form run metadata (no timestamps)}
   record: EpisodeRecord fields in fixed order.
 
 Trace headers and steps, records and scenarios are read by ``from_fields``, which
 follows the dataclass fields (a step's ``tokens`` and ``probs`` keys are mapped in
 ``_FILE_KEYS``) and one value rule, ``_coerce``; ``parse_fields`` reports failures.
-Every output file is written by ``write_text``, atomically.
+Every output file is written by ``write_text``, atomically, as text or bytes.
 """
 
 from __future__ import annotations
@@ -41,12 +43,16 @@ from array import array
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import (TYPE_CHECKING, BinaryIO, Iterator, List, Optional, Tuple, Union, get_args,
+                    get_origin, get_type_hints)
 
 from .errors import TraceParseError, UnsupportedSchemaError, require_finite
-from .signals import StepSignals
 
-TRACE_SCHEMA = "trace/v2"
+if TYPE_CHECKING:  # read_trace imports it as it runs: report loads no signals
+    from .signals import StepSignals
+
+TRACE_SCHEMA = "trace/v3"
+TRACE_SCHEMAS = ("trace/v1", "trace/v2", TRACE_SCHEMA)
 RECORD_SCHEMA = "records/v1"
 
 # json.dumps's settings less its check for circular references, which cost a dict
@@ -85,14 +91,14 @@ class ReplaySource:
 
 
 # Trace step keys that differ from their StepSignals field names.
-_FILE_KEYS = {StepSignals: {"tokens_in_chunk": "tokens", "distribution": "probs"}}
+_FILE_KEYS = {"StepSignals": {"tokens_in_chunk": "tokens", "distribution": "probs"}}
 _KINDS = {str: "a string", bool: "a bool", int: "an integer", float: "a number"}
 
 
 @functools.cache
 def _field_plan(cls) -> Tuple[Tuple[str, str, bool, bool, type], ...]:
     """(name, file key, required, nullable, type) for each field of dataclass ``cls``."""
-    hints = get_type_hints(cls)
+    hints, keys = get_type_hints(cls), _FILE_KEYS.get(cls.__name__, {})
     plan = []
     for f in fields(cls):
         tp = hints[f.name]
@@ -100,7 +106,7 @@ def _field_plan(cls) -> Tuple[Tuple[str, str, bool, bool, type], ...]:
         if nullable:
             tp = next(a for a in get_args(tp) if a is not type(None))
         required = f.default is MISSING and f.default_factory is MISSING
-        plan.append((f.name, _FILE_KEYS.get(cls, {}).get(f.name, f.name), required, nullable, tp))
+        plan.append((f.name, keys.get(f.name, f.name), required, nullable, tp))
     return tuple(plan)
 
 
@@ -164,9 +170,10 @@ def decode(path, data: bytes, line: Optional[int] = None) -> dict:
     return obj
 
 
-def _read_jsonl(path, *schemas: str) -> Iterator[Tuple[int, dict]]:
-    """(line number, object) pairs of a JSONL file, read and parsed one line at
-    a time: the header, checked against ``schemas``, then each non-blank body line."""
+def _read_jsonl(path, *schemas: str) -> Iterator[Tuple[int, dict, BinaryIO]]:
+    """(line number, object, open file) triples of a JSONL file, read and parsed one
+    line at a time: the header, checked against ``schemas``, then each non-blank body
+    line. The caller may read bytes from the file between two lines."""
     if not os.path.getsize(path):
         raise TraceParseError(path, "empty file", line=1)
     with open(path, "rb") as f:  # binary lines end at b"\n" only
@@ -177,12 +184,19 @@ def _read_jsonl(path, *schemas: str) -> Iterator[Tuple[int, dict]]:
             if lineno == 1 and obj.get("schema") not in schemas:
                 raise UnsupportedSchemaError(
                     path, f"unsupported schema {obj.get('schema')!r}", line=1)
-            yield lineno, obj
+            yield lineno, obj, f
+
+
+def _little_endian(values: array) -> array:
+    """``values`` byteswapped in place on a big-endian host: the file's order either way."""
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values
 
 
 def _array(value) -> array:
-    """A trace array as ``array('d')``: from a base64 string of little-endian
-    float64 bytes, or from a JSON list of numbers."""
+    """A v1 or v2 trace array as ``array('d')``: from a base64 string of
+    little-endian float64 bytes, or from a JSON list of numbers."""
     if isinstance(value, str):
         try:
             raw = base64.b64decode(value, validate=True)
@@ -192,35 +206,43 @@ def _array(value) -> array:
             raise ValueError(f"array holds {len(raw)} bytes, not a multiple of 8")
         out = array("d")
         out.frombytes(raw)
-        if sys.byteorder == "big":
-            out.byteswap()
-        return out
+        return _little_endian(out)
     if isinstance(value, list):  # of JSON numbers only, by the one value rule
         return array("d", [x if type(x) is float else _coerce("float64 array element", float, x)
                            for x in value])
     raise TypeError(f"array must be a base64 string or a list, got {type(value).__name__}")
 
 
-def _base64(values) -> str:
-    out = array("d", values)
-    if sys.byteorder == "big":
-        out.byteswap()
-    return base64.b64encode(out.tobytes()).decode("ascii")
+def _raw_array(f: BinaryIO, count) -> array:
+    """A v3 trace array: the ``count`` float64s whose bytes come next in open file
+    ``f``, as ``array('d')``. The count is checked before a byte is read."""
+    if type(count) is not int or count < 0:  # a bool is not a count
+        raise TypeError(f"array must be an element count, got {count!r:.40}")
+    if 8 * count > os.fstat(f.fileno()).st_size - f.tell():
+        raise ValueError(f"array of {count} float64s runs past the end of the file")
+    out = array("d")
+    out.fromfile(f, count)
+    return _little_endian(out)
 
 
 def read_trace_meta(path) -> TraceMeta:
     """A trace's header metadata; only the first line of the file is read."""
-    header = next(_read_jsonl(path, "trace/v1", TRACE_SCHEMA))[1]
+    header = next(_read_jsonl(path, *TRACE_SCHEMAS))[1]
     return parse_fields(path, 1, "header", TraceMeta, header)
 
 
 def read_trace(path) -> Tuple[TraceMeta, List[StepSignals]]:
     """Parse a trace file into its header metadata and ordered steps; wrap the
     steps in a ReplaySource to feed them to the engine."""
-    lines = _read_jsonl(path, "trace/v1", TRACE_SCHEMA)
-    meta = parse_fields(path, 1, "header", TraceMeta, next(lines)[1])
+    from .signals import StepSignals
+
+    lines = _read_jsonl(path, *TRACE_SCHEMAS)
+    _, header, f = next(lines)
+    meta = parse_fields(path, 1, "header", TraceMeta, header)
+    # from_fields converts distribution before hidden: a v3 step's probs bytes come first.
+    arrays = functools.partial(_raw_array, f) if header["schema"] == TRACE_SCHEMA else _array
     steps: List[StepSignals] = []
-    for lineno, obj in lines:
+    for lineno, obj, _ in lines:
         if steps and steps[-1].eos:
             raise TraceParseError(path, "steps follow an eos-flagged step", line=lineno)
         if obj.get("step") != len(steps) or isinstance(obj["step"], bool):
@@ -228,17 +250,17 @@ def read_trace(path) -> Tuple[TraceMeta, List[StepSignals]]:
                                   f"expected {len(steps)}", line=lineno)
         # StepSignals rejects a step with both or neither of entropy and probs.
         steps.append(parse_fields(path, lineno, "step", StepSignals, obj,
-                                  distribution=_array, hidden=_array))
+                                  distribution=arrays, hidden=arrays))
     return meta, steps
 
 
-def write_text(path, text: str) -> None:
-    """Write ``text`` to ``<name>.tmp`` beside ``path``, then rename it into
-    place, so a failed write leaves the old file, or none, and no temp file."""
+def write_text(path, data: Union[str, bytes]) -> None:
+    """Write ``data``, text as UTF-8, to ``<name>.tmp`` beside ``path``, then rename it
+    into place, so a failed write leaves the old file, or none, and no temp file."""
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, target)
     except OSError as exc:
         tmp.unlink(missing_ok=True)
@@ -246,20 +268,21 @@ def write_text(path, text: str) -> None:
 
 
 def write_trace(meta: TraceMeta, steps: List[StepSignals], path) -> None:
+    """A ``trace/v3`` file: each step's line, then its arrays' float64 bytes."""
     header = {"schema": TRACE_SCHEMA, **{f.name: getattr(meta, f.name) for f in fields(meta)}}
-    lines = [json.dumps(header)]
+    out = [json.dumps(header).encode(), b"\n"]
     for i, s in enumerate(steps):
         obj = {"step": i, "chunk_text": s.chunk_text, "tokens": s.tokens_in_chunk}
         if s.entropy is not None:
             obj["entropy"] = s.entropy
-        else:
-            obj["probs"] = _base64(s.distribution)
-        if s.hidden is not None:
-            obj["hidden"] = _base64(s.hidden)
+        arrays = {key: array("d", values) for key, values in
+                  (("probs", s.distribution), ("hidden", s.hidden)) if values is not None}
+        obj.update((key, len(values)) for key, values in arrays.items())
         if s.eos:
             obj["eos"] = True
-        lines.append(json.dumps(obj))
-    write_text(path, "\n".join(lines) + "\n")
+        out += [json.dumps(obj).encode(), b"\n"]
+        out += [_little_endian(values).tobytes() for values in arrays.values()]
+    write_text(path, b"".join(out))
 
 
 class Method(str, Enum):
@@ -319,4 +342,4 @@ def read_records(path) -> Tuple[dict, List[EpisodeRecord]]:
     header = next(lines)[1]
     names = {"method": lambda v: Method(v).value, "stop_cause": lambda v: StopCause(v).value}
     return header, [parse_fields(path, lineno, "record", EpisodeRecord, obj, actions=_actions,
-                                 **names) for lineno, obj in lines]
+                                 **names) for lineno, obj, _ in lines]

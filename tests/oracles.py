@@ -88,7 +88,8 @@ def oracle_hidden_stability(hiddens):
     fewer than two.
 
     Each vector, in order, must be a flat sequence of real numbers, then hold
-    only finite ones, then have the first vector's length. Its unit vector is
+    only finite ones, then have a finite fsum of squares, then have the first
+    vector's length. Its unit vector is
     x / (sqrt(fsum of x_i * x_i) + 1e-8), and each cosine is the fsum of the
     products of two consecutive unit vectors' entries.
     """
@@ -106,12 +107,18 @@ def oracle_hidden_stability(hiddens):
         xs = [float(x) for x in entries]
         if not all(math.isfinite(x) for x in xs):
             raise InvalidInputError("hidden vector contains non-finite entries")
-        if units and len(xs) != len(units[0]):
-            raise InvalidInputError(flat)
         squares = []
         for x in xs:
             squares.append(x * x)
-        norm = math.sqrt(math.fsum(squares)) + 1e-8
+        try:
+            squared_norm = math.fsum(squares)
+        except OverflowError:
+            squared_norm = math.inf
+        if squared_norm == math.inf:
+            raise InvalidInputError("hidden vector's squared norm overflows float64")
+        if units and len(xs) != len(units[0]):
+            raise InvalidInputError(flat)
+        norm = math.sqrt(squared_norm) + 1e-8
         units.append([x / norm for x in xs])
     total = 0.0
     for a, b in zip(units, units[1:]):

@@ -402,6 +402,13 @@ UNREADABLE_FILES = [
     pytest.param("replay", trace_text(header=', "served_bits": "8"'), 1, id="text-as-int"),
     pytest.param("replay", trace_text(step=', "chunk_text": ["#### 42"]'), 2,
                  id="list-as-chunk-text"),
+    # A trace/v3 array is an element count whose float64 bytes the file holds.
+    pytest.param("replay", trace_text(', "schema": "trace/v3"', ', "hidden": 4'), 2,
+                 id="v3-count-past-the-end"),
+    pytest.param("replay", trace_text(', "schema": "trace/v3"', ', "hidden": true'), 2,
+                 id="v3-bool-as-count"),
+    pytest.param("replay", trace_text(', "schema": "trace/v3"', ', "hidden": "AAAAAAAA8D8="'),
+                 2, id="v3-base64-as-count"),
     pytest.param("simulate", scenario_text(', "length": "32"'), None, id="text-as-length"),
     pytest.param("report", records_text(', "tokens_used": "12"'), 2, id="text-as-tokens-used"),
     pytest.param("report", records_text(', "actions": [[1, "stop", 16]]'), 2,
@@ -876,6 +883,12 @@ class TestImportFootprint:
         # The record types live in trace_io, beside their file format.
         assert self._loaded(self._main("report", "--records", GOLDEN_RECORDS,
                                        "--out", tmp_path), self.CONTROLLER) == set()
+
+    def test_report_loads_no_signals(self, tmp_path):
+        # trace_io imports StepSignals only when it reads a trace.
+        assert self._loaded(self._main("report", "--records", GOLDEN_RECORDS, "--out", tmp_path),
+                            ("bithalt.signals",)) == set()
+        assert self._loaded("import bithalt.trace_io", ("bithalt.signals",)) == set()
 
     def test_metrics_loads_no_engine(self):
         assert self._loaded("import bithalt.metrics", ("bithalt.engine",)) == set()

@@ -252,11 +252,11 @@ CHUNKS = st.one_of(
     st.text(alphabet="ab \n", max_size=12),
 )
 BASE = (0.6, -0.8, 0.0)
-HIDDEN = st.one_of(
-    st.none(),
+HIDDEN_VECTORS = st.one_of(
     st.sampled_from([BASE, tuple(-x for x in BASE), (0.0, 0.0, 0.0), (2.0, 0.0, -1.0)]),
     st.tuples(*[st.floats(min_value=-5, max_value=5)] * 3),
 )
+HIDDEN = st.one_of(st.none(), HIDDEN_VECTORS)
 STEPS = st.lists(st.tuples(st.floats(min_value=0, max_value=12), CHUNKS, HIDDEN), max_size=25)
 
 
@@ -291,7 +291,8 @@ class TestRunningSignals:
 
     @given(st.lists(st.tuples(CHUNKS, st.one_of(
         HIDDEN, st.sampled_from([(float("nan"), 1.0, 0.0), (1.0, 0.0), ((1.0, 0.0, 0.0),),
-                                 np.array(1.0), np.ones((3, 1))]))),
+                                 np.array(1.0), np.ones((3, 1)), (1e154, 1e154, 0.0),
+                                 (1e200, 0.0, 0.0), (1e200, 0.0)]))),
         max_size=12))
     @settings(max_examples=300, deadline=None)
     def test_malformed_hidden_fails_at_the_same_prefix(self, steps):
@@ -345,6 +346,12 @@ class TestRunningSignals:
 
     @pytest.mark.parametrize("hidden,message", [
         ((1.0, float("nan")), "non-finite"),
+        # Finite entries whose squares sum past float64 range: fsum overflows on
+        # the first, and the second once read as a zero vector.
+        ((1e154, 1e154), "squared norm overflows"),
+        ((1e200, 0.0), "squared norm overflows"),
+        # A non-finite entry names itself, even where the sum overflows first.
+        ((float("nan"), 1e154, 1e154), "non-finite"),
         (((1.0, 0.0),), "one dimension"),
         (np.array(5.0), "one dimension"),
         (np.ones((3, 1)), "one dimension"),
@@ -368,7 +375,7 @@ class TestRunningSignals:
         assert readout.hidden_stability == 0.0
 
     @given(st.floats(min_value=0, max_value=12), st.lists(CHUNKS, max_size=12),
-           st.lists(HIDDEN.filter(lambda v: v is not None), max_size=12))
+           st.lists(HIDDEN_VECTORS, max_size=12))
     @settings(max_examples=300, deadline=None)
     def test_from_histories_of_unequal_lengths(self, h, chunks, hiddens):
         # Chunks and hidden vectors pair by position; the shorter list runs out first.

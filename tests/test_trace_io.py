@@ -83,19 +83,65 @@ def _bytes(values) -> bytes:
     return np.asarray(values, dtype="<f8").tobytes()
 
 
-class TestTraceV2:
-    def test_arrays_are_base64_float64_and_scalars_decimal(self, tmp_path):
+def _v2_text(meta, steps):
+    """A trace/v2 file's text, as the base64 writer wrote it: arrays as base64
+    strings of little-endian float64 bytes."""
+    header = {"schema": "trace/v2", **dataclasses.asdict(meta)}
+    lines = [json.dumps(header)]
+    for i, s in enumerate(steps):
+        obj = {"step": i, "chunk_text": s.chunk_text, "tokens": s.tokens_in_chunk}
+        if s.entropy is not None:
+            obj["entropy"] = s.entropy
+        else:
+            obj["probs"] = base64.b64encode(_bytes(s.distribution)).decode("ascii")
+        if s.hidden is not None:
+            obj["hidden"] = base64.b64encode(_bytes(s.hidden)).decode("ascii")
+        if s.eos:
+            obj["eos"] = True
+        lines.append(json.dumps(obj))
+    return "\n".join(lines) + "\n"
+
+
+def _tiny_steps(drawn):
+    """Steps of at most a few entries each: probs or entropy, and maybe hidden."""
+    return [StepSignals(chunk_text=f"c{i}", tokens_in_chunk=4,
+                        entropy=0.5 if probs is None else None, distribution=probs,
+                        hidden=hidden)
+            for i, (probs, hidden) in enumerate(drawn)]
+
+
+TINY_STEPS = st.lists(st.tuples(st.one_of(st.none(), st.lists(float64s, max_size=4)),
+                                st.one_of(st.none(), st.lists(float64s, max_size=3))),
+                      min_size=1, max_size=4)
+
+
+def _records(data: bytes, steps):
+    """(start, end) byte spans of a v3 file's records, header first: each step's
+    line together with the array bytes after it."""
+    starts = [0, data.index(b"\n") + 1]
+    for s in steps:
+        arrays = sum(len(v) for v in (s.distribution, s.hidden) if v is not None)
+        starts.append(data.index(b"\n", starts[-1]) + 1 + 8 * arrays)
+    return list(zip(starts, starts[1:]))
+
+
+class TestTraceV3:
+    def test_arrays_are_float64_bytes_after_their_line_and_scalars_decimal(self, tmp_path):
         path = tmp_path / "t.jsonl"
         steps = [StepSignals(chunk_text="x", tokens_in_chunk=4, distribution=[0.5, 0.25, 0.25],
                              hidden=(0.1, -0.0)),
                  StepSignals(chunk_text="y", tokens_in_chunk=4, entropy=0.1, eos=True)]
         write_trace(META, steps, path)
-        header, first, second = (json.loads(line) for line in path.read_text().splitlines())
-        assert header["schema"] == "trace/v2"
-        assert base64.b64decode(first["probs"]) == _bytes([0.5, 0.25, 0.25])
-        assert base64.b64decode(first["hidden"]) == _bytes([0.1, -0.0])
-        assert '"entropy": 0.1' in path.read_text().splitlines()[2]
-        assert second["entropy"] == 0.1 and first["tokens"] == 4
+        data = path.read_bytes()
+        header, rest = data.split(b"\n", 1)
+        first, rest = rest.split(b"\n", 1)
+        assert json.loads(header)["schema"] == "trace/v3"
+        assert json.loads(first) == {"step": 0, "chunk_text": "x", "tokens": 4, "probs": 3,
+                                     "hidden": 2}
+        # probs' bytes, then hidden's, then the next step's line.
+        assert rest == (_bytes([0.5, 0.25, 0.25]) + _bytes([0.1, -0.0]) +
+                        b'{"step": 1, "chunk_text": "y", "tokens": 4, "entropy": 0.1, '
+                        b'"eos": true}\n')
 
     def test_arrays_read_back_as_float64_arrays(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -108,12 +154,79 @@ class TestTraceV2:
     @settings(max_examples=100)
     def test_round_trip_is_bit_exact(self, tmp_path_factory, probs, hidden):
         # Compared as bytes, so -0.0, subnormals, infinities and NaN payloads count.
-        path = tmp_path_factory.mktemp("v2") / "t.jsonl"
+        path = tmp_path_factory.mktemp("v3") / "t.jsonl"
         write_trace(META, [StepSignals(chunk_text="x", tokens_in_chunk=4, distribution=probs,
                                        hidden=hidden)], path)
         (step,) = read_trace(path)[1]
         assert step.distribution.tobytes() == _bytes(probs)
         assert step.hidden.tobytes() == _bytes(hidden)
+
+    @given(TINY_STEPS, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_truncated_file_parses_to_a_prefix_or_names_the_cut_line(self, tmp_path_factory,
+                                                                     drawn, data):
+        steps = _tiny_steps(drawn)
+        path = tmp_path_factory.mktemp("cut") / "t.jsonl"
+        write_trace(META, steps, path)
+        whole = path.read_bytes()
+        cut = data.draw(st.integers(min_value=0, max_value=len(whole)))
+        path.write_bytes(whole[:cut])
+        try:
+            got = read_trace(path)[1]
+        except TraceParseError as exc:
+            # The record the cut falls inside, or the header of an empty file.
+            line = next((i + 1 for i, (start, end) in enumerate(_records(whole, steps))
+                         if start < cut < end), 1)
+            assert exc.line == line and str(exc).startswith(f"{path}:{line}: ")
+        else:
+            assert got == steps[:len(got)]
+
+    @given(TINY_STEPS, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_wrong_count_parses_or_names_its_line(self, tmp_path_factory, drawn, data):
+        steps = _tiny_steps(drawn)
+        path = tmp_path_factory.mktemp("count") / "t.jsonl"
+        write_trace(META, steps, path)
+        whole = path.read_bytes()
+        # A count the step had, or one added beside its entropy or as its hidden vector.
+        i = data.draw(st.integers(min_value=0, max_value=len(steps) - 1))
+        start, _ = _records(whole, steps)[i + 1]
+        line_end = whole.index(b"\n", start)
+        obj = json.loads(whole[start:line_end])
+        value = obj[data.draw(st.sampled_from(["probs", "hidden"]))] = data.draw(st.one_of(
+            st.booleans(), st.floats(), st.integers(max_value=-1), st.text(max_size=8),
+            st.just(base64.b64encode(_bytes([1.0])).decode()), st.just([1.0]),  # v2, v1 forms
+            st.integers(min_value=0, max_value=len(whole) // 8),
+            st.integers(min_value=len(whole) // 8 + 1)))  # past the end of the file
+        path.write_bytes(whole[:start] + json.dumps(obj).encode() + whole[line_end:])
+        try:
+            read_trace(path)
+        except TraceParseError as exc:
+            # A count that fits may misalign what follows, so a later line may fail.
+            fits = type(value) is int and 0 <= 8 * value < len(whole) - line_end
+            assert exc.line == i + 2 or (fits and exc.line > i + 2)
+            assert str(exc).startswith(f"{path}:{exc.line}: ")
+            assert fits or str(exc).startswith(f"{path}:{i + 2}: invalid step: array ")
+        else:
+            assert type(value) is int
+
+
+class TestTraceV2:
+    """A trace written by the base64 writer (trace/v2) still reads."""
+
+    def test_hand_written_v2_file_reads_to_its_arrays(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        steps = [StepSignals(chunk_text="x", tokens_in_chunk=4, distribution=[0.5, 0.25, 0.25],
+                             hidden=(0.1, -0.0)),
+                 StepSignals(chunk_text="y", tokens_in_chunk=4, entropy=0.1, eos=True)]
+        path.write_text(_v2_text(META, steps))
+        header, first, second = (json.loads(line) for line in path.read_text().splitlines())
+        assert header["schema"] == "trace/v2"
+        assert base64.b64decode(first["probs"]) == _bytes([0.5, 0.25, 0.25])
+        assert base64.b64decode(first["hidden"]) == _bytes([0.1, -0.0])
+        assert '"entropy": 0.1' in path.read_text().splitlines()[2]
+        assert second["entropy"] == 0.1 and first["tokens"] == 4
+        assert read_trace(path) == (META, steps)  # steps compare their arrays' bytes
 
     @pytest.mark.parametrize("key", ["probs", "hidden"])
     @pytest.mark.parametrize("value,message", [
@@ -142,7 +255,7 @@ class TestTraceV1:
     replays as it did: tests/data/trace_v1 and its replay records at B=256 were
     both written by that writer's build."""
 
-    def test_reads_to_the_arrays_of_its_v2_rewrite(self, tmp_path):
+    def test_reads_to_the_arrays_of_its_v3_rewrite(self, tmp_path):
         meta, steps = read_trace(V1_TRACES / "nan_hidden.jsonl")
         lines = (V1_TRACES / "nan_hidden.jsonl").read_text().splitlines()
         assert json.loads(lines[0])["schema"] == "trace/v1"
@@ -153,8 +266,8 @@ class TestTraceV1:
             if "hidden" in obj:
                 assert step.hidden.tobytes() == _bytes(obj["hidden"])
         assert sum(math.isnan(h) for s in steps if s.hidden is not None for h in s.hidden) == 1
-        write_trace(meta, steps, tmp_path / "v2.jsonl")
-        meta2, steps2 = read_trace(tmp_path / "v2.jsonl")
+        write_trace(meta, steps, tmp_path / "v3.jsonl")
+        meta2, steps2 = read_trace(tmp_path / "v3.jsonl")
         assert meta2 == meta and len(steps2) == len(steps) == 15
         for a, b in zip(steps, steps2):
             assert (a.chunk_text, a.tokens_in_chunk, a.entropy, a.eos) == (
@@ -162,13 +275,16 @@ class TestTraceV1:
             for x, y in ((a.distribution, b.distribution), (a.hidden, b.hidden)):
                 assert (x is None and y is None) or x.tobytes() == y.tobytes()
 
-    def test_v1_and_its_v2_rewrite_replay_to_the_recorded_records(self, tmp_path):
-        v2 = tmp_path / "v2"
+    def test_v1_and_its_v2_and_v3_rewrites_replay_to_the_recorded_records(self, tmp_path):
+        v2, v3 = tmp_path / "v2", tmp_path / "v3"
         v2.mkdir()
-        write_trace(*read_trace(V1_TRACES / "nan_hidden.jsonl"), v2 / "nan_hidden.jsonl")
+        v3.mkdir()
+        meta, steps = read_trace(V1_TRACES / "nan_hidden.jsonl")
+        (v2 / "nan_hidden.jsonl").write_text(_v2_text(meta, steps))
+        write_trace(meta, steps, v3 / "nan_hidden.jsonl")
         golden = sorted(V1_GOLDEN_REPLAY.glob("records_*.jsonl"))
         assert len(golden) == 3
-        for traces in (V1_TRACES, v2):
+        for traces in (V1_TRACES, v2, v3):
             out = tmp_path / ("out_" + traces.name)
             assert main(["replay", "--traces", str(traces), "--budgets", "256",
                          "--out", str(out)]) == 0
@@ -382,6 +498,12 @@ class TestMalformedHidden:
         "nan": ([_working(0, (float("nan"), 1.0)), _working(1), _working(2, (1.0, 0.0))]
                 + [_working(i, (1.0, 0.0)) for i in range(3, 10)],
                 3, 48, "InvalidInputError: hidden vector contains non-finite entries"),
+        # Finite entries whose squared norm is past float64 range: the first once
+        # crashed the run in fsum, the second was read as a zero vector.
+        **{name: ([_working(0, hidden), _working(1), _working(2, (1.0, 0.0))]
+                  + [_working(i, (1.0, 0.0)) for i in range(3, 10)],
+                  3, 48, "InvalidInputError: hidden vector's squared norm overflows float64")
+           for name, hidden in (("overflow", (1e154, 1e154)), ("overflow-inf", (1e200, 0.0)))},
         "dim": ([_working(i, (1.0, 0.0)) for i in range(5)] + [_working(5, (1.0, 0.0, 0.0))]
                 + [_working(i, (1.0, 0.0)) for i in range(6, 10)],
                 6, 96, "InvalidInputError: hidden vectors must share one dimension"),
@@ -399,6 +521,20 @@ class TestMalformedHidden:
             else:
                 assert (rec.steps, rec.tokens_used, rec.error) == (n_steps, tokens, error)
                 assert rec.stop_cause == "eos" and rec.correct is False
+
+    def test_overflowing_norm_errors_its_cells_and_the_replay_goes_on(self, tmp_path):
+        # An errored episode is a record, not a failed command.
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        write_trace(TraceMeta(example_id="big", gold_answer=42.0), self.CASES["overflow"][0],
+                    traces / "big.jsonl")
+        assert main(["replay", "--traces", str(traces), "--budgets", "512",
+                     "--out", str(tmp_path / "out")]) == 0
+        errors = {m.value: read_records(tmp_path / "out" / f"records_{m.value}_b512.jsonl")[1][0]
+                  .error for m in Method}
+        assert errors == {"fixed": None, **dict.fromkeys(
+            ("adaptive", "bitcal"), "InvalidInputError: hidden vector's squared norm overflows "
+            "float64")}
 
     def test_malformed_vector_on_eos_step_is_never_read(self, tmp_path):
         steps = [_working(0, (1.0, 0.0))] + [_working(i) for i in range(1, 9)] + [
@@ -587,13 +723,17 @@ class TestAtomicWrite:
         path = tmp_path / "out.jsonl"
         if old is not None:
             path.write_bytes(old)
-        real = Path.write_text
 
-        def fail_midway(self, text, *args, **kwargs):
-            real(self, text[: len(text) // 2], *args, **kwargs)
-            raise OSError(28, "No space left on device")
+        def fail_midway(real):
+            def write(self, data, *args, **kwargs):
+                real(self, data[: len(data) // 2], *args, **kwargs)
+                raise OSError(28, "No space left on device")
+            return write
 
-        monkeypatch.setattr(Path, "write_text", fail_midway)
+        # write_text writes through Path.write_bytes; failing Path.write_text too keeps
+        # this test meaningful for a writer that writes text as text.
+        for name in ("write_text", "write_bytes"):
+            monkeypatch.setattr(Path, name, fail_midway(getattr(Path, name)))
         with pytest.raises(OSError, match="out.jsonl"):
             self.WRITERS[writer](path)
         monkeypatch.undo()
