@@ -100,13 +100,9 @@ def _bind_run_tables() -> None:
     }
 
 
-class UsageError(ConfigError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ConfigError(message)
 
 
 def _add_common(p: _Parser) -> None:
@@ -156,13 +152,13 @@ def _load_config_file(path) -> dict:
     try:
         data = decode(path, Path(path).read_bytes())
     except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}")
+        raise ConfigError(f"cannot read config {path}: {exc}")
     except TraceParseError as exc:
-        raise UsageError(str(exc))
+        raise ConfigError(str(exc))
     unknown = set(data) - set(DEFAULTS)
     if unknown:
         hint = ", ".join(sorted(DEFAULTS))
-        raise UsageError(f"unknown config key(s) {sorted(unknown)}; valid keys: {hint}")
+        raise ConfigError(f"unknown config key(s) {sorted(unknown)}; valid keys: {hint}")
     return data
 
 
@@ -173,7 +169,7 @@ def _parse(key: str, value, flag: bool):
     try:
         return kind(value) if flag else _coerce(key, kind, value)
     except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"{key} must be {kind.__name__}, got {value!r}")
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
 
 
 def resolve_config(args: argparse.Namespace, **command_defaults) -> dict:
@@ -189,15 +185,16 @@ def resolve_config(args: argparse.Namespace, **command_defaults) -> dict:
     methods = list(dict.fromkeys(m.strip() for m in cfg["methods"].split(",") if m.strip()))
     for m in methods:
         if m not in VALID_METHODS:
-            raise UsageError(f"unknown method {m!r}; valid methods: {', '.join(VALID_METHODS)}")
+            raise ConfigError(f"unknown method {m!r}; valid methods: {', '.join(VALID_METHODS)}")
     if not methods:
-        raise UsageError("at least one method is required")
+        raise ConfigError("at least one method is required")
     try:
         budgets = list(dict.fromkeys(int(b) for b in cfg["budgets"].split(",") if b.strip()))
     except ValueError:
-        raise UsageError(f"budgets must be a comma-separated integer list, got {cfg['budgets']!r}")
+        raise ConfigError(
+            f"budgets must be a comma-separated integer list, got {cfg['budgets']!r}")
     if not budgets:
-        raise UsageError("at least one budget is required")
+        raise ConfigError("at least one budget is required")
     cfg["methods"] = methods
     cfg["budgets"] = budgets
     return cfg
@@ -220,7 +217,7 @@ def build_engine_config(cfg: dict, method: str, budget: int, served_bits: int) -
         keys = {"budget": "budgets", **{name: k for k, (_, name, _) in CONFIG_FIELDS.items()}}
         if exc.field not in keys:
             raise
-        raise UsageError(f"{keys[exc.field]} {exc.requirement}") from None
+        raise ConfigError(f"{keys[exc.field]} {exc.requirement}") from None
 
 
 class Example(NamedTuple):
@@ -342,7 +339,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = sys.argv[1:] if argv is None else argv
         args = build_parser(argv[0] if argv else None).parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:  # includes UsageError
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (BithaltError, OSError) as exc:

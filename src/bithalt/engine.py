@@ -17,27 +17,9 @@ from typing import List, Optional, Protocol, Sequence, Tuple
 
 from .calibrate import CalibratorConfig, confidence
 from .errors import BithaltError, ConfigError
-from .policy import (
-    DEFAULT_MARKER,
-    Action,
-    ActionKind,
-    MarkerState,
-    PolicyConfig,
-    decide,
-    update_marker,
-)
+from .policy import DEFAULT_MARKER, MarkerState, PolicyConfig, decide, update_marker
 from .signals import RunningSignals, StepSignals
 from .trace_io import EpisodeRecord, Method, StopCause
-
-
-# Each decision's recorded action and reason, and the stop it makes (None for a
-# continue): a STOP by its reason, the ESCALATE by its kind. Keyed by member name,
-# whose str hash is cached, where Enum.__hash__ is a Python-level call.
-_DECISIONS = {
-    action._name_: (action.kind.value, action.reason.value,
-                    None if action.kind is ActionKind.CONTINUE else StopCause(
-                        (action.reason if action.kind is ActionKind.STOP else action.kind).value))
-    for action in Action}
 
 
 class TokenSource(Protocol):
@@ -239,12 +221,11 @@ def run_episodes(
                     conf = confidence(readout, cal)
                     for i in cells:
                         cfg = cfgs[i]
-                        kind, reason, stop = _DECISIONS[decide(
-                            tokens_used, cfg.budget - tokens_used, readout.entropy, conf,
-                            marker, cfg.policy)._name_]
-                        actions[i].append((kind, reason, tokens_used))
-                        if stop is not None:
-                            finish([i], text, stop)
+                        action = decide(tokens_used, cfg.budget - tokens_used,
+                                        readout.entropy, conf, marker, cfg.policy)
+                        actions[i].append(action.record + (tokens_used,))
+                        if action.stop is not None:
+                            finish([i], text, action.stop)
             except (BithaltError, OSError) as exc:
                 finish([i for _, cells in groups for i in cells if i in live], text,
                        StopCause.EOS, exc)

@@ -2,7 +2,8 @@
 post-marker confirmation tail, evaluated in a fixed order.
 
 Case order per decision (first match wins); ``decide`` returns the outcome
-as the ``Action`` member named after its reason, declared once below:
+as the ``Action`` member named after its reason, declared once, with the stop
+it makes, in ``trace_io``:
   1. below floor                       -> CONTINUE / FLOOR
   2. marker seen, tail not yet served  -> CONTINUE / TAIL_WAIT
   3. marker seen, tail served          -> STOP / TAIL_STOP
@@ -18,44 +19,12 @@ bypassed entirely (cases 2-3 shadow 4-7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 from .errors import ConfigError, require_finite
+from .trace_io import Action
 
 DEFAULT_MARKER = "####"
-
-
-class ActionKind(str, Enum):
-    CONTINUE = "continue"
-    STOP = "stop"
-    ESCALATE = "escalate"
-
-
-class Reason(str, Enum):
-    FLOOR = "floor"
-    TAIL_WAIT = "tail_wait"
-    TAIL_STOP = "tail_stop"
-    BUFFER_STOP = "buffer_stop"
-    ENTROPY_ESCALATE = "entropy_escalate"
-    CONFIDENT_STOP = "confident_stop"
-    DEFAULT_CONTINUE = "default_continue"
-
-
-class Action(Enum):
-    """The seven outcomes of ``decide``, one per case: (kind, reason)."""
-
-    FLOOR = (ActionKind.CONTINUE, Reason.FLOOR)
-    TAIL_WAIT = (ActionKind.CONTINUE, Reason.TAIL_WAIT)
-    TAIL_STOP = (ActionKind.STOP, Reason.TAIL_STOP)
-    BUFFER_STOP = (ActionKind.STOP, Reason.BUFFER_STOP)
-    ENTROPY_ESCALATE = (ActionKind.ESCALATE, Reason.ENTROPY_ESCALATE)
-    CONFIDENT_STOP = (ActionKind.STOP, Reason.CONFIDENT_STOP)
-    DEFAULT_CONTINUE = (ActionKind.CONTINUE, Reason.DEFAULT_CONTINUE)
-
-    def __init__(self, kind: ActionKind, reason: Reason):
-        self.kind = kind
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -99,16 +68,11 @@ _TIER_OF_BITS = {bits: next(row for row in PRECISION_TIERS if bits <= row[0])
                  for bits in range(1, PRECISION_TIERS[-2][0] + 1)}
 
 
-def precision_tier(bits: int) -> tuple:
-    """The row of PRECISION_TIERS that holds a bit width."""
-    if bits < 1:
-        raise ConfigError(f"bits must be >= 1, got {bits}")
-    return _TIER_OF_BITS.get(bits, PRECISION_TIERS[-1])
-
-
 def tail_length(bits: int) -> int:
     """Confirmation tokens required after the first marker sighting."""
-    return precision_tier(bits)[2]
+    if bits < 1:
+        raise ConfigError(f"bits must be >= 1, got {bits}")
+    return _TIER_OF_BITS.get(bits, PRECISION_TIERS[-1])[2]
 
 
 def update_marker(

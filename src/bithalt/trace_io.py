@@ -21,10 +21,12 @@ U+0085 may stand unescaped inside a JSON string); ``decode`` makes each line,
 or a scenario or config file, one JSON object or a parse error naming it. Line
 numbers count JSON lines only: a v3 step's array bytes are not lines.
 
-Record file (schema ``records/v1``), of the types EpisodeRecord, Method and
-StopCause, defined here so that ``report`` loads no controller or signals module:
+Record file (schema ``records/v1``), of the types EpisodeRecord, Method,
+StopCause and Action (each decision outcome, with the stop it makes), defined
+here so that ``report`` loads no controller or signals module:
   header: {"schema", ...free-form run metadata (no timestamps)}
-  record: EpisodeRecord fields in fixed order.
+  record: EpisodeRecord fields in fixed order; each of its actions is an
+          ``Action``'s record strings and the token count it was decided at.
 
 Trace headers and steps, records and scenarios are read by ``from_fields``, which
 follows the dataclass fields (a step's ``tokens`` and ``probs`` keys are mapped in
@@ -300,6 +302,43 @@ class StopCause(str, Enum):
     TAIL_STOP = "tail_stop"
 
 
+class ActionKind(str, Enum):
+    CONTINUE = "continue"
+    STOP = "stop"
+    ESCALATE = "escalate"
+
+
+class Reason(str, Enum):
+    FLOOR = "floor"
+    TAIL_WAIT = "tail_wait"
+    TAIL_STOP = "tail_stop"
+    BUFFER_STOP = "buffer_stop"
+    ENTROPY_ESCALATE = "entropy_escalate"
+    CONFIDENT_STOP = "confident_stop"
+    DEFAULT_CONTINUE = "default_continue"
+
+
+class Action(Enum):
+    """The seven outcomes of ``policy.decide``, one per case: (kind, reason, the stop it
+    makes or None). ``record`` holds the kind's and reason's strings as a record writes them."""
+
+    FLOOR = (ActionKind.CONTINUE, Reason.FLOOR, None)
+    TAIL_WAIT = (ActionKind.CONTINUE, Reason.TAIL_WAIT, None)
+    TAIL_STOP = (ActionKind.STOP, Reason.TAIL_STOP, StopCause.TAIL_STOP)
+    BUFFER_STOP = (ActionKind.STOP, Reason.BUFFER_STOP, StopCause.BUFFER_STOP)
+    ENTROPY_ESCALATE = (ActionKind.ESCALATE, Reason.ENTROPY_ESCALATE, StopCause.ESCALATE)
+    CONFIDENT_STOP = (ActionKind.STOP, Reason.CONFIDENT_STOP, StopCause.CONFIDENT_STOP)
+    DEFAULT_CONTINUE = (ActionKind.CONTINUE, Reason.DEFAULT_CONTINUE, None)
+
+    def __init__(self, kind: ActionKind, reason: Reason, stop: Optional[StopCause]):
+        self.kind, self.reason, self.stop = kind, reason, stop
+        self.record = (kind.value, reason.value)
+
+
+# A recorded action's kind by its reason: the one check that it is a decision's outcome.
+_KIND_OF_REASON = {reason: kind for kind, reason in (action.record for action in Action)}
+
+
 @dataclass(frozen=True)
 class EpisodeRecord:
     """One scored episode; a record file holds one per line, fields in this order."""
@@ -320,10 +359,21 @@ class EpisodeRecord:
     error: Optional[str] = None
 
 
+def _action(a, r, t) -> Tuple[str, str, int]:
+    """A recorded action that failed the fast check: converted by the value rule, then
+    refused unless its (kind, reason) is an outcome of ``Action``."""
+    a, r, t = _coerce("actions", str, a), _coerce("actions", str, r), _coerce("actions", int, t)
+    if _KIND_OF_REASON.get(r) != a:
+        raise ValueError(f"actions holds {[a, r]!r}, which is no decision outcome")
+    return a, r, t
+
+
 def _actions(value) -> Tuple[Tuple[str, str, int], ...]:
-    return tuple((a, r, t) if type(a) is type(r) is str and type(t) is int else (
-        _coerce("actions", str, a), _coerce("actions", str, r), _coerce("actions", int, t))
-        for a, r, t in value)
+    try:  # indexing raises for a reason that is no decision's, or is unhashable
+        return tuple([(a, r, t) if _KIND_OF_REASON[r] == a and type(t) is int
+                      else _action(a, r, t) for a, r, t in value])
+    except (KeyError, TypeError):  # re-read one by one: the entry at fault raises its message
+        return tuple([_action(a, r, t) for a, r, t in value])
 
 
 def write_records(records: List[EpisodeRecord], path, metadata: Optional[dict] = None) -> None:

@@ -416,6 +416,10 @@ UNREADABLE_FILES = [
     # A name or number that is not one the program knows.
     pytest.param("report", records_text(', "method": "bogus"'), 2, id="unknown-method"),
     pytest.param("report", records_text(', "stop_cause": "bogus"'), 2, id="unknown-stop-cause"),
+    pytest.param("report", records_text(', "actions": [["bogus", "nope", 3]]'), 2,
+                 id="unknown-action"),
+    pytest.param("report", records_text(', "actions": [["stop", "floor", 16]]'), 2,
+                 id="mismatched-action"),
     pytest.param("simulate", scenario_text(', "hidden_rotation": Infinity'), None,
                  id="infinite-rotation"),
     pytest.param("simulate", scenario_text(', "hidden_rotation": NaN'), None, id="nan-rotation"),

@@ -6,16 +6,8 @@ import pytest
 
 from bithalt import policy
 from bithalt.errors import ConfigError
-from bithalt.policy import (
-    Action,
-    ActionKind,
-    MarkerState,
-    PolicyConfig,
-    Reason,
-    decide,
-    tail_length,
-    update_marker,
-)
+from bithalt.policy import MarkerState, PolicyConfig, decide, tail_length, update_marker
+from bithalt.trace_io import Action, ActionKind, Reason, StopCause
 from oracles import oracle_decide
 
 DEFAULTS = PolicyConfig()
@@ -58,6 +50,20 @@ class TestAction:
         assert len(cases) == 7
         assert [(a.kind.name, a.reason.name) for a in Action] == cases
         assert [a.name for a in Action] == [reason for _, reason in cases]
+
+    def test_rows_make_every_stop_and_record_distinct_pairs(self):
+        """With the loop's own eos and budget_exhausted, the rows' stops are every StopCause,
+        and each row's record strings are its kind's and reason's, a distinct pair."""
+        loop_stops = {StopCause.EOS, StopCause.BUDGET_EXHAUSTED}
+        assert ({a.stop for a in Action} - {None}) | loop_stops == set(StopCause)
+        for a in Action:
+            if a.kind is ActionKind.CONTINUE:
+                assert a.stop is None, a
+            else:  # a stop ends under its reason, the escalate under its kind
+                named = a.reason if a.kind is ActionKind.STOP else a.kind
+                assert a.stop is StopCause(named.value), a
+        assert [a.record for a in Action] == [(a.kind.value, a.reason.value) for a in Action]
+        assert len({a.record for a in Action}) == len(Action) == 7
 
 
 class TestPolicyConfig:
