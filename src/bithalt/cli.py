@@ -10,7 +10,8 @@ comes and skipped in every cell. Both write only files; sweep runs either one,
 then report, which prints the summary.csv it writes. A replayed trace runs at
 the bit width in its header unless bits is set by a flag or the config file; if
 it is not, run_meta.json reads "bits": null. report reads records through
-trace_io and scores them in metrics: it loads no engine, calibrate or policy.
+trace_io one file at a time, keeping only each record's outcome row, and scores
+the rows in metrics: it loads no engine, calibrate or policy.
 
 Config resolution is layered: built-in defaults <- the command's own defaults
 <- optional JSON config file (--config) <- explicit command-line flags, highest
@@ -47,7 +48,7 @@ from .trace_io import (Method, ReplaySource, _coerce, decode, read_records, read
 _LAZY = {".engine": ("EngineConfig", "CalibratorConfig", "PolicyConfig", "TokenSource",
                      "run_episode", "run_episodes"),
          ".simulate": ("ScenarioSource", "load_scenario_dir", "scenario_suite_canonical"),
-         ".metrics": ("emit_summary_table", "format_summary_rows", "summarize_all")}
+         ".metrics": ("Outcome", "emit_summary_table", "format_summary_rows", "summarize_all")}
 
 
 def _load(layer: str) -> None:
@@ -312,10 +313,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     record_files = sorted(records_dir.glob("records_*.jsonl"))
     if not record_files:
         raise EmptyRunError(f"no record files under {records_dir}")
-    records = [record for path in record_files for record in read_records(path)[1]]
-    if not records:
+    # Only one file's records are alive at a time: each leaves its outcome row.
+    rows = [Outcome.of(record) for path in record_files for record in read_records(path)[1]]
+    if not rows:
         raise EmptyRunError(f"record files under {records_dir} hold no records")
-    summaries = summarize_all(records)
+    summaries = summarize_all(rows)
     emit_summary_table(summaries, out_dir / "summary.csv")
     print("\n".join(format_summary_rows(summaries)))
     return 0

@@ -19,7 +19,7 @@ from .calibrate import CalibratorConfig, confidence
 from .errors import BithaltError, ConfigError
 from .policy import DEFAULT_MARKER, MarkerState, PolicyConfig, decide, update_marker
 from .signals import RunningSignals, StepSignals
-from .trace_io import EpisodeRecord, Method, StopCause
+from .trace_io import EpisodeRecord, Method, StopCause, is_early_halt
 
 
 class TokenSource(Protocol):
@@ -164,9 +164,7 @@ def run_episodes(
                 predicted_answer=predicted,
                 gold_answer=gold,
                 correct=correct,
-                # EOS and budget exhaustion are not controller stops: fixed never halts early.
-                early_halt=(stop not in (StopCause.EOS, StopCause.BUDGET_EXHAUSTED)
-                            and tokens_used < cfgs[i].budget),
+                early_halt=is_early_halt(stop, tokens_used, cfgs[i].budget),
                 model=model,
                 error=error,
             )
@@ -217,13 +215,17 @@ def run_episodes(
                 continue
             try:
                 readout = signals.push(step)
+                made = {}  # this step's recorded actions, one tuple per decision the cells share
                 for cal, cells in groups:
                     conf = confidence(readout, cal)
                     for i in cells:
                         cfg = cfgs[i]
                         action = decide(tokens_used, cfg.budget - tokens_used,
                                         readout.entropy, conf, marker, cfg.policy)
-                        actions[i].append(action.record + (tokens_used,))
+                        entry = made.get(action.record)
+                        if entry is None:
+                            entry = made[action.record] = action.record + (tokens_used,)
+                        actions[i].append(entry)
                         if action.stop is not None:
                             finish([i], text, action.stop)
             except (BithaltError, OSError) as exc:

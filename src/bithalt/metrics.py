@@ -1,8 +1,9 @@
 """Aggregation of episode records into run summaries and report tables.
 
-Percent values are kept unrounded internally; rounding (half-up, one decimal)
-happens only at table-emission time. Savings are computed from unrounded
-token means.
+A summary reads only a record's ``Outcome`` fields, so it takes outcome rows or
+whole records alike; ``report`` keeps one row per record. Percent values are
+kept unrounded internally; rounding (half-up, one decimal) happens only at
+table-emission time. Savings are computed from unrounded token means.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import EmptyRunError, GroupingError
 from .trace_io import EpisodeRecord, Method, write_text
@@ -37,6 +39,25 @@ def wilson_interval(successes: int, n: int) -> Tuple[float, float]:
     return low, high
 
 
+class Outcome(NamedTuple):
+    """The fields of one episode record that a summary reads."""
+    example_id: str
+    model: str
+    method: str
+    budget: int
+    tokens_used: int
+    correct: bool
+    early_halt: bool
+    error: Optional[str]
+
+    @classmethod
+    def of(cls, record: EpisodeRecord) -> "Outcome":
+        return cls._make(_outcome_fields(record))
+
+
+_outcome_fields = attrgetter(*Outcome._fields)
+
+
 @dataclass(frozen=True)
 class RunSummary:
     """One (model, method, budget) group's counts, rates and token mean: a summary row."""
@@ -56,9 +77,10 @@ class RunSummary:
 
 
 def summarize(
-    records: Sequence[EpisodeRecord], fixed_reference: Optional[RunSummary] = None
+    records: Sequence[Outcome], fixed_reference: Optional[RunSummary] = None
 ) -> RunSummary:
-    """Aggregate one (model, method, budget) group of records, one per example.
+    """Aggregate one (model, method, budget) group of records (or outcome rows), one
+    per example.
 
     Errored episodes are excluded from every rate and mean but counted in
     ``n_errored``. Premature stops are early halts with an incorrect answer.
@@ -103,12 +125,13 @@ def summarize(
     )
 
 
-def summarize_all(records: Sequence[EpisodeRecord]) -> List[RunSummary]:
-    """Summarize every (model, method, budget) group, wiring each non-fixed
-    group to its fixed baseline at the same (model, budget) for savings."""
+def summarize_all(records: Sequence[Outcome]) -> List[RunSummary]:
+    """Summarize every (model, method, budget) group of records or outcome rows,
+    wiring each non-fixed group to its fixed baseline at the same (model, budget)
+    for savings."""
     if not records:
         raise EmptyRunError("no records to summarize")
-    groups: Dict[Tuple[str, str, int], List[EpisodeRecord]] = {}
+    groups: Dict[Tuple[str, str, int], List[Outcome]] = {}
     for r in records:
         groups.setdefault((r.model, r.method, r.budget), []).append(r)
     # Budget-major, fixed first: each fixed summary is the savings reference

@@ -26,12 +26,15 @@ StopCause and Action (each decision outcome, with the stop it makes), defined
 here so that ``report`` loads no controller or signals module:
   header: {"schema", ...free-form run metadata (no timestamps)}
   record: EpisodeRecord fields in fixed order; each of its actions is an
-          ``Action``'s record strings and the token count it was decided at.
+          ``Action``'s record strings and the token count it was decided at. Its
+          stop_cause is the stop its last action makes, and early_halt is the engine's
+          for that stop (``is_early_halt``).
 
 Trace headers and steps, records and scenarios are read by ``from_fields``, which
 follows the dataclass fields (a step's ``tokens`` and ``probs`` keys are mapped in
 ``_FILE_KEYS``) and one value rule, ``_coerce``; ``parse_fields`` reports failures.
-Every output file is written by ``write_text``, atomically, as text or bytes.
+Every output file is written through one atomic writer, ``_atomic_file``: records a
+line at a time, traces a step at a time, ``write_text`` whole.
 """
 
 from __future__ import annotations
@@ -42,8 +45,10 @@ import json
 import os
 import sys
 from array import array
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import (TYPE_CHECKING, BinaryIO, Iterator, List, Optional, Tuple, Union, get_args,
                     get_origin, get_type_hints)
@@ -256,35 +261,48 @@ def read_trace(path) -> Tuple[TraceMeta, List[StepSignals]]:
     return meta, steps
 
 
-def write_text(path, data: Union[str, bytes]) -> None:
-    """Write ``data``, text as UTF-8, to ``<name>.tmp`` beside ``path``, then rename it
-    into place, so a failed write leaves the old file, or none, and no temp file."""
+@contextmanager
+def _atomic_file(path) -> Iterator[BinaryIO]:
+    """A binary file open on ``<name>.tmp`` beside ``path``, renamed into place when the
+    block ends, so a failed write leaves the old file, or none, and no temp file."""
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
     try:
-        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        with open(tmp, "wb") as f:
+            yield f
         os.replace(tmp, target)
     except OSError as exc:
         tmp.unlink(missing_ok=True)
         raise OSError(f"failed writing {target}: {exc}") from exc
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path, data: Union[str, bytes]) -> None:
+    """Write ``data``, text as UTF-8, atomically to ``path``."""
+    with _atomic_file(path) as f:
+        f.write(data.encode("utf-8") if isinstance(data, str) else data)
 
 
 def write_trace(meta: TraceMeta, steps: List[StepSignals], path) -> None:
-    """A ``trace/v3`` file: each step's line, then its arrays' float64 bytes."""
+    """A ``trace/v3`` file: each step's line, then its arrays' float64 bytes, written
+    one step at a time."""
     header = {"schema": TRACE_SCHEMA, **{f.name: getattr(meta, f.name) for f in fields(meta)}}
-    out = [json.dumps(header).encode(), b"\n"]
-    for i, s in enumerate(steps):
-        obj = {"step": i, "chunk_text": s.chunk_text, "tokens": s.tokens_in_chunk}
-        if s.entropy is not None:
-            obj["entropy"] = s.entropy
-        arrays = {key: array("d", values) for key, values in
-                  (("probs", s.distribution), ("hidden", s.hidden)) if values is not None}
-        obj.update((key, len(values)) for key, values in arrays.items())
-        if s.eos:
-            obj["eos"] = True
-        out += [json.dumps(obj).encode(), b"\n"]
-        out += [_little_endian(values).tobytes() for values in arrays.values()]
-    write_text(path, b"".join(out))
+    with _atomic_file(path) as f:
+        f.write(json.dumps(header).encode() + b"\n")
+        for i, s in enumerate(steps):
+            obj = {"step": i, "chunk_text": s.chunk_text, "tokens": s.tokens_in_chunk}
+            if s.entropy is not None:
+                obj["entropy"] = s.entropy
+            arrays = {key: array("d", values) for key, values in
+                      (("probs", s.distribution), ("hidden", s.hidden)) if values is not None}
+            obj.update((key, len(values)) for key, values in arrays.items())
+            if s.eos:
+                obj["eos"] = True
+            f.write(json.dumps(obj).encode() + b"\n")
+            for values in arrays.values():
+                f.write(_little_endian(values))
 
 
 class Method(str, Enum):
@@ -337,6 +355,15 @@ class Action(Enum):
 
 # A recorded action's kind by its reason: the one check that it is a decision's outcome.
 _KIND_OF_REASON = {reason: kind for kind, reason in (action.record for action in Action)}
+# A recorded action's stop by its reason: None for a continue.
+_STOP_OF_REASON = {action.record[1]: action.stop for action in Action}
+# The stops no controller makes: the stream ended, or the budget ran out.
+_RUN_OUT = (StopCause.EOS, StopCause.BUDGET_EXHAUSTED)
+
+
+def is_early_halt(stop_cause: str, tokens_used: int, budget: int) -> bool:
+    """A controller's stop short of the budget: fixed never halts early."""
+    return stop_cause not in _RUN_OUT and tokens_used < budget
 
 
 @dataclass(frozen=True)
@@ -376,20 +403,40 @@ def _actions(value) -> Tuple[Tuple[str, str, int], ...]:
         return tuple([_action(a, r, t) for a, r, t in value])
 
 
+def _agreeing(path, line: int, record: EpisodeRecord) -> EpisodeRecord:
+    """``record``, once its stop_cause is the stop its last action makes (a run-out stop
+    after a continue), and its early_halt the engine's for that stop."""
+    cause = record.stop_cause
+    if record.actions:
+        last = record.actions[-1]
+        stop = _STOP_OF_REASON[last[1]]
+        if cause not in (_RUN_OUT if stop is None else (stop,)):
+            raise TraceParseError(path, f"invalid record: stop_cause {cause!r} disagrees "
+                                  f"with the last action {list(last)!r}", line=line)
+    early = is_early_halt(cause, record.tokens_used, record.budget)
+    if record.early_halt != early:
+        raise TraceParseError(path, f"invalid record: early_halt must be {json.dumps(early)} "
+                              f"for stop_cause {cause!r} at {record.tokens_used} of "
+                              f"{record.budget} tokens", line=line)
+    return record
+
+
 def write_records(records: List[EpisodeRecord], path, metadata: Optional[dict] = None) -> None:
-    """One record per line after a schema header; reread yields equal records."""
+    """One record per line after a schema header, written one line at a time; reread
+    yields equal records."""
     header = {"schema": RECORD_SCHEMA}
     if metadata:
         header.update(metadata)
-    lines = [_encode(header)]
-    # A record's __dict__ holds its fields in order (asdict would deep-copy each actions tuple).
-    lines.extend(map(_encode, map(vars, records)))
-    write_text(path, "\n".join(lines) + "\n")
+    with _atomic_file(path) as f:
+        # A record's __dict__ holds its fields in order (asdict would deep-copy each actions tuple).
+        for obj in chain([header], map(vars, records)):
+            f.write(_encode(obj).encode() + b"\n")
 
 
 def read_records(path) -> Tuple[dict, List[EpisodeRecord]]:
     lines = _read_jsonl(path, RECORD_SCHEMA)
     header = next(lines)[1]
     names = {"method": lambda v: Method(v).value, "stop_cause": lambda v: StopCause(v).value}
-    return header, [parse_fields(path, lineno, "record", EpisodeRecord, obj, actions=_actions,
-                                 **names) for lineno, obj, _ in lines]
+    return header, [_agreeing(path, lineno, parse_fields(
+        path, lineno, "record", EpisodeRecord, obj, actions=_actions, **names))
+        for lineno, obj, _ in lines]

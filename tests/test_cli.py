@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from bithalt import cli, signals
 from bithalt.cli import (
     CONFIG_FIELDS,
     DEFAULTS,
+    VALID_METHODS,
     build_engine_config,
     build_parser,
     main,
@@ -340,6 +342,26 @@ class TestReport:
         assert "repeat example_id(s)" in capsys.readouterr().err
         assert not (out / "summary.csv").exists()
 
+    def test_report_holds_one_file_of_records_at_a_time(self, tmp_path, capsys):
+        # Six files of long-text records: report keeps each file's records only while it
+        # reads them, and an outcome row of each, so its peak follows one file, not six.
+        text = "x" * 20_000 + " #### 42"
+        for method in VALID_METHODS:
+            for budget in (256, 512):
+                write_records([sample_record(i, method=method, budget=budget,
+                                             generated_text=text) for i in range(10)],
+                              tmp_path / f"records_{method}_b{budget}.jsonl")
+        largest = max(p.stat().st_size for p in tmp_path.glob("records_*.jsonl"))
+        args = argparse.Namespace(records=str(tmp_path), out=str(tmp_path / "out"))
+        assert cli.cmd_report(args) == 0  # loads the metrics layer outside the trace
+        tracemalloc.start()
+        try:
+            assert cli.cmd_report(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * largest, (peak, largest)
+
     def test_empty_record_set_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "empty"
         out.mkdir()
@@ -420,6 +442,12 @@ UNREADABLE_FILES = [
                  id="unknown-action"),
     pytest.param("report", records_text(', "actions": [["stop", "floor", 16]]'), 2,
                  id="mismatched-action"),
+    # A stop_cause or early_halt that disagrees with the record's own last action.
+    pytest.param("report", records_text(', "stop_cause": "eos"'), 2, id="eos-after-a-stop"),
+    pytest.param("report", records_text(', "actions": [["continue", "floor", 16]]'), 2,
+                 id="controller-stop-after-a-continue"),
+    pytest.param("report", records_text(', "early_halt": false'), 2,
+                 id="early-halt-unlike-the-stop"),
     pytest.param("simulate", scenario_text(', "hidden_rotation": Infinity'), None,
                  id="infinite-rotation"),
     pytest.param("simulate", scenario_text(', "hidden_rotation": NaN'), None, id="nan-rotation"),
@@ -995,3 +1023,25 @@ class TestGoldenRecords:
         assert [p.name for p in golden] == sorted(p.name for p in tmp_path.iterdir())
         for path in golden:
             assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_a_group_split_across_two_files_makes_one_row(self, tmp_path, capsys):
+        records = tmp_path / "records"
+        records.mkdir()
+        for path in GOLDEN_RECORDS.iterdir():
+            (records / path.name).write_bytes(path.read_bytes())
+        header, *lines = (GOLDEN_RECORDS / "records_fixed_b512.jsonl").read_text().splitlines(
+            keepends=True)
+        (records / "records_fixed_b512.jsonl").write_text(header + "".join(lines[:3]))
+        more = records / "records_fixed_b512_more.jsonl"
+        more.write_text(header + "".join(lines[3:]))
+        assert run_cli("report", "--records", str(records), "--out", str(tmp_path / "out")) == 0
+        assert ((tmp_path / "out" / "summary.csv").read_bytes()
+                == (GOLDEN_REPORT / "summary.csv").read_bytes())
+        # An example id in both files counts twice in one group.
+        more.write_text(header + "".join(lines[2:]))
+        capsys.readouterr()
+        assert run_cli("report", "--records", str(records), "--out", str(tmp_path / "dup")) == 2
+        example_id = json.loads(lines[2])["example_id"]
+        assert capsys.readouterr().err == (
+            f"error: records repeat example_id(s) [{example_id!r}] in one group\n")
+        assert not (tmp_path / "dup" / "summary.csv").exists()

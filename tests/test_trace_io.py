@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bithalt import trace_io
 from bithalt.cli import main
 from bithalt.engine import EngineConfig, EpisodeRecord, Method, run_episode
 from bithalt.errors import TraceParseError, UnsupportedSchemaError
@@ -688,8 +690,22 @@ class TestRecordFiles:
         assert abs(got[0].predicted_answer - value) < 1e-9
         assert got[0].predicted_answer == value  # repr round-trip is exact
 
+    def test_write_holds_one_encoded_record_at_a_time(self, tmp_path):
+        records = [sample_record(i, generated_text="x" * 100_000) for i in range(20)]
+        write_records(records[:1], tmp_path / "one.jsonl")
+        one = (tmp_path / "one.jsonl").stat().st_size
+        write_records(records, tmp_path / "all.jsonl")  # the path's first write, untraced
+        tracemalloc.start()
+        try:
+            write_records(records, tmp_path / "all.jsonl")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * one, (peak, one)
+
     @given(
-        st.integers(min_value=0, max_value=3000),
+        # A tail stop the engine can write: after the marker's 32-token tail, short of B=512.
+        st.integers(min_value=192, max_value=511),
         st.floats(allow_nan=False, allow_infinity=False, width=64),
         st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False, width=64)),
         st.text(max_size=40),
@@ -700,6 +716,7 @@ class TestRecordFiles:
                                    text, correct):
         path = tmp_path_factory.mktemp("rr") / "r.jsonl"
         rec = sample_record(0, tokens_used=tokens, gold_answer=gold,
+                            actions=(("continue", "floor", 16), ("stop", "tail_stop", tokens)),
                             predicted_answer=predicted, generated_text=text,
                             correct=correct)
         write_records([rec], path)
@@ -720,20 +737,36 @@ class TestAtomicWrite:
     @pytest.mark.parametrize("writer", sorted(WRITERS))
     @pytest.mark.parametrize("old", [None, b"old bytes\n"])
     def test_failed_write_leaves_old_file_and_no_temp(self, tmp_path, monkeypatch, writer, old):
+        whole = tmp_path / "whole"
+        self.WRITERS[writer](whole)
+        half = whole.stat().st_size // 2
+        whole.unlink()
         path = tmp_path / "out.jsonl"
         if old is not None:
             path.write_bytes(old)
 
-        def fail_midway(real):
-            def write(self, data, *args, **kwargs):
-                real(self, data[: len(data) // 2], *args, **kwargs)
-                raise OSError(28, "No space left on device")
-            return write
+        class FullDisk:
+            """A file that takes the first ``half`` bytes written to it, then fails."""
 
-        # write_text writes through Path.write_bytes; failing Path.write_text too keeps
-        # this test meaningful for a writer that writes text as text.
-        for name in ("write_text", "write_bytes"):
-            monkeypatch.setattr(Path, name, fail_midway(getattr(Path, name)))
+            def __init__(self, f):
+                self.f, self.room = f, half
+
+            def write(self, data):
+                data = memoryview(data).cast("B")
+                self.f.write(data[: self.room])
+                self.room -= len(data)
+                if self.room < 0:
+                    raise OSError(28, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        # Every output is written through the files trace_io opens, a line or a whole
+        # text at a time, so the writer fails halfway through what it writes.
+        monkeypatch.setattr(trace_io, "open", lambda *a: FullDisk(open(*a)), raising=False)
         with pytest.raises(OSError, match="out.jsonl"):
             self.WRITERS[writer](path)
         monkeypatch.undo()
