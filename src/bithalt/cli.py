@@ -3,8 +3,9 @@
 simulate and replay differ only in how they load examples (scenarios or
 recorded traces). One runner scores both one example at a time: each is loaded
 once, run under every method x budget cell in one pass over a single stream
-(engine.run_episodes) and dropped, so a replay holds one trace's steps. Cells
-whose last chunk is partial split off and finish over a fork of it. replay
+(engine.run_episodes) and dropped, so a replay holds one trace's steps, and of a
+trace/v3 trace only the arrays of the step the pass is at (trace_io.read_trace).
+Cells whose last chunk is partial split off and finish over a fork of it. replay
 reads every header first; a body that fails to parse is reported when its turn
 comes and skipped in every cell. Both write only files; sweep runs either one,
 then report, which prints the summary.csv it writes. A replayed trace runs at

@@ -191,8 +191,11 @@ def entropy(distribution: Sequence[float]) -> float:
     total = float(p.sum())
     if abs(total - 1.0) > DIST_SUM_TOL:
         raise InvalidDistributionError(f"distribution sums to {total}, not 1")
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log(nz)))
+    positive = p > 0
+    nz = p if positive.all() else p[positive]  # no compacted copy when no entry is zero
+    terms = np.log(nz)
+    terms *= nz  # into the log's buffer: one whole-vector temporary, not two
+    return float(-np.sum(terms))
 
 
 def trace_stability(chunks: Sequence[str]) -> float:

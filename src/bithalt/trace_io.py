@@ -15,6 +15,8 @@ Trace file (schema ``trace/v3``; ``trace/v1`` and ``trace/v2`` still read):
   strings of those bytes, v1 JSON lists of numbers; either form reads in either.
   Arrays are read back as ``array('d')`` without numpy, and validated where they
   are used: ``entropy`` checks a distribution, ``RunningSignals.push`` a hidden vector.
+  ``read_trace`` checks a whole file before its steps are used, but reads a v3
+  step's arrays only when that step is indexed, so a replay holds one step's.
 
 Files are read one line at a time, split at "\n" only (U+2028, U+2029 and
 U+0085 may stand unescaped inside a JSON string); ``decode`` makes each line,
@@ -45,8 +47,9 @@ import json
 import os
 import sys
 from array import array
+from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 from itertools import chain
 from pathlib import Path
@@ -220,16 +223,55 @@ def _array(value) -> array:
     raise TypeError(f"array must be a base64 string or a list, got {type(value).__name__}")
 
 
-def _raw_array(f: BinaryIO, count) -> array:
-    """A v3 trace array: the ``count`` float64s whose bytes come next in open file
-    ``f``, as ``array('d')``. The count is checked before a byte is read."""
+def _skip_array(f: BinaryIO, size: int, count) -> Tuple[int, int]:
+    """A v3 trace array's (offset, count): the ``count`` float64s whose bytes come next
+    in open file ``f`` of ``size`` bytes, checked to lie in the file and skipped."""
     if type(count) is not int or count < 0:  # a bool is not a count
         raise TypeError(f"array must be an element count, got {count!r:.40}")
-    if 8 * count > os.fstat(f.fileno()).st_size - f.tell():
+    offset = f.tell()
+    if 8 * count > size - offset:
         raise ValueError(f"array of {count} float64s runs past the end of the file")
-    out = array("d")
-    out.fromfile(f, count)
-    return _little_endian(out)
+    f.seek(8 * count, os.SEEK_CUR)
+    return offset, count
+
+
+class _V3Steps(Sequence):
+    """A scanned ``trace/v3`` file's steps, which index, iterate and compare like a list of
+    StepSignals. A step's arrays are held as their (offset, count) in the file until it is
+    indexed, and are read then, so a replay holds the step it is at, not the trace."""
+
+    def __init__(self, path, scanned: os.stat_result, steps: List[Tuple[int, StepSignals]]):
+        self._path, self._steps = path, steps  # (line number, step holding spans)
+        self._scanned = (scanned.st_size, scanned.st_mtime_ns, scanned.st_ino)
+
+    def __len__(self) -> int:
+        return len(self._steps)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        lineno, step = self._steps[i]
+        spans = {name: span for name in ("distribution", "hidden")
+                 if (span := getattr(step, name)) is not None}
+        if not spans:
+            return step
+        with open(self._path, "rb") as f:
+            now = os.fstat(f.fileno())
+            if (now.st_size, now.st_mtime_ns, now.st_ino) != self._scanned:
+                raise TraceParseError(self._path, "file changed since it was read", line=lineno)
+            for name, (offset, count) in spans.items():
+                f.seek(offset)
+                spans[name] = values = array("d")
+                try:
+                    values.fromfile(f, count)
+                except EOFError:
+                    raise TraceParseError(self._path, f"array of {count} float64s cut short "
+                                          "since the file was read", line=lineno) from None
+                _little_endian(values)
+        return replace(step, **spans)
+
+    def __eq__(self, other):
+        return list(self) == other if isinstance(other, (list, _V3Steps)) else NotImplemented
 
 
 def read_trace_meta(path) -> TraceMeta:
@@ -238,27 +280,29 @@ def read_trace_meta(path) -> TraceMeta:
     return parse_fields(path, 1, "header", TraceMeta, header)
 
 
-def read_trace(path) -> Tuple[TraceMeta, List[StepSignals]]:
-    """Parse a trace file into its header metadata and ordered steps; wrap the
-    steps in a ReplaySource to feed them to the engine."""
+def read_trace(path) -> Tuple[TraceMeta, Sequence[StepSignals]]:
+    """Parse and check a whole trace file into its header metadata and ordered steps;
+    wrap the steps in a ReplaySource to feed them to the engine. A v3 trace's arrays
+    are read when their step is indexed, from the file as it was checked."""
     from .signals import StepSignals
 
     lines = _read_jsonl(path, *TRACE_SCHEMAS)
     _, header, f = next(lines)
     meta = parse_fields(path, 1, "header", TraceMeta, header)
+    v3, scanned = header["schema"] == TRACE_SCHEMA, os.fstat(f.fileno())
     # from_fields converts distribution before hidden: a v3 step's probs bytes come first.
-    arrays = functools.partial(_raw_array, f) if header["schema"] == TRACE_SCHEMA else _array
-    steps: List[StepSignals] = []
+    arrays = functools.partial(_skip_array, f, scanned.st_size) if v3 else _array
+    steps: List[Tuple[int, StepSignals]] = []
     for lineno, obj, _ in lines:
-        if steps and steps[-1].eos:
+        if steps and steps[-1][1].eos:
             raise TraceParseError(path, "steps follow an eos-flagged step", line=lineno)
         if obj.get("step") != len(steps) or isinstance(obj["step"], bool):
             raise TraceParseError(path, f"non-contiguous step index {obj.get('step')!r}, "
                                   f"expected {len(steps)}", line=lineno)
         # StepSignals rejects a step with both or neither of entropy and probs.
-        steps.append(parse_fields(path, lineno, "step", StepSignals, obj,
-                                  distribution=arrays, hidden=arrays))
-    return meta, steps
+        steps.append((lineno, parse_fields(path, lineno, "step", StepSignals, obj,
+                                           distribution=arrays, hidden=arrays)))
+    return meta, _V3Steps(path, scanned, steps) if v3 else [step for _, step in steps]
 
 
 @contextmanager
@@ -405,7 +449,7 @@ def _actions(value) -> Tuple[Tuple[str, str, int], ...]:
 
 def _agreeing(path, line: int, record: EpisodeRecord) -> EpisodeRecord:
     """``record``, once its stop_cause is the stop its last action makes (a run-out stop
-    after a continue), and its early_halt the engine's for that stop."""
+    after a continue), at its tokens_used, and its early_halt the engine's for that stop."""
     cause = record.stop_cause
     if record.actions:
         last = record.actions[-1]
@@ -413,6 +457,9 @@ def _agreeing(path, line: int, record: EpisodeRecord) -> EpisodeRecord:
         if cause not in (_RUN_OUT if stop is None else (stop,)):
             raise TraceParseError(path, f"invalid record: stop_cause {cause!r} disagrees "
                                   f"with the last action {list(last)!r}", line=line)
+        if stop is not None and last[2] != record.tokens_used:
+            raise TraceParseError(path, f"invalid record: tokens_used {record.tokens_used} "
+                                  f"disagrees with the last action {list(last)!r}", line=line)
     early = is_early_halt(cause, record.tokens_used, record.budget)
     if record.early_halt != early:
         raise TraceParseError(path, f"invalid record: early_halt must be {json.dumps(early)} "

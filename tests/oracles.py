@@ -3,9 +3,10 @@
 The policy oracle re-reads the halting rule case by case, the confidence
 oracle recomputes the calibrator's formula term by term, the hidden stability
 oracle recomputes the cosine mean over a whole history, and the episode oracle
-re-runs one cell's loop from its documented rules. The policy, confidence and
-stability oracles share no code with the implementation under test. The
-episode oracle reuses three pieces of it that have their own tests:
+re-runs one cell's loop from its documented rules. The entropy oracle is the
+plain formula that signals.entropy must equal bit for bit. The policy,
+confidence and stability oracles share no code with the implementation under
+test. The episode oracle reuses three pieces of it that have their own tests:
 extract_answer and answers_match (test_engine), and the EpisodeRecord it fills
 in. A fault in those pieces would show in the oracle too, so it tests the loop,
 not them.
@@ -127,6 +128,16 @@ def oracle_hidden_stability(hiddens):
             products.append(x * y)
         total += math.fsum(products)
     return total / (len(units) - 1)
+
+
+def oracle_entropy(p):
+    """-sum(p ln p) over the nonzero entries of a valid distribution: the compacted
+    copy and the product of whole vectors that signals.entropy avoids."""
+    import numpy as np
+
+    p = np.asarray(p, dtype=float)
+    nz = p[p > 0]
+    return float(-np.sum(nz * np.log(nz)))
 
 
 def oracle_episode(source, cfg, gold, example_id):

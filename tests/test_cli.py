@@ -442,12 +442,14 @@ UNREADABLE_FILES = [
                  id="unknown-action"),
     pytest.param("report", records_text(', "actions": [["stop", "floor", 16]]'), 2,
                  id="mismatched-action"),
-    # A stop_cause or early_halt that disagrees with the record's own last action.
+    # A stop_cause, early_halt or tokens_used that disagrees with the record's own last action.
     pytest.param("report", records_text(', "stop_cause": "eos"'), 2, id="eos-after-a-stop"),
     pytest.param("report", records_text(', "actions": [["continue", "floor", 16]]'), 2,
                  id="controller-stop-after-a-continue"),
     pytest.param("report", records_text(', "early_halt": false'), 2,
                  id="early-halt-unlike-the-stop"),
+    pytest.param("report", records_text(', "tokens_used": 300'), 2,
+                 id="tokens-unlike-the-stop"),
     pytest.param("simulate", scenario_text(', "hidden_rotation": Infinity'), None,
                  id="infinite-rotation"),
     pytest.param("simulate", scenario_text(', "hidden_rotation": NaN'), None, id="nan-rotation"),

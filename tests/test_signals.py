@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import oracle_hidden_stability
+from oracles import oracle_entropy, oracle_hidden_stability
 
 from bithalt.errors import InvalidDistributionError, InvalidInputError
 from bithalt.signals import (
@@ -66,6 +66,20 @@ class TestEntropy:
         rng = np.random.default_rng(0)
         shuffled = rng.permutation(p)
         assert entropy(p) == pytest.approx(entropy(shuffled), rel=1e-12, abs=1e-12)
+
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1.0)),
+                    min_size=1, max_size=300), st.booleans(), st.booleans())
+    @example([0.25] * 4, False, True)  # no zero entry: entropy reads p itself
+    @example([0.5, 0.0, 0.5], False, False)
+    @example([1.0], False, False)  # -0.0, in both
+    def test_equals_the_oracle_bit_for_bit(self, weights, zeros, as_array):
+        if zeros:
+            weights = [0.0, *weights, 0.0]
+        assume(sum(weights) > 0)
+        p = [w / sum(weights) for w in weights]
+        assume(abs(math.fsum(p) - 1.0) <= 1e-6)
+        dist = array("d", p) if as_array else p  # replay passes array('d')
+        assert entropy(dist).hex() == oracle_entropy(p).hex()
 
     def test_bounded_by_log_vocab(self):
         rng = np.random.default_rng(1)

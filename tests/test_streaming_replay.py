@@ -1,24 +1,30 @@
-"""Replay is example-major: each trace is parsed, run under every cell and
-dropped before the next one is parsed, so memory holds one trace's steps and a
-body that fails to parse is found mid-run."""
+"""Replay is example-major and step by step: each trace is checked whole, run
+under every cell and dropped before the next one is read, and a trace/v3 step's
+arrays are read from the file only when the pass reaches that step. So memory
+holds one step's arrays, a body that fails to parse is found mid-run, and a
+file changed after its check errors the cells still running on it."""
 
+import os
 import shutil
 import tracemalloc
 
-from bithalt import cli
+import pytest
+
+from bithalt import cli, trace_io
+from bithalt.engine import EngineConfig, Method, run_episodes
 from bithalt.signals import StepSignals
-from bithalt.trace_io import TraceMeta, read_records, write_trace
+from bithalt.trace_io import ReplaySource, TraceMeta, read_records, read_trace, write_trace
 
 VOCAB = 16384  # 128 KiB of float64 per step's probs
 STEPS = 8
 
 
-def write_probs_traces(directory, n):
+def write_probs_traces(directory, n, length=STEPS):
     directory.mkdir()
     probs = [1.0 / VOCAB] * VOCAB
     for i in range(n):
         steps = [StepSignals(chunk_text=f"thinking {i} {j}\n", tokens_in_chunk=16,
-                             distribution=probs) for j in range(STEPS - 1)]
+                             distribution=probs) for j in range(length - 1)]
         steps.append(StepSignals(chunk_text="#### 42\n", tokens_in_chunk=8,
                                  distribution=probs, eos=True))
         write_trace(TraceMeta(example_id=f"t{i}", gold_answer=42.0), steps,
@@ -47,6 +53,16 @@ def test_peak_memory_does_not_grow_with_the_corpus(tmp_path):
     peak_eight = peak_replay_bytes(eight, tmp_path / "o8")
     # Holding every trace's steps would take about 1 MiB more per trace.
     assert peak_eight <= 1.25 * peak_two, (peak_two, peak_eight)
+
+
+def test_peak_memory_does_not_grow_with_the_trace(tmp_path):
+    short = write_probs_traces(tmp_path / "short", 1)
+    long = write_probs_traces(tmp_path / "long", 1, length=4 * STEPS)
+    assert cli.main(["replay", "--traces", str(short), "--out", str(tmp_path / "warm")]) == 0
+    peak_short = peak_replay_bytes(short, tmp_path / "o8")
+    peak_long = peak_replay_bytes(long, tmp_path / "o32")
+    # Holding a trace's arrays would take 128 KiB more per step: 3 MiB more here.
+    assert peak_long <= 1.25 * peak_short, (peak_short, peak_long)
 
 
 def write_text_traces(directory, n):
@@ -105,3 +121,41 @@ def test_every_trace_failing_writes_nothing_and_exits_2(tmp_path, capsys):
     assert err[3:] == ["error: every trace file failed to parse"]
     assert captured.out == ""
     assert not list(out.glob("records_*.jsonl")) and not (out / "run_meta.json").exists()
+
+
+def truncate(path):
+    """Cut into the last step's hidden vector."""
+    os.truncate(path, path.read_bytes().rindex(b'{"step": 4') - 8)
+
+
+def rewrite_in_place(path):
+    """The file's bytes reversed, written over it in the same inode."""
+    data = path.read_bytes()
+    with open(path, "r+b") as f:
+        f.write(data[::-1])
+
+
+@pytest.mark.parametrize("change", [truncate, rewrite_in_place])
+def test_a_file_changed_under_replay_errors_the_running_cells(tmp_path, monkeypatch, change):
+    probs = [0.5, 0.25, 0.25]
+    steps = [StepSignals(chunk_text=f"thinking {j}\n", tokens_in_chunk=16, entropy=1.0)
+             for j in range(3)]
+    steps += [StepSignals(chunk_text="more\n", tokens_in_chunk=16, distribution=probs,
+                          hidden=[1.0, 0.0]),
+              StepSignals(chunk_text="#### 42\n", tokens_in_chunk=8, entropy=0.5, eos=True)]
+    path = tmp_path / "t.jsonl"
+    write_trace(TraceMeta(example_id="t", gold_answer=42.0), steps, path)
+    os.utime(path, ns=(10**18, 10**18))  # so a rewrite now gives another mtime
+    before = os.stat(path).st_ino
+    _, got = read_trace(path)
+    change(path)  # after the check, before the pass reaches step 3, the first with arrays
+    assert os.stat(path).st_ino == before
+    opened = []
+    monkeypatch.setattr(trace_io, "open", lambda *a: opened.append(open(*a)) or opened[-1],
+                        raising=False)
+    records = run_episodes(ReplaySource(got), [EngineConfig(m, 512) for m in Method],
+                           gold=42.0, example_id="t")
+    assert opened and all(f.closed for f in opened)
+    for record in records:  # every cell was still running: each read steps 0-2
+        assert (record.tokens_used, record.steps, record.stop_cause) == (48, 3, "eos")
+        assert record.error == f"TraceParseError: {path}:5: file changed since it was read"
