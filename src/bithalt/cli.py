@@ -3,16 +3,17 @@
 simulate and replay differ only in how they load examples (scenarios or
 recorded traces). One runner scores both one example at a time: each is loaded
 once, run under every method x budget cell in one pass over a single stream
-(engine.run_episodes) and dropped, so a replay holds one trace's steps, and of a
-trace/v3 trace only the arrays of the step the pass is at (trace_io.read_trace).
-Cells whose last chunk is partial split off and finish over a fork of it. replay
-reads every header first; a body that fails to parse is reported when its turn
-comes and skipped in every cell. Both write only files; sweep runs either one,
-then report, which prints the summary.csv it writes. A replayed trace runs at
-the bit width in its header unless bits is set by a flag or the config file; if
-it is not, run_meta.json reads "bits": null. report reads records through
-trace_io one file at a time, keeping only each record's outcome row, and scores
-the rows in metrics: it loads no engine, calibrate or policy.
+(engine.run_episodes) and dropped, so a replay holds one trace's steps, and only
+the arrays of the step the pass is at (trace_io.read_trace). Cells whose last
+chunk is partial split off and finish over a fork of it. replay reads every
+header first; a body that fails to parse is reported when its turn comes and
+skipped in every cell. Both write only files; sweep runs either one, then
+report, which prints the summary.csv it writes. A replayed trace runs at the bit
+width in its header unless bits is set by a flag or the config file; if it is
+not, run_meta.json reads "bits": null. report reads records one file at a time,
+keeps each record's outcome row and scores the rows in metrics, loading no
+engine, calibrate or policy; a group whose every record errored gets no row, is
+named, and makes report exit 2.
 
 Config resolution is layered: built-in defaults <- the command's own defaults
 <- optional JSON config file (--config) <- explicit command-line flags, highest
@@ -318,10 +319,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     rows = [Outcome.of(record) for path in record_files for record in read_records(path)[1]]
     if not rows:
         raise EmptyRunError(f"record files under {records_dir} hold no records")
-    summaries = summarize_all(rows)
+    summaries = summarize_all(rows, dropped := [])  # groups whose every record errored
     emit_summary_table(summaries, out_dir / "summary.csv")
     print("\n".join(format_summary_rows(summaries)))
-    return 0
+    sys.stderr.writelines(f"error: {message}\n" for message in dropped)
+    return 2 if dropped else 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

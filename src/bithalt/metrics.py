@@ -125,26 +125,30 @@ def summarize(
     )
 
 
-def summarize_all(records: Sequence[Outcome]) -> List[RunSummary]:
-    """Summarize every (model, method, budget) group of records or outcome rows,
-    wiring each non-fixed group to its fixed baseline at the same (model, budget)
-    for savings."""
-    if not records:
-        raise EmptyRunError("no records to summarize")
+def summarize_all(records: Sequence[Outcome], dropped: List[str]) -> List[RunSummary]:
+    """Summarize each (model, method, budget) group, with savings against the fixed group at
+    its (model, budget). A group whose every record errored gets no row and leaves its message
+    in ``dropped``; if no group is left, the first message (or none) is raised."""
     groups: Dict[Tuple[str, str, int], List[Outcome]] = {}
     for r in records:
         groups.setdefault((r.model, r.method, r.budget), []).append(r)
-    # Budget-major, fixed first: each fixed summary is the savings reference
-    # for the groups of its (model, budget) that follow it, and has none itself.
+    # Budget-major, fixed first: each fixed summary is the savings reference for the groups
+    # of its (model, budget) that follow it, and has none itself; a dropped fixed group none.
     fixed_refs: Dict[Tuple[str, int], RunSummary] = {}
     summaries = []
     for (model, method, budget), recs in sorted(
         groups.items(), key=lambda kv: (kv[0][2], _METHOD_ORDER[kv[0][1]], kv[0][0])
     ):
-        summary = summarize(recs, fixed_reference=fixed_refs.get((model, budget)))
+        try:
+            summary = summarize(recs, fixed_reference=fixed_refs.get((model, budget)))
+        except EmptyRunError as exc:  # every record of the group errored
+            dropped.append(str(exc))
+            continue
         if method == Method.FIXED:
             fixed_refs[(model, budget)] = summary
         summaries.append(summary)
+    if not summaries:
+        raise EmptyRunError(dropped[0] if dropped else "no records to summarize")
     return summaries
 
 

@@ -5,23 +5,22 @@ object per line. Scalars are serialized as decimal text via ``repr`` (full
 round-trip precision), never as binary floats. The one exception is a trace
 step's arrays, raw float64 bytes: any text form of them dominates replay time.
 
-Trace file (schema ``trace/v3``; ``trace/v1`` and ``trace/v2`` still read):
+Trace file (schema ``trace/v3``; an older schema is refused):
   header: {"schema", "example_id", "gold_answer", "model", "served_bits",
            "prompt_digest"}
   step:   {"step", "chunk_text", "tokens", "entropy" XOR "probs",
            "hidden"?, "eos"?}
-  In v3, ``probs`` and ``hidden`` are counts (ints >= 0) of the little-endian
-  float64s whose bytes follow the step's line, ``probs`` first. v2 wrote base64
-  strings of those bytes, v1 JSON lists of numbers; either form reads in either.
-  Arrays are read back as ``array('d')`` without numpy, and validated where they
-  are used: ``entropy`` checks a distribution, ``RunningSignals.push`` a hidden vector.
-  ``read_trace`` checks a whole file before its steps are used, but reads a v3
-  step's arrays only when that step is indexed, so a replay holds one step's.
+  ``probs`` and ``hidden`` are counts (ints >= 0) of the little-endian float64s
+  whose bytes follow the step's line, ``probs`` first. Arrays are read back as
+  ``array('d')`` without numpy, and validated where they are used: ``entropy``
+  checks a distribution, ``RunningSignals.push`` a hidden vector. ``read_trace``
+  checks a whole file before its steps are used, but reads a step's arrays only
+  when that step is indexed, so a replay holds one step's.
 
 Files are read one line at a time, split at "\n" only (U+2028, U+2029 and
 U+0085 may stand unescaped inside a JSON string); ``decode`` makes each line,
 or a scenario or config file, one JSON object or a parse error naming it. Line
-numbers count JSON lines only: a v3 step's array bytes are not lines.
+numbers count JSON lines only: a step's array bytes are not lines.
 
 Record file (schema ``records/v1``), of the types EpisodeRecord, Method,
 StopCause and Action (each decision outcome, with the stop it makes), defined
@@ -41,7 +40,6 @@ line at a time, traces a step at a time, ``write_text`` whole.
 
 from __future__ import annotations
 
-import base64
 import functools
 import json
 import os
@@ -62,7 +60,6 @@ if TYPE_CHECKING:  # read_trace imports it as it runs: report loads no signals
     from .signals import StepSignals
 
 TRACE_SCHEMA = "trace/v3"
-TRACE_SCHEMAS = ("trace/v1", "trace/v2", TRACE_SCHEMA)
 RECORD_SCHEMA = "records/v1"
 
 # json.dumps's settings less its check for circular references, which cost a dict
@@ -92,7 +89,7 @@ class ReplaySource:
     original run generated (counterfactual under a different controller). It
     holds the steps and the next index, so a shallow copy forks it."""
 
-    def __init__(self, steps: List[StepSignals]):
+    def __init__(self, steps: Sequence[StepSignals]):
         self._steps, self._next = steps, 0
 
     def next_chunk(self, max_tokens: int) -> Optional[StepSignals]:
@@ -180,9 +177,9 @@ def decode(path, data: bytes, line: Optional[int] = None) -> dict:
     return obj
 
 
-def _read_jsonl(path, *schemas: str) -> Iterator[Tuple[int, dict, BinaryIO]]:
+def _read_jsonl(path, schema: str) -> Iterator[Tuple[int, dict, BinaryIO]]:
     """(line number, object, open file) triples of a JSONL file, read and parsed one
-    line at a time: the header, checked against ``schemas``, then each non-blank body
+    line at a time: the header, checked to declare ``schema``, then each non-blank body
     line. The caller may read bytes from the file between two lines."""
     if not os.path.getsize(path):
         raise TraceParseError(path, "empty file", line=1)
@@ -191,7 +188,7 @@ def _read_jsonl(path, *schemas: str) -> Iterator[Tuple[int, dict, BinaryIO]]:
             if lineno > 1 and raw.isspace():
                 continue
             obj = decode(path, raw, lineno)
-            if lineno == 1 and obj.get("schema") not in schemas:
+            if lineno == 1 and obj.get("schema") != schema:
                 raise UnsupportedSchemaError(
                     path, f"unsupported schema {obj.get('schema')!r}", line=1)
             yield lineno, obj, f
@@ -204,27 +201,8 @@ def _little_endian(values: array) -> array:
     return values
 
 
-def _array(value) -> array:
-    """A v1 or v2 trace array as ``array('d')``: from a base64 string of
-    little-endian float64 bytes, or from a JSON list of numbers."""
-    if isinstance(value, str):
-        try:
-            raw = base64.b64decode(value, validate=True)
-        except ValueError as exc:
-            raise ValueError(f"invalid base64 array: {exc}")
-        if len(raw) % 8:
-            raise ValueError(f"array holds {len(raw)} bytes, not a multiple of 8")
-        out = array("d")
-        out.frombytes(raw)
-        return _little_endian(out)
-    if isinstance(value, list):  # of JSON numbers only, by the one value rule
-        return array("d", [x if type(x) is float else _coerce("float64 array element", float, x)
-                           for x in value])
-    raise TypeError(f"array must be a base64 string or a list, got {type(value).__name__}")
-
-
 def _skip_array(f: BinaryIO, size: int, count) -> Tuple[int, int]:
-    """A v3 trace array's (offset, count): the ``count`` float64s whose bytes come next
+    """A trace array's (offset, count): the ``count`` float64s whose bytes come next
     in open file ``f`` of ``size`` bytes, checked to lie in the file and skipped."""
     if type(count) is not int or count < 0:  # a bool is not a count
         raise TypeError(f"array must be an element count, got {count!r:.40}")
@@ -235,8 +213,8 @@ def _skip_array(f: BinaryIO, size: int, count) -> Tuple[int, int]:
     return offset, count
 
 
-class _V3Steps(Sequence):
-    """A scanned ``trace/v3`` file's steps, which index, iterate and compare like a list of
+class _TraceSteps(Sequence):
+    """A scanned trace file's steps, which index, iterate and compare like a list of
     StepSignals. A step's arrays are held as their (offset, count) in the file until it is
     indexed, and are read then, so a replay holds the step it is at, not the trace."""
 
@@ -271,27 +249,26 @@ class _V3Steps(Sequence):
         return replace(step, **spans)
 
     def __eq__(self, other):
-        return list(self) == other if isinstance(other, (list, _V3Steps)) else NotImplemented
+        return list(self) == other if isinstance(other, (list, _TraceSteps)) else NotImplemented
 
 
 def read_trace_meta(path) -> TraceMeta:
     """A trace's header metadata; only the first line of the file is read."""
-    header = next(_read_jsonl(path, *TRACE_SCHEMAS))[1]
+    header = next(_read_jsonl(path, TRACE_SCHEMA))[1]
     return parse_fields(path, 1, "header", TraceMeta, header)
 
 
 def read_trace(path) -> Tuple[TraceMeta, Sequence[StepSignals]]:
     """Parse and check a whole trace file into its header metadata and ordered steps;
-    wrap the steps in a ReplaySource to feed them to the engine. A v3 trace's arrays
-    are read when their step is indexed, from the file as it was checked."""
+    wrap the steps in a ReplaySource to feed them to the engine. A step's arrays are
+    read when it is indexed, from the file as it was checked."""
     from .signals import StepSignals
 
-    lines = _read_jsonl(path, *TRACE_SCHEMAS)
+    lines = _read_jsonl(path, TRACE_SCHEMA)
     _, header, f = next(lines)
     meta = parse_fields(path, 1, "header", TraceMeta, header)
-    v3, scanned = header["schema"] == TRACE_SCHEMA, os.fstat(f.fileno())
-    # from_fields converts distribution before hidden: a v3 step's probs bytes come first.
-    arrays = functools.partial(_skip_array, f, scanned.st_size) if v3 else _array
+    scanned = os.fstat(f.fileno())
+    arrays = functools.partial(_skip_array, f, scanned.st_size)  # from_fields: probs, then hidden
     steps: List[Tuple[int, StepSignals]] = []
     for lineno, obj, _ in lines:
         if steps and steps[-1][1].eos:
@@ -302,7 +279,7 @@ def read_trace(path) -> Tuple[TraceMeta, Sequence[StepSignals]]:
         # StepSignals rejects a step with both or neither of entropy and probs.
         steps.append((lineno, parse_fields(path, lineno, "step", StepSignals, obj,
                                            distribution=arrays, hidden=arrays)))
-    return meta, _V3Steps(path, scanned, steps) if v3 else [step for _, step in steps]
+    return meta, _TraceSteps(path, scanned, steps)
 
 
 @contextmanager

@@ -362,6 +362,26 @@ class TestReport:
             tracemalloc.stop()
         assert peak < 2 * largest, (peak, largest)
 
+    def test_an_all_errored_group_hides_no_other_row(self, tmp_path, capsys):
+        # bitcal's one record there errored at the NaN hidden entry; fixed and adaptive
+        # are clean, so they get their rows, and report names bitcal's group and exits 2.
+        assert run_cli("report", "--records", str(GOLDEN_REPLAY_V1), "--out",
+                       str(tmp_path)) == 2
+        expected = [SUMMARY_COLUMNS, "fixed,256,1,100.0,20.7,100.0,240,0.0,,7b",
+                    "adaptive,256,1,100.0,20.7,100.0,176,0.0,26.7,7b"]
+        assert (tmp_path / "summary.csv").read_text().splitlines() == expected
+        out, err = capsys.readouterr()
+        assert out.splitlines() == expected
+        assert err == "error: all records errored for model '7b', method bitcal, B=256\n"
+        # With only that group, there is no row to write.
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        name = "records_bitcal_b256.jsonl"
+        (alone / name).write_bytes((GOLDEN_REPLAY_V1 / name).read_bytes())
+        assert run_cli("report", "--out", str(alone)) == 2
+        assert capsys.readouterr() == ("", err)
+        assert not (alone / "summary.csv").exists()
+
     def test_empty_record_set_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "empty"
         out.mkdir()
@@ -389,7 +409,7 @@ DIGITS = "1" * 5_001  # past Python's default integer digit limit (4,300)
 
 def trace_text(header="", step=""):
     """A one-step trace, with JSON members appended to (and so overriding) its lines."""
-    return ('{"schema": "trace/v2", "example_id": "bad", "gold_answer": 42.0%s}\n'
+    return ('{"schema": "trace/v3", "example_id": "bad", "gold_answer": 42.0%s}\n'
             '{"step": 0, "chunk_text": "#### 42", "tokens": 4, "entropy": 0.5%s}\n'
             % (header, step))
 
@@ -425,12 +445,10 @@ UNREADABLE_FILES = [
     pytest.param("replay", trace_text(step=', "chunk_text": ["#### 42"]'), 2,
                  id="list-as-chunk-text"),
     # A trace/v3 array is an element count whose float64 bytes the file holds.
-    pytest.param("replay", trace_text(', "schema": "trace/v3"', ', "hidden": 4'), 2,
-                 id="v3-count-past-the-end"),
-    pytest.param("replay", trace_text(', "schema": "trace/v3"', ', "hidden": true'), 2,
-                 id="v3-bool-as-count"),
-    pytest.param("replay", trace_text(', "schema": "trace/v3"', ', "hidden": "AAAAAAAA8D8="'),
-                 2, id="v3-base64-as-count"),
+    pytest.param("replay", trace_text(step=', "hidden": 4'), 2, id="v3-count-past-the-end"),
+    pytest.param("replay", trace_text(step=', "hidden": true'), 2, id="v3-bool-as-count"),
+    pytest.param("replay", trace_text(step=', "hidden": "AAAAAAAA8D8="'), 2,
+                 id="v3-base64-as-count"),
     pytest.param("simulate", scenario_text(', "length": "32"'), None, id="text-as-length"),
     pytest.param("report", records_text(', "tokens_used": "12"'), 2, id="text-as-tokens-used"),
     pytest.param("report", records_text(', "actions": [[1, "stop", 16]]'), 2,
@@ -970,6 +988,7 @@ GOLDEN_RECORDS = Path(__file__).resolve().parent / "data" / "golden_records_b512
 GOLDEN_REPORT = Path(__file__).resolve().parent / "data" / "golden_report_b512"
 GOLDEN_RECORDS_K1 = Path(__file__).resolve().parent / "data" / "golden_records_k1_b2048"
 GOLDEN_RECORDS_OFFGRID = Path(__file__).resolve().parent / "data" / "golden_records_offgrid"
+GOLDEN_REPLAY_V1 = Path(__file__).resolve().parent / "data" / "golden_replay_trace_v1_b256"
 
 
 class TestGoldenRecords:

@@ -172,7 +172,7 @@ class TestSummarize:
 class TestSummarizeAll:
     def test_empty_rejected(self):
         with pytest.raises(EmptyRunError, match="no records to summarize"):
-            summarize_all([])
+            summarize_all([], [])
 
     def test_savings_wired_to_fixed_at_same_budget(self):
         records = (
@@ -181,7 +181,7 @@ class TestSummarizeAll:
             + build_group("fixed", 256, 10, 5, 0, 255)
             + build_group("bitcal", 256, 10, 5, 1, 243)
         )
-        summaries = {(s.method, s.budget): s for s in summarize_all(records)}
+        summaries = {(s.method, s.budget): s for s in summarize_all(records, [])}
         assert summaries[("bitcal", 512)].savings_pct == pytest.approx(
             100 * (466 - 316) / 466)
         assert summaries[("bitcal", 256)].savings_pct == pytest.approx(
@@ -199,7 +199,7 @@ class TestSummarizeAll:
         )
         for (model, budget), tokens in fixed_tokens.items():
             records += build_group("fixed", budget, 10, 9, 0, tokens, model=model)
-        summaries = summarize_all(records)
+        summaries = summarize_all(records, [])
         assert len(summaries) == 8
         for s in summaries:
             if s.method == "fixed":
@@ -207,6 +207,22 @@ class TestSummarizeAll:
             else:
                 ref = fixed_tokens[(s.model, s.budget)]
                 assert s.savings_pct == pytest.approx(100 * (ref - s.avg_tokens) / ref)
+
+    def test_an_all_errored_group_is_dropped_by_name(self):
+        def errored(method):
+            return [sample_record(i, method=method, budget=512, model="7b",
+                                  error="RuntimeError: x", correct=False) for i in range(2)]
+
+        records = errored("fixed") + build_group("bitcal", 512, 10, 8, 1, 316)
+        dropped = []
+        (summary,) = summarize_all(records, dropped)
+        # Without its fixed group, bitcal has no savings reference.
+        assert (summary.method, summary.savings_pct) == ("bitcal", None)
+        assert dropped == ["all records errored for model '7b', method fixed, B=512"]
+        # Every group errored: the first one's message is raised.
+        with pytest.raises(EmptyRunError) as exc:
+            summarize_all(errored("bitcal") + errored("fixed"), [])
+        assert str(exc.value) == dropped[0]
 
 
 class TestSummaryTable:
@@ -217,7 +233,7 @@ class TestSummaryTable:
             + build_group("bitcal", 256, 4, 4, 0, 100)
             + build_group("fixed", 256, 4, 4, 0, 200)
         )
-        rows = format_summary_rows(summarize_all(records))
+        rows = format_summary_rows(summarize_all(records, []))
         assert len(rows) == 5
         order = [tuple(r.split(",")[:2]) for r in rows[1:]]
         assert order == [("fixed", "256"), ("bitcal", "256"),
@@ -226,7 +242,7 @@ class TestSummaryTable:
     def test_formatting_one_decimal_and_integer_tokens(self, tmp_path):
         records = build_group("fixed", 512, 54, 49, 0, 466)
         path = tmp_path / "summary.csv"
-        emit_summary_table(summarize_all(records), path)
+        emit_summary_table(summarize_all(records, []), path)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("method,budget,n,accuracy,ci_low,ci_high,avg_tokens")
         fields = lines[1].split(",")

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import weakref
 from copy import copy
 from functools import partial
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bithalt import cli, engine
+from bithalt.calibrate import CalibratorConfig, confidence
 from bithalt.engine import EngineConfig, Method, StopCause, run_episode, run_episodes
 from bithalt.errors import ConfigError, TraceParseError
 from bithalt.policy import DEFAULT_MARKER, PolicyConfig
@@ -241,6 +243,43 @@ class TestOnePass:
         for new_source in (partial(ScenarioSource, scenario), partial(ReplaySource, recorded)):
             for cfg, record in zip(cfgs, run_episodes(new_source(), cfgs, 42.0, "s")):
                 assert record == oracle_episode(new_source(), cfg, 42.0, "s")
+
+
+class TestStopOrder:
+    """A cell only stops or goes on, so every cell of a pass reads the same stream, and each
+    case of ``decide`` that stops bitcal stops adaptive too: bitcal's confidence scale is at
+    most adaptive's and its post-marker tail at least adaptive's. So on one stream bitcal
+    never stops before adaptive, at any bit width: "conservative at low nominal precision"."""
+
+    @given(scenarios(), st.integers(1, 32), st.sampled_from([2, 4, 5, 8, 9, 16]), st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_bitcal_never_stops_before_adaptive(self, scenario, k, bits, data):
+        budgets = [k * data.draw(st.integers(1, 12))]  # on the k grid
+        if k > 1:  # off the k grid
+            budgets.append(k * data.draw(st.integers(1, 8)) + data.draw(st.integers(1, k - 1)))
+        # The thresholds sit where one step's signals cross them: theta_h near its entropy,
+        # and theta_c at or one ulp above its confidence at a drawn tier's scale, so the scale
+        # decides whether that step stops. (Drawn uniformly, theta_c lets a 4-bit scale above
+        # the 16-bit one break the order on about 1 draw in 2,000.)
+        source, running = ScenarioSource(scenario), RunningSignals()
+        readout = data.draw(st.sampled_from(
+            [running.push(step) for step in iter(partial(source.next_chunk, k), None)]))
+        theta_h = max(0.0, readout.entropy + data.draw(st.sampled_from([-0.5, 0.0, 0.5, 1.5])))
+        tier = data.draw(st.sampled_from([4, 8, 16]))
+        c = confidence(readout, CalibratorConfig(effective_bits=tier))
+        theta_c = data.draw(st.sampled_from([c, math.nextafter(c, 2.0)]))
+        policy = PolicyConfig(theta_h=theta_h, theta_c=theta_c,
+                              theta_e=theta_h + data.draw(st.sampled_from([0.5, 1.0, 2.5])),
+                              floor_tokens=data.draw(st.sampled_from([0, 16, 128])),
+                              budget_buffer=data.draw(st.sampled_from([0, 8, 32])))
+        cfgs = [EngineConfig(method=method, budget=budget, chunk_size=k, served_bits=bits,
+                             policy=policy)
+                for budget in budgets for method in (Method.ADAPTIVE, Method.BITCAL)]
+        records = list(run_episodes(ScenarioSource(scenario), cfgs, 42.0, "s"))
+        for adaptive, bitcal in zip(records[::2], records[1::2]):
+            assert (adaptive.method, bitcal.method) == ("adaptive", "bitcal")
+            assert bitcal.tokens_used >= adaptive.tokens_used
+            assert bitcal.steps >= adaptive.steps
 
 
 class TestForkContract:

@@ -1,7 +1,6 @@
 import base64
 import dataclasses
 import json
-import math
 import re
 import tracemalloc
 from array import array
@@ -83,25 +82,6 @@ float64s = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True, 
 
 def _bytes(values) -> bytes:
     return np.asarray(values, dtype="<f8").tobytes()
-
-
-def _v2_text(meta, steps):
-    """A trace/v2 file's text, as the base64 writer wrote it: arrays as base64
-    strings of little-endian float64 bytes."""
-    header = {"schema": "trace/v2", **dataclasses.asdict(meta)}
-    lines = [json.dumps(header)]
-    for i, s in enumerate(steps):
-        obj = {"step": i, "chunk_text": s.chunk_text, "tokens": s.tokens_in_chunk}
-        if s.entropy is not None:
-            obj["entropy"] = s.entropy
-        else:
-            obj["probs"] = base64.b64encode(_bytes(s.distribution)).decode("ascii")
-        if s.hidden is not None:
-            obj["hidden"] = base64.b64encode(_bytes(s.hidden)).decode("ascii")
-        if s.eos:
-            obj["eos"] = True
-        lines.append(json.dumps(obj))
-    return "\n".join(lines) + "\n"
 
 
 def _tiny_steps(drawn):
@@ -197,7 +177,8 @@ class TestTraceV3:
         obj = json.loads(whole[start:line_end])
         value = obj[data.draw(st.sampled_from(["probs", "hidden"]))] = data.draw(st.one_of(
             st.booleans(), st.floats(), st.integers(max_value=-1), st.text(max_size=8),
-            st.just(base64.b64encode(_bytes([1.0])).decode()), st.just([1.0]),  # v2, v1 forms
+            # trace/v2's base64 and trace/v1's list forms of an array, which are no count
+            st.just(base64.b64encode(_bytes([1.0])).decode()), st.just([1.0]),
             st.integers(min_value=0, max_value=len(whole) // 8),
             st.integers(min_value=len(whole) // 8 + 1)))  # past the end of the file
         path.write_bytes(whole[:start] + json.dumps(obj).encode() + whole[line_end:])
@@ -212,86 +193,48 @@ class TestTraceV3:
         else:
             assert type(value) is int
 
-
-class TestTraceV2:
-    """A trace written by the base64 writer (trace/v2) still reads."""
-
-    def test_hand_written_v2_file_reads_to_its_arrays(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        steps = [StepSignals(chunk_text="x", tokens_in_chunk=4, distribution=[0.5, 0.25, 0.25],
-                             hidden=(0.1, -0.0)),
-                 StepSignals(chunk_text="y", tokens_in_chunk=4, entropy=0.1, eos=True)]
-        path.write_text(_v2_text(META, steps))
-        header, first, second = (json.loads(line) for line in path.read_text().splitlines())
-        assert header["schema"] == "trace/v2"
-        assert base64.b64decode(first["probs"]) == _bytes([0.5, 0.25, 0.25])
-        assert base64.b64decode(first["hidden"]) == _bytes([0.1, -0.0])
-        assert '"entropy": 0.1' in path.read_text().splitlines()[2]
-        assert second["entropy"] == 0.1 and first["tokens"] == 4
-        assert read_trace(path) == (META, steps)  # steps compare their arrays' bytes
-
     @pytest.mark.parametrize("key", ["probs", "hidden"])
     @pytest.mark.parametrize("value,message", [
-        ("not base64!", "invalid base64"),
-        (base64.b64encode(bytes(12)).decode(), "not a multiple of 8"),
-        (5, "base64 string or a list"),
-        ({"0": 1.0}, "base64 string or a list"),
-        (True, "base64 string or a list"),
-        ([0.5, None], "float()"),
-        ([[0.5]], "float()"),
+        (base64.b64encode(_bytes([1.0])).decode(), "element count"),  # trace/v2's form
+        ([1.0], "element count"),  # trace/v1's form
+        ({"0": 1.0}, "element count"),
+        ("1", "element count"),
+        (True, "element count"),
+        (1.0, "element count"),
+        (-1, "element count"),
+        (3, "runs past the end of the file"),
     ])
     def test_malformed_array_is_parse_error_at_its_line(self, tmp_path, key, value, message):
-        good = {"step": 0, "chunk_text": "x", "tokens": 4, "probs": [1.0]}
-        bad = {"step": 1, "chunk_text": "y", "tokens": 4, "probs": [1.0], key: value}
+        good = {"step": 0, "chunk_text": "x", "tokens": 4, "probs": 1}
+        bad = {"step": 1, "chunk_text": "y", "tokens": 4, "probs": 1, key: value}
         path = tmp_path / "t.jsonl"
-        path.write_text("\n".join([json.dumps({"schema": "trace/v2", "example_id": "e",
-                                               "gold_answer": 1.0}),
-                                   json.dumps(good), json.dumps(bad)]) + "\n")
+        # Each line's one probs entry; two entries follow the bad line, short of three.
+        path.write_bytes(b"\n".join([json.dumps({"schema": "trace/v3", "example_id": "e",
+                                                 "gold_answer": 1.0}).encode(),
+                                     json.dumps(good).encode(), _bytes([1.0]) +
+                                     json.dumps(bad).encode()]) + b"\n" + _bytes([1.0, 1.0]))
         with pytest.raises(TraceParseError, match=message) as exc:
             read_trace(path)
         assert exc.value.line == 3
+        assert str(exc.value).startswith(f"{path}:3: invalid step: array ")
 
 
 class TestTraceV1:
-    """A trace written by the decimal-array writer (trace/v1) still reads and
-    replays as it did: tests/data/trace_v1 and its replay records at B=256 were
-    both written by that writer's build."""
+    """tests/data/trace_v1 holds a trace first written as trace/v1 and kept as its trace/v3
+    rewrite; its replay records at B=256 were written by the trace/v1 writer's build."""
 
-    def test_reads_to_the_arrays_of_its_v3_rewrite(self, tmp_path):
-        meta, steps = read_trace(V1_TRACES / "nan_hidden.jsonl")
-        lines = (V1_TRACES / "nan_hidden.jsonl").read_text().splitlines()
-        assert json.loads(lines[0])["schema"] == "trace/v1"
-        raw = [json.loads(line) for line in lines[1:]]
-        for step, obj in zip(steps, raw):
-            if "probs" in obj:
-                assert step.distribution.tobytes() == _bytes(obj["probs"])
-            if "hidden" in obj:
-                assert step.hidden.tobytes() == _bytes(obj["hidden"])
-        assert sum(math.isnan(h) for s in steps if s.hidden is not None for h in s.hidden) == 1
-        write_trace(meta, steps, tmp_path / "v3.jsonl")
-        meta2, steps2 = read_trace(tmp_path / "v3.jsonl")
-        assert meta2 == meta and len(steps2) == len(steps) == 15
-        for a, b in zip(steps, steps2):
-            assert (a.chunk_text, a.tokens_in_chunk, a.entropy, a.eos) == (
-                b.chunk_text, b.tokens_in_chunk, b.entropy, b.eos)
-            for x, y in ((a.distribution, b.distribution), (a.hidden, b.hidden)):
-                assert (x is None and y is None) or x.tobytes() == y.tobytes()
-
-    def test_v1_and_its_v2_and_v3_rewrites_replay_to_the_recorded_records(self, tmp_path):
-        v2, v3 = tmp_path / "v2", tmp_path / "v3"
-        v2.mkdir()
-        v3.mkdir()
-        meta, steps = read_trace(V1_TRACES / "nan_hidden.jsonl")
-        (v2 / "nan_hidden.jsonl").write_text(_v2_text(meta, steps))
-        write_trace(meta, steps, v3 / "nan_hidden.jsonl")
+    def test_replays_to_the_recorded_records_and_rewrites_to_itself(self, tmp_path):
+        path = V1_TRACES / "nan_hidden.jsonl"
+        assert json.loads(path.read_bytes().split(b"\n", 1)[0])["schema"] == "trace/v3"
+        write_trace(*read_trace(path), tmp_path / "rewrite.jsonl")
+        assert (tmp_path / "rewrite.jsonl").read_bytes() == path.read_bytes()
         golden = sorted(V1_GOLDEN_REPLAY.glob("records_*.jsonl"))
         assert len(golden) == 3
-        for traces in (V1_TRACES, v2, v3):
-            out = tmp_path / ("out_" + traces.name)
-            assert main(["replay", "--traces", str(traces), "--budgets", "256",
-                         "--out", str(out)]) == 0
-            for path in golden:
-                assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+        out = tmp_path / "out"
+        assert main(["replay", "--traces", str(V1_TRACES), "--budgets", "256",
+                     "--out", str(out)]) == 0
+        for path in golden:
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
         # fixed reads to eos, adaptive stops on the marker, and bitcal's tail
         # reaches the NaN hidden entry.
         by_method = {read_records(p)[1][0].method: read_records(p)[1][0] for p in golden}
@@ -307,26 +250,36 @@ class TestTraceV1:
             f"episode v1-nan-hidden {method} B={budget} errored mid-run: "
             "hidden vector contains non-finite entries"
             for budget in (256, 200) for method in ("adaptive", "bitcal")]
-        # Every record of the adaptive B=200 group errored, so report refuses it by name.
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            "error: all records errored for model '7b', method adaptive, B=200")
+        # Every record of each controller group errored, so report names each one and
+        # gives it no row; the fixed groups keep theirs.
+        assert capsys.readouterr().err.splitlines()[-4:] == [
+            f"error: all records errored for model '7b', method {method}, B={budget}"
+            for budget in (200, 256) for method in ("adaptive", "bitcal")]
+        rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["fixed", "200"], ["fixed", "256"]]
 
-    @pytest.mark.parametrize("probs", [["0.5", "0.5"], [True, False]])
-    def test_list_element_that_is_not_a_number_is_parse_error(self, tmp_path, capsys, probs):
-        # float() would read "0.5" as 0.5 and true as 1.0; a JSON list in a
-        # trace holds numbers only.
+    @pytest.mark.parametrize("schema", ["trace/v1", "trace/v2"])
+    def test_an_older_schema_is_refused_and_the_other_traces_replay(self, tmp_path, capsys,
+                                                                      schema):
         traces = tmp_path / "traces"
         traces.mkdir()
-        path = traces / "t.jsonl"
-        path.write_text("\n".join([
-            json.dumps({"schema": "trace/v1", "example_id": "e", "gold_answer": 1.0}),
-            json.dumps({"step": 0, "chunk_text": "#### 1", "tokens": 4, "probs": probs,
+        write_trace(META, make_steps(3), traces / "a.jsonl")
+        old = traces / "b.jsonl"
+        old.write_text("\n".join([
+            json.dumps({"schema": schema, "example_id": "old", "gold_answer": 1.0}),
+            json.dumps({"step": 0, "chunk_text": "#### 1", "tokens": 4, "probs": [1.0],
                         "eos": True})]) + "\n")
-        with pytest.raises(TraceParseError, match="must") as exc:
-            read_trace(path)
-        assert (exc.value.line, Path(exc.value.path)) == (2, path)
-        assert main(["replay", "--traces", str(traces), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
+        for read in (read_trace, read_trace_meta):
+            with pytest.raises(UnsupportedSchemaError) as exc:
+                read(old)
+            assert str(exc.value) == f"{old}:1: unsupported schema {schema!r}"
+        out = tmp_path / "out"
+        assert main(["replay", "--traces", str(traces), "--budgets", "256",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {old}:1: unsupported schema {schema!r}\n"
+        for method in Method:
+            (record,) = read_records(out / f"records_{method.value}_b256.jsonl")[1]
+            assert record.example_id == META.example_id and record.error is None
 
 
 class TestTraceValidation:
@@ -336,14 +289,17 @@ class TestTraceValidation:
         return path
 
     def header(self):
-        return json.dumps({"schema": "trace/v1", "example_id": "e", "gold_answer": 1.0})
+        return json.dumps({"schema": "trace/v3", "example_id": "e", "gold_answer": 1.0})
 
     def test_both_entropy_and_probs_rejected_with_line_number(self, tmp_path):
-        for signal in ({"entropy": 1.0, "probs": [1.0]}, {}):
+        for signal in ({"entropy": 1.0, "probs": 1}, {}):
             path = self._write_lines(tmp_path, [
                 self.header(),
                 json.dumps({"step": 0, "chunk_text": "x", "tokens": 4, **signal}),
             ])
+            if signal:  # the one probs entry's bytes follow its line
+                with open(path, "ab") as f:
+                    f.write(_bytes([1.0]))
             with pytest.raises(TraceParseError) as exc:
                 read_trace(path)
             assert exc.value.line == 2, signal
@@ -451,12 +407,12 @@ class TestTraceValidation:
         assert exc.value.line == 2
 
     def test_header_errors_match_the_full_read(self, tmp_path):
-        bad = [json.dumps({"schema": "trace/v1", "example_id": "e"}),  # no gold_answer
-               json.dumps({"schema": "trace/v1", "example_id": "e", "gold_answer": 1.0,
+        bad = [json.dumps({"schema": "trace/v3", "example_id": "e"}),  # no gold_answer
+               json.dumps({"schema": "trace/v3", "example_id": "e", "gold_answer": 1.0,
                            "served_bits": 0}),
-               json.dumps({"schema": "trace/v1", "example_id": "e", "gold_answer": 1.0,
+               json.dumps({"schema": "trace/v3", "example_id": "e", "gold_answer": 1.0,
                            "served_bits": 4.7}),
-               json.dumps({"schema": "trace/v1", "example_id": "e",
+               json.dumps({"schema": "trace/v3", "example_id": "e",
                            "gold_answer": float("nan")}),
                json.dumps({"schema": "trace/v99", "example_id": "e", "gold_answer": 1.0}),
                "[]"]
@@ -573,7 +529,7 @@ def sample_record(i=0, **overrides):
 
 class TestFromFields:
     def test_defaults_nulls_and_coercion_follow_the_fields(self):
-        header = {"schema": "trace/v1", "example_id": "7", "gold_answer": 42, "served_bits": 8.0}
+        header = {"schema": "trace/v3", "example_id": "7", "gold_answer": 42, "served_bits": 8.0}
         assert from_fields(TraceMeta, header) == TraceMeta("7", 42.0, served_bits=8)
         for change, error in [  # no value of another JSON kind is converted
             ({"example_id": 7}, "example_id must be a string, got 7"),
@@ -729,7 +685,7 @@ class TestAtomicWrite:
         "records": lambda path: write_records([sample_record(i) for i in range(20)], path),
         "trace": lambda path: write_trace(TraceMeta("t", 42.0), make_steps(5), path),
         "summary": lambda path: emit_summary_table(
-            summarize_all([sample_record(i) for i in range(20)]), path),
+            summarize_all([sample_record(i) for i in range(20)], []), path),
         "scenario": lambda path: write_text(
             path, json.dumps(dataclasses.asdict(scenario_suite_canonical()[1]))),
     }
