@@ -1,19 +1,19 @@
 """Command-line surface: simulate, replay, report, sweep.
 
-simulate and replay differ only in how they load examples (scenarios or
-recorded traces). One runner scores both one example at a time: each is loaded
-once, run under every method x budget cell in one pass over a single stream
-(engine.run_episodes) and dropped, so a replay holds one trace's steps, and only
-the arrays of the step the pass is at (trace_io.read_trace). Cells whose last
-chunk is partial split off and finish over a fork of it. replay reads every
-header first; a body that fails to parse is reported when its turn comes and
-skipped in every cell. Both write only files; sweep runs either one, then
-report, which prints the summary.csv it writes. A replayed trace runs at the bit
-width in its header unless bits is set by a flag or the config file; if it is
-not, run_meta.json reads "bits": null. report reads records one file at a time,
-keeps each record's outcome row and scores the rows in metrics, loading no
-engine, calibrate or policy; a group whose every record errored gets no row, is
-named, and makes report exit 2.
+simulate and replay differ only in how they load examples: scenario files
+(--scenarios, by default the built-in suite in simulate.SCENARIO_DIR) or recorded
+traces. One runner scores both one example at a time: each is loaded once, run under
+every method x budget cell in one pass over a single stream (engine.run_episodes)
+and dropped, so a replay holds one trace's steps, and only the arrays of the step
+the pass is at (trace_io.read_trace). Cells whose last chunk is partial split off
+and finish over a fork of it. replay reads every header first; a body that fails to
+parse is reported when its turn comes and skipped in every cell. Both write only
+files; sweep runs either one, then report, which prints the summary.csv it writes. A
+replayed trace runs at the bit width in its header unless bits is set by a flag or
+the config file; if it is not, run_meta.json reads "bits": null. report reads
+records one file at a time, keeps each record's outcome row and scores the rows in
+metrics, loading no engine, calibrate or policy; a group whose every record errored
+gets no row, is named, and makes report exit 2.
 
 Config resolution is layered: built-in defaults <- the command's own defaults
 <- optional JSON config file (--config) <- explicit command-line flags, highest
@@ -49,7 +49,7 @@ from .trace_io import (Method, ReplaySource, _coerce, decode, read_records, read
 # wraps them there); read earlier as attributes, one loads its layer (PEP 562).
 _LAZY = {".engine": ("EngineConfig", "CalibratorConfig", "PolicyConfig", "TokenSource",
                      "run_episode", "run_episodes"),
-         ".simulate": ("ScenarioSource", "load_scenario_dir", "scenario_suite_canonical"),
+         ".simulate": ("SCENARIO_DIR", "ScenarioSource", "load_scenario_dir"),
          ".metrics": ("Outcome", "emit_summary_table", "format_summary_rows", "summarize_all")}
 
 
@@ -272,12 +272,10 @@ def _run_grid(examples: Sequence[Example], cfg: dict, out_dir: Path, command: st
 def cmd_simulate(args: argparse.Namespace) -> int:
     _load(".simulate")
     cfg = resolve_config(args)
-    if getattr(args, "scenarios", None):
-        scenarios = load_scenario_dir(args.scenarios)
-        if not scenarios:
-            raise TraceParseError(args.scenarios, "no scenario files found")
-    else:
-        scenarios = scenario_suite_canonical()
+    directory = args.scenarios or SCENARIO_DIR
+    scenarios = load_scenario_dir(directory)
+    if not scenarios:  # an install without the package data lands here too
+        raise TraceParseError(directory, "no scenario files found")
     examples = [Example(partial(ScenarioSource, s),
                         s.gold_answer, s.scenario_id, "sim", cfg["bits"]) for s in scenarios]
     _run_grid(examples, cfg, Path(args.out), "simulate")

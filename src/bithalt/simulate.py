@@ -3,7 +3,8 @@
 A Scenario scripts per-segment entropy, chunk text, and optional hidden-state
 rotation, plus where the answer marker and EOS land in the token stream.
 Everything is deterministic: the same scenario always replays to the same
-episode.
+episode. A scenario is a JSON file; the built-in suite is the package's
+scenarios/ directory (SCENARIO_DIR), read like any other.
 """
 
 from __future__ import annotations
@@ -59,6 +60,10 @@ class Scenario:
 
     def total_tokens(self) -> int:
         return sum(s.length for s in self.segments)
+
+
+# The built-in suite: one JSON file per scenario, shipped as package data.
+SCENARIO_DIR = Path(__file__).with_name("scenarios")
 
 
 def load_scenario(path) -> Scenario:
@@ -120,7 +125,8 @@ class ScenarioSource:
 
 
 def scenario_suite_canonical() -> List[Scenario]:
-    """Fixed scenario suite covering the controller's qualitative behaviors.
+    """The built-in suite, covering the controller's qualitative behaviors, in
+    file-name order (the files in SCENARIO_DIR are its only definition).
 
     - confident-early-wrong: literal chunk repetition drives the stability
       proxies to 1 while the trace holds only a partial computation, so both
@@ -135,51 +141,4 @@ def scenario_suite_canonical() -> List[Scenario]:
     - marker-before-floor: the marker lands pre-floor; the tail clock still
       starts at the sighting.
     """
-    return [
-        Scenario(
-            scenario_id="confident-early-wrong",
-            segments=(
-                Segment(512, 0.5, "The running total is 17 so far.", hidden_rotation=0.0),
-            ),
-            gold_answer=42.0,
-            emitted_answer=42.0,
-        ),
-        Scenario(
-            scenario_id="marker-then-revision",
-            segments=(
-                Segment(144, 3.0, "Working through step {i} of the problem."),
-                Segment(16, 3.0, f"Intermediate tally {DEFAULT_MARKER} 13"),
-                Segment(96, 1.0, "Wait, rechecking the arithmetic above."),
-            ),
-            gold_answer=42.0,
-            emitted_answer=42.0,
-            marker_at=184,
-        ),
-        Scenario(
-            scenario_id="entropy-escalation",
-            segments=(Segment(512, 4.5, "Hmm, maybe approach {i} instead?"),),
-            gold_answer=7.0,
-            emitted_answer=7.0,
-        ),
-        Scenario(
-            scenario_id="buffer-edge",
-            segments=(Segment(512, 3.0, "Trying path {i} without success."),),
-            gold_answer=3.0,
-            emitted_answer=3.0,
-        ),
-        Scenario(
-            scenario_id="eos-before-floor",
-            segments=(Segment(96, 1.0, "Short and direct reasoning line {i}."),),
-            gold_answer=5.0,
-            emitted_answer=5.0,
-            marker_at=80,
-            eos_at=96,
-        ),
-        Scenario(
-            scenario_id="marker-before-floor",
-            segments=(Segment(512, 1.0, "Answer found early, confirming {i}."),),
-            gold_answer=9.0,
-            emitted_answer=9.0,
-            marker_at=96,
-        ),
-    ]
+    return load_scenario_dir(SCENARIO_DIR)

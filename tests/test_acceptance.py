@@ -20,7 +20,7 @@ from bithalt.engine import EngineConfig, Method, run_episode
 from bithalt.metrics import wilson_interval
 from bithalt.policy import MarkerState, PolicyConfig, decide
 from bithalt.signals import SignalReadout, entropy, hidden_stability, trace_stability
-from bithalt.simulate import ScenarioSource, scenario_suite_canonical
+from bithalt.simulate import SCENARIO_DIR, ScenarioSource, scenario_suite_canonical
 from bithalt.trace_io import write_records
 from fixtures_7b import GROUPS, build_7b_records
 from oracles import oracle_decide
@@ -197,11 +197,10 @@ def test_criterion_7_qualitative_claims_in_simulation():
 
 def test_criterion_8_cli_determinism(tmp_path):
     start = time.monotonic()
-    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
     payload = {}
     for tag in ("a", "b"):
         out = tmp_path / tag
-        assert main(["simulate", "--scenarios", str(scenarios),
+        assert main(["simulate", "--scenarios", str(SCENARIO_DIR),
                      "--budgets", "256,512", "--out", str(out)]) == 0
         assert main(["report", "--out", str(out)]) == 0
         payload[tag] = {

@@ -23,7 +23,7 @@ from bithalt.cli import (
 from bithalt.engine import EngineConfig, Method
 from bithalt.metrics import SUMMARY_COLUMNS
 from bithalt.signals import StepSignals
-from bithalt.simulate import ScenarioSource, scenario_suite_canonical
+from bithalt.simulate import SCENARIO_DIR, ScenarioSource, scenario_suite_canonical
 from bithalt.trace_io import TraceMeta, read_records, read_trace, write_records, write_trace
 from test_trace_io import sample_record
 
@@ -103,8 +103,7 @@ class TestSimulate:
 
     def test_scenario_dir_input(self, tmp_path):
         out = tmp_path / "out"
-        scenarios = Path(__file__).resolve().parent.parent / "scenarios"
-        assert run_cli("simulate", "--scenarios", str(scenarios), "--methods", "bitcal",
+        assert run_cli("simulate", "--scenarios", str(SCENARIO_DIR), "--methods", "bitcal",
                        "--out", str(out)) == 0
         _, records = read_records(out / "records_bitcal_b512.jsonl")
         assert len(records) == 6
@@ -557,8 +556,7 @@ class TestSweep:
 
     def test_scenarios_and_traces_exclude_each_other(self, tmp_path, capsys):
         traces = make_trace_dir(tmp_path, n=1)
-        scenarios = Path(__file__).resolve().parent.parent / "scenarios"
-        assert run_cli("sweep", "--scenarios", str(scenarios), "--traces", str(traces),
+        assert run_cli("sweep", "--scenarios", str(SCENARIO_DIR), "--traces", str(traces),
                        "--out", str(tmp_path / "out")) == 1
         assert "not allowed with argument" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from bithalt.simulate import SCENARIO_DIR
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -36,15 +38,19 @@ def test_tracer_targets_resolve():
 def test_tracer_sees_every_layer_the_commands_call(tmp_path):
     # A name that resolves is not enough: a command that called around the wrapper,
     # say through a name bound before the tracer set it, would read zero calls.
+    # Without --scenarios, simulate reads the built-in suite through the same loader.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     calls = {}
-    for i, argv in enumerate((["simulate", "--bits", "4", "--scenarios", "scenarios"],
-                              ["report"])):
+    for i, argv in enumerate((["simulate", "--bits", "4", "--scenarios", str(SCENARIO_DIR)],
+                              ["simulate", "--bits", "4"], ["report"])):
         spans = tmp_path / f"spans-{i}.json"
         subprocess.run([sys.executable, "perfbench/tracer.py", str(spans), "--", *argv,
                         "--out", str(tmp_path / "out")],
                        cwd=ROOT, env=env, capture_output=True, check=True, timeout=300)
-        for name, row in json.loads(spans.read_text())["totals"].items():
+        totals = json.loads(spans.read_text())["totals"]
+        if argv == ["simulate", "--bits", "4"]:
+            assert totals.get("simulate.load_scenario_dir", [0])[0] > 0
+        for name, row in totals.items():
             calls[name] = calls.get(name, 0) + row[0]
     for name in ("simulate.load_scenario_dir", "simulate.next_chunk",
                  "trace_io.write_records", "trace_io.read_records", "metrics.summarize_all",

@@ -5,7 +5,6 @@ import math
 import weakref
 from copy import copy
 from functools import partial
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,14 +21,11 @@ from bithalt.simulate import (
     ScenarioSource,
     Segment,
     load_scenario,
-    load_scenario_dir,
     scenario_suite_canonical,
 )
 from bithalt.trace_io import ReplaySource
 
 from oracles import oracle_episode
-
-REPO_SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def run(scenario, method, budget=512, bits=4, **policy_kwargs):
@@ -178,11 +174,6 @@ class TestScenarioFiles:
             path.write_text(json.dumps(dataclasses.asdict(s)))
             assert load_scenario(path) == s
 
-    def test_repo_fixture_dir_matches_builtin_suite(self):
-        loaded = {s.scenario_id: s for s in load_scenario_dir(REPO_SCENARIOS)}
-        for s in scenario_suite_canonical():
-            assert loaded[s.scenario_id] == s
-
     def test_non_finite_gold_answer_is_a_parse_error(self, tmp_path):
         s = scenario_suite_canonical()[0]
         path = tmp_path / "nan.json"
@@ -246,10 +237,38 @@ class TestOnePass:
 
 
 class TestStopOrder:
-    """A cell only stops or goes on, so every cell of a pass reads the same stream, and each
-    case of ``decide`` that stops bitcal stops adaptive too: bitcal's confidence scale is at
-    most adaptive's and its post-marker tail at least adaptive's. So on one stream bitcal
-    never stops before adaptive, at any bit width: "conservative at low nominal precision"."""
+    """A cell only stops or goes on, so every cell of a pass reads the same stream, and it
+    stops at the first step where a case of ``decide`` that stops holds. Each such case is
+    monotone in each setting, so one setting moved one way moves every stop one way, and
+    each case that stops bitcal stops adaptive too: bitcal's confidence scale is at most
+    adaptive's and its post-marker tail at least adaptive's. So on one stream bitcal never
+    stops before adaptive, at any bit width: "conservative at low nominal precision"."""
+
+    # The settings whose rise never delays a stop; a rise of any other never hastens one.
+    HASTENED_BY_A_RISE = ("budget_buffer", "theta_h", "served_bits")
+
+    @staticmethod
+    def _crossing(scenario, k, data):
+        """Policy settings drawn where one step's signals cross them: theta_h near its entropy,
+        theta_c at or one ulp above its confidence at a drawn tier's scale, so the scale
+        decides whether that step stops, and the floor at 0, 16, 128 or the step, its first
+        step that can stop. (Drawn uniformly, theta_c lets a 4-bit scale above the 16-bit one
+        break the order on about 1 draw in 2,000.) Returns them with that step's entropy,
+        confidence and token count."""
+        source, running, tokens, steps = ScenarioSource(scenario), RunningSignals(), 0, []
+        for step in iter(partial(source.next_chunk, k), None):
+            tokens += step.tokens_in_chunk
+            steps.append((running.push(step), tokens))
+        readout, tokens = data.draw(st.sampled_from(steps))
+        theta_h = max(0.0, readout.entropy + data.draw(st.sampled_from([-0.5, 0.0, 0.5, 1.5])))
+        tier = data.draw(st.sampled_from([4, 8, 16]))
+        c = confidence(readout, CalibratorConfig(effective_bits=tier))
+        theta_c = data.draw(st.sampled_from([c, math.nextafter(c, 2.0)]))
+        policy = dict(theta_h=theta_h, theta_c=theta_c,
+                      theta_e=theta_h + data.draw(st.sampled_from([0.5, 1.0, 2.5])),
+                      floor_tokens=data.draw(st.sampled_from([0, 16, 128, tokens])),
+                      budget_buffer=data.draw(st.sampled_from([0, 8, 32])))
+        return policy, readout.entropy, c, tokens
 
     @given(scenarios(), st.integers(1, 32), st.sampled_from([2, 4, 5, 8, 9, 16]), st.data())
     @settings(max_examples=500, deadline=None)
@@ -257,21 +276,7 @@ class TestStopOrder:
         budgets = [k * data.draw(st.integers(1, 12))]  # on the k grid
         if k > 1:  # off the k grid
             budgets.append(k * data.draw(st.integers(1, 8)) + data.draw(st.integers(1, k - 1)))
-        # The thresholds sit where one step's signals cross them: theta_h near its entropy,
-        # and theta_c at or one ulp above its confidence at a drawn tier's scale, so the scale
-        # decides whether that step stops. (Drawn uniformly, theta_c lets a 4-bit scale above
-        # the 16-bit one break the order on about 1 draw in 2,000.)
-        source, running = ScenarioSource(scenario), RunningSignals()
-        readout = data.draw(st.sampled_from(
-            [running.push(step) for step in iter(partial(source.next_chunk, k), None)]))
-        theta_h = max(0.0, readout.entropy + data.draw(st.sampled_from([-0.5, 0.0, 0.5, 1.5])))
-        tier = data.draw(st.sampled_from([4, 8, 16]))
-        c = confidence(readout, CalibratorConfig(effective_bits=tier))
-        theta_c = data.draw(st.sampled_from([c, math.nextafter(c, 2.0)]))
-        policy = PolicyConfig(theta_h=theta_h, theta_c=theta_c,
-                              theta_e=theta_h + data.draw(st.sampled_from([0.5, 1.0, 2.5])),
-                              floor_tokens=data.draw(st.sampled_from([0, 16, 128])),
-                              budget_buffer=data.draw(st.sampled_from([0, 8, 32])))
+        policy = PolicyConfig(**self._crossing(scenario, k, data)[0])
         cfgs = [EngineConfig(method=method, budget=budget, chunk_size=k, served_bits=bits,
                              policy=policy)
                 for budget in budgets for method in (Method.ADAPTIVE, Method.BITCAL)]
@@ -280,6 +285,66 @@ class TestStopOrder:
             assert (adaptive.method, bitcal.method) == ("adaptive", "bitcal")
             assert bitcal.tokens_used >= adaptive.tokens_used
             assert bitcal.steps >= adaptive.steps
+
+    @pytest.mark.parametrize("setting", ["floor_tokens", "budget_buffer", "theta_h", "theta_c",
+                                         "theta_e", "served_bits"])
+    @given(scenarios(), st.integers(1, 32), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_setting_moves_every_stop_one_way(self, setting, scenario, k, data):
+        # One cell per value of the setting, all in one pass, each cell differing from the
+        # next in that setting alone. The values sit where the drawn step's signals or token
+        # count cross them, and on both sides of the crossing.
+        budget = data.draw(st.integers(k, 256))  # past a 4-bit tail at any k
+        policy, entropy, c, tokens = self._crossing(scenario, k, data)
+        remaining = max(0, budget - tokens)
+        values = sorted(set({
+            "floor_tokens": [0, 16, 128, tokens, tokens + 1],
+            "budget_buffer": [0, 8, 32, remaining, remaining + 1],
+            "theta_h": [max(0.0, v) for v in (entropy - 0.5, math.nextafter(entropy, -1.0),
+                                              entropy, entropy + 0.5)],
+            "theta_c": [0.3, 0.75, c, math.nextafter(c, 2.0)],
+            "theta_e": [entropy - 0.5, math.nextafter(entropy, -1.0), entropy,
+                        math.nextafter(entropy, 99.0), entropy + 0.5],
+            "served_bits": [2, 4, 8, 16]}[setting]))
+        gap = policy["theta_e"] - policy["theta_h"]  # keeps theta_h < theta_e in every cell
+        if setting == "theta_h":
+            policy["theta_e"] = values[-1] + gap
+        elif setting == "theta_e":
+            policy["theta_h"] = values[0] - gap
+        if setting in self.HASTENED_BY_A_RISE:
+            values.reverse()  # so that no cell stops later than the next one
+        method = Method.BITCAL if setting == "served_bits" else data.draw(
+            st.sampled_from([Method.ADAPTIVE, Method.BITCAL]))
+        bits = data.draw(st.sampled_from([2, 4, 5, 8, 9, 16]))
+
+        def cell(value):
+            fields = {**policy, "served_bits": bits, setting: value}
+            return EngineConfig(method=method, budget=budget, chunk_size=k,
+                                served_bits=fields.pop("served_bits"),
+                                policy=PolicyConfig(**fields))
+        records = run_episodes(ScenarioSource(scenario), [cell(v) for v in values], 42.0, "s")
+        for sooner, later in zip(records, records[1:]):
+            assert sooner.tokens_used <= later.tokens_used
+            assert sooner.steps <= later.steps
+
+    def test_correctness_is_not_monotone_in_stop_time(self):
+        """A later stop can be right where an earlier one is wrong (marker-then-revision),
+        and wrong where an earlier one is right: here the first marker line is correct and a
+        revision to a wrong number follows it within bitcal's 32-token 4-bit tail."""
+        revised = Scenario("correct-then-revision", (
+            Segment(160, 3.0, "Working through step {i} of the problem."),
+            Segment(16, 3.0, f"On second thought {DEFAULT_MARKER} 13"),
+            Segment(80, 1.0, "Wait, rechecking the arithmetic above.")), 42.0, 42.0,
+            marker_at=160)
+        marker_then_revision = next(s for s in scenario_suite_canonical()
+                                    if s.scenario_id == "marker-then-revision")
+        cfgs = [EngineConfig(method=m, budget=512, served_bits=4)
+                for m in (Method.ADAPTIVE, Method.BITCAL)]
+        for scenario, correct in ((marker_then_revision, [False, True]), (revised, [True, False])):
+            records = run_episodes(ScenarioSource(scenario), cfgs, 42.0, "s")
+            assert [(r.stop_cause, r.tokens_used) for r in records] == [("tail_stop", 160),
+                                                                        ("tail_stop", 192)]
+            assert [r.correct for r in records] == correct
 
 
 class TestForkContract:
