@@ -9,9 +9,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, InvalidInputError, require_finite
+from .errors import ConfigError, InvalidInputError
 from .policy import _TIER_OF_BITS, PRECISION_TIERS
 from .signals import SignalReadout
+from .trace_io import require_finite
 
 
 @dataclass(frozen=True)

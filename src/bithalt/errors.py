@@ -1,9 +1,5 @@
 """Shared exception types."""
 
-import functools
-import math
-from dataclasses import fields
-
 
 class BithaltError(Exception):
     """Base class for package errors."""
@@ -28,20 +24,6 @@ class ConfigError(BithaltError, ValueError):
         self.field = field
         self.requirement = message
         super().__init__(message if field is None else f"{field} {message}")
-
-
-@functools.cache
-def _float_fields(cls) -> tuple:
-    return tuple(f.name for f in fields(cls) if f.type in (float, "float", "Optional[float]"))
-
-
-def require_finite(config) -> None:
-    """Raise ConfigError naming the first float field of dataclass ``config`` (an
-    Optional one only when set) that is NaN or infinite; range checks let NaN through."""
-    for name in _float_fields(type(config)):
-        value = getattr(config, name)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"must be finite, got {value!r}", field=name)
 
 
 class TraceParseError(BithaltError, ValueError):

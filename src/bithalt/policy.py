@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConfigError, require_finite
-from .trace_io import Action
+from .errors import ConfigError
+from .trace_io import Action, require_finite
 
 DEFAULT_MARKER = "####"
 

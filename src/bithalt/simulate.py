@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from .errors import ConfigError, require_finite
+from .errors import ConfigError
 from .policy import DEFAULT_MARKER
 from .signals import StepSignals
-from .trace_io import decode, from_fields, parse_fields
+from .trace_io import decode, from_fields, parse_fields, require_finite
 
 
 @dataclass(frozen=True)

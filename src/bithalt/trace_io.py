@@ -31,9 +31,9 @@ here so that ``report`` loads no controller or signals module:
           stop_cause is the stop its last action makes, and early_halt is the engine's
           for that stop (``is_early_halt``).
 
-Trace headers and steps, records and scenarios are read by ``from_fields``, which
-follows the dataclass fields (a step's ``tokens`` and ``probs`` keys are mapped in
-``_FILE_KEYS``) and one value rule, ``_coerce``; ``parse_fields`` reports failures.
+Trace headers and steps, records and scenarios are read by ``from_fields`` through the
+field plan (``_field_plan``, which ``require_finite`` reads too; ``_FILE_KEYS`` maps a step's
+``tokens`` and ``probs``) and one value rule, ``_coerce``; ``parse_fields`` reports failures.
 Every output file is written through one atomic writer, ``_atomic_file``: records a
 line at a time, traces a step at a time, ``write_text`` whole.
 """
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 from array import array
@@ -54,7 +55,7 @@ from pathlib import Path
 from typing import (TYPE_CHECKING, BinaryIO, Iterator, List, Optional, Tuple, Union, get_args,
                     get_origin, get_type_hints)
 
-from .errors import TraceParseError, UnsupportedSchemaError, require_finite
+from .errors import ConfigError, TraceParseError, UnsupportedSchemaError
 
 if TYPE_CHECKING:  # read_trace imports it as it runs: report loads no signals
     from .signals import StepSignals
@@ -127,6 +128,15 @@ def _coerce(key: str, tp: type, value):
         return int(value)
     kind = "not be a bool" if isinstance(value, bool) else f"be {_KINDS[tp]}"
     raise TypeError(f"{key} must {kind}, got {value!r}")
+
+
+def require_finite(config) -> None:
+    """Raise ConfigError naming the first float field of dataclass ``config`` (an
+    Optional one only when set) that is NaN or infinite; range checks let NaN through."""
+    for name, _, _, _, tp in _field_plan(type(config)):
+        value = getattr(config, name)
+        if tp is float and value is not None and not math.isfinite(value):
+            raise ConfigError(f"must be finite, got {value!r}", field=name)
 
 
 def from_fields(cls, obj: dict, **convert):
@@ -309,7 +319,7 @@ def write_text(path, data: Union[str, bytes]) -> None:
 def write_trace(meta: TraceMeta, steps: List[StepSignals], path) -> None:
     """A ``trace/v3`` file: each step's line, then its arrays' float64 bytes, written
     one step at a time."""
-    header = {"schema": TRACE_SCHEMA, **{f.name: getattr(meta, f.name) for f in fields(meta)}}
+    header = {"schema": TRACE_SCHEMA, **vars(meta)}
     with _atomic_file(path) as f:
         f.write(json.dumps(header).encode() + b"\n")
         for i, s in enumerate(steps):

@@ -959,6 +959,24 @@ class TestImportFootprint:
         assert (out / "summary.csv").read_bytes() == (
             GOLDEN_REPORT / "summary.csv").read_bytes()
 
+    def test_only_entropy_from_probs_loads_numpy(self, tmp_path):
+        # simulate, report, a replay of entropy-only traces and the cli module never load numpy;
+        # a replay of a trace with probs does, since entropy is computed from them.
+        traces = write_scenario_traces(tmp_path / "traces", scenario_suite_canonical())
+        for code in ("import bithalt.cli",
+                     self._main("simulate", "--bits", "4", "--out", tmp_path / "simulate"),
+                     self._main("report", "--records", GOLDEN_RECORDS, "--out", tmp_path / "rpt"),
+                     self._main("replay", "--traces", traces, "--out", tmp_path / "replay")):
+            assert self._loaded(code, ("numpy",)) == set(), code
+        probs = tmp_path / "probs"
+        probs.mkdir()
+        write_trace(TraceMeta(example_id="p", gold_answer=42.0),
+                    [StepSignals(chunk_text=f"step {i}", tokens_in_chunk=16,
+                                 distribution=[0.5, 0.25, 0.25]) for i in range(3)],
+                    probs / "p.jsonl")
+        assert self._loaded(self._main("replay", "--traces", probs, "--out", tmp_path / "p"),
+                            ("numpy",)) == {"numpy"}
+
 
 class TestDeterminism:
     def test_simulate_twice_byte_identical(self, tmp_path):

@@ -2,19 +2,21 @@ import dataclasses
 import itertools
 import json
 import math
+import tempfile
 import weakref
 from copy import copy
 from functools import partial
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bithalt import cli, engine
 from bithalt.calibrate import CalibratorConfig, confidence
 from bithalt.engine import EngineConfig, Method, StopCause, run_episode, run_episodes
 from bithalt.errors import ConfigError, TraceParseError
-from bithalt.policy import DEFAULT_MARKER, PolicyConfig
+from bithalt.policy import DEFAULT_MARKER, PRECISION_TIERS, PolicyConfig
 from bithalt.signals import RunningSignals
 from bithalt.simulate import (
     Scenario,
@@ -23,7 +25,7 @@ from bithalt.simulate import (
     load_scenario,
     scenario_suite_canonical,
 )
-from bithalt.trace_io import ReplaySource
+from bithalt.trace_io import ReplaySource, TraceMeta, read_trace, write_trace
 
 from oracles import oracle_episode
 
@@ -345,6 +347,143 @@ class TestStopOrder:
             assert [(r.stop_cause, r.tokens_used) for r in records] == [("tail_stop", 160),
                                                                         ("tail_stop", 192)]
             assert [r.correct for r in records] == correct
+
+
+def _scale(bits):
+    """The confidence scale of ``bits``' precision tier."""
+    return next(row for row in PRECISION_TIERS if row[0] is None or bits <= row[0])[1]
+
+
+def _split_bits(cfg, calibrator=None, policy=None):
+    """``cfg`` with its calibrator's or its policy's bit width set apart from the other's."""
+    for part, bits in (("calibrator", calibrator), ("policy", policy)):
+        if bits is not None:
+            object.__setattr__(cfg, part, dataclasses.replace(getattr(cfg, part),
+                                                              effective_bits=bits))
+    return cfg
+
+
+class TestBitScaleIsAThreshold:
+    """``decide`` reads the confidence only in ``conf >= theta_c``, and the confidence is
+    clip(clip(c_raw * s)^(1/T)), s the tier's scale. So for theta_c <= 1 a confident stop
+    needs c_raw * s >= theta_c^T: the scale is a threshold on c_raw. Bitcal at b bits is
+    then adaptive at theta_c' = theta_c * (s(16)/s(b))^(1/T), while theta_c' <= 1, plus the
+    post-marker tail of b bits; each of its two bit-aware parts is tested apart from the other
+    by setting the calibrator's and the policy's bit widths apart."""
+
+    @given(scenarios(), st.integers(1, 32), st.sampled_from([2, 4, 5, 8, 9, 16]),
+           st.sampled_from([0.5, 1.0, 2.0]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_the_scale_is_adaptive_at_a_shifted_theta_c(self, scenario, k, bits, t, data):
+        # At one step drawn from the stream, theta_c^T is drawn at 0.8 to 1.1 times its c_raw
+        # (the confidence at 8 bits, whose scale is 1, and T=1), across the scale's window at
+        # every tier, theta_h at or above its entropy, and the floor at 0, 16 or the step.
+        source, running, tokens, steps = ScenarioSource(scenario), RunningSignals(), 0, []
+        for step in iter(partial(source.next_chunk, k), None):
+            tokens += step.tokens_in_chunk
+            readout = running.push(step)
+            steps.append((readout.entropy, confidence(readout, CalibratorConfig(effective_bits=8)),
+                          tokens))
+        entropy, c_raw, tokens = data.draw(st.sampled_from(steps))
+        ratio = (_scale(16) / _scale(bits)) ** (1 / t)
+        theta_c = min((c_raw * data.draw(st.floats(0.8, 1.1))) ** (1 / t), 1.0, 1 / ratio)
+        while theta_c * ratio > 1.0:
+            theta_c = math.nextafter(theta_c, 0.0)
+        # Where c_raw * s rounds onto theta_c^T, the two sides of the identity round apart
+        # (c_raw = 0.9488..., s = 0.85 = theta_c^T / c_raw, T = 2 was one such draw).
+        assume(all(abs(c * _scale(bits) - theta_c ** t) > 1e-12 for _, c, _ in steps))
+        theta_h = entropy + data.draw(st.sampled_from([0.0, 0.5, 1.5]))
+        buffer = data.draw(st.sampled_from([0, 8, 32]))
+        policy = dict(theta_h=theta_h, theta_e=theta_h + data.draw(st.sampled_from([0.5, 2.5])),
+                      floor_tokens=data.draw(st.sampled_from([0, 16, tokens])),
+                      budget_buffer=buffer)
+        budget = max(k, tokens + buffer + data.draw(st.integers(0, 128)))
+
+        def cell(method, theta):
+            return EngineConfig(method=method, budget=budget, chunk_size=k, served_bits=bits,
+                                calibrator=CalibratorConfig(temperature=t),
+                                policy=PolicyConfig(theta_c=theta, **policy))
+        cfgs = [_split_bits(cell(Method.BITCAL, theta_c), policy=16),  # the scale alone
+                cell(Method.ADAPTIVE, theta_c * ratio),
+                cell(Method.BITCAL, theta_c),
+                _split_bits(cell(Method.BITCAL, theta_c * ratio), calibrator=16)]  # the tail alone
+        scale_only, adaptive, bitcal, tail_only = run_episodes(
+            ScenarioSource(scenario), cfgs, 42.0, "s")
+        assert scale_only.actions == adaptive.actions
+        assert tail_only.actions == bitcal.actions
+        # A confident stop comes before any marker line, so no scale can make one correct.
+        for record in (scale_only, adaptive, bitcal, tail_only):
+            assert not (record.stop_cause == "confident_stop" and record.correct)
+
+    @pytest.mark.parametrize("emitted,correct", [(42.0, True), (13.0, False)])
+    def test_the_4_bit_scale_alone_decides_a_stop(self, emitted, correct):
+        """At 208 tokens c_raw is 0.7267, inside [theta_c/1.05, theta_c/0.85) at the default
+        theta_c = 0.75, and the entropy is under theta_h: adaptive stops there, with no answer
+        yet, and the 4-bit scale goes on to the marker line. That line is right in one
+        scenario, where the scale turns a wrong stop into a correct later one, and wrong in
+        the other, where it only spends 128 more tokens on a wrong stop."""
+        scenario = Scenario("scale-window", (
+            Segment(128, 3.0, "Working through step {i} of the problem."),
+            Segment(160, 1.0, "Checking the partial sum again."),
+            Segment(64, 1.0, "Confirming step {i} of the sum.")), 42.0, emitted, marker_at=304)
+        source, running, tokens, theta_c = ScenarioSource(scenario), RunningSignals(), 0, 0.75
+        for step in iter(partial(source.next_chunk, 16), None):
+            tokens += step.tokens_in_chunk
+            readout = running.push(step)
+            if tokens == 208:
+                break
+        c_raw = confidence(readout, CalibratorConfig(effective_bits=8))
+        assert theta_c / _scale(16) <= c_raw < theta_c / _scale(4)
+        assert readout.entropy <= PolicyConfig().theta_h
+        cfgs = [EngineConfig(method=Method.ADAPTIVE, budget=512, served_bits=4),
+                EngineConfig(method=Method.BITCAL, budget=512, served_bits=4),
+                _split_bits(EngineConfig(method=Method.BITCAL, budget=512, served_bits=4),
+                            policy=16),
+                _split_bits(EngineConfig(method=Method.BITCAL, budget=512, served_bits=4),
+                            calibrator=16)]
+        records = run_episodes(ScenarioSource(scenario), cfgs, 42.0, "s")
+        assert [(r.stop_cause, r.tokens_used, r.correct) for r in records] == [
+            ("confident_stop", 208, False),  # adaptive
+            ("tail_stop", 336, correct),  # bitcal: the scale, then the 32-token tail
+            ("tail_stop", 304, correct),  # the scale alone
+            ("confident_stop", 208, False)]  # the tail alone stops with adaptive
+
+
+class TestGreedyReplay:
+    """Each action only stops or continues a greedy stream, so a trace drained from a
+    scenario at k and replayed at the same k gives, in every cell, the record of the live
+    scenario. This holds inside the trace's support, which is what is drawn here: budgets on
+    the k grid, past the trace's end only when the trace ends in eos. Left out: budgets past
+    the end of a trace without eos, and budgets off the k grid."""
+
+    @given(scenarios(), st.integers(1, 32), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_replay_of_a_drained_trace_is_the_live_run(self, scenario, k, data):
+        source = ScenarioSource(scenario)
+        steps = list(iter(partial(source.next_chunk, k), None))
+        tokens = sum(step.tokens_in_chunk for step in steps)
+        most = 12 if steps[-1].eos else tokens // k  # the k-grid budgets inside the support
+        assume(most >= 1)
+        budgets = sorted(set(data.draw(st.lists(st.integers(1, most), min_size=1, max_size=3))))
+        theta_h = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.5]))
+        policy = PolicyConfig(floor_tokens=data.draw(st.sampled_from([0, 16, 128])),
+                              budget_buffer=data.draw(st.sampled_from([0, 8, 32])),
+                              theta_h=theta_h, theta_c=data.draw(st.sampled_from([0.3, 0.75, 0.9])),
+                              theta_e=theta_h + data.draw(st.sampled_from([0.5, 1.0, 2.5])))
+        meta = TraceMeta(example_id=scenario.scenario_id, gold_answer=scenario.gold_answer,
+                         model="sim", served_bits=data.draw(st.sampled_from([4, 8, 16])))
+        cfgs = [EngineConfig(method=method, budget=k * j, chunk_size=k,
+                             served_bits=meta.served_bits, policy=policy)
+                for j in budgets for method in Method]
+        live = run_episodes(ScenarioSource(scenario), cfgs, scenario.gold_answer,
+                            scenario.scenario_id, "sim")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.jsonl"
+            write_trace(meta, steps, path)
+            meta, recorded = read_trace(path)
+            replayed = run_episodes(ReplaySource(recorded), cfgs, meta.gold_answer,
+                                    meta.example_id, meta.model)
+        assert replayed == live
 
 
 class TestForkContract:

@@ -1,23 +1,27 @@
 import base64
+import copy
 import dataclasses
 import json
 import re
 import tracemalloc
 from array import array
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bithalt import trace_io
+from bithalt import cli, trace_io
+from bithalt.calibrate import CalibratorConfig
 from bithalt.cli import main
 from bithalt.engine import EngineConfig, EpisodeRecord, Method, run_episode
-from bithalt.errors import TraceParseError, UnsupportedSchemaError
+from bithalt.errors import ConfigError, TraceParseError, UnsupportedSchemaError
 from bithalt.metrics import emit_summary_table, summarize_all
+from bithalt.policy import PolicyConfig
 from bithalt.signals import StepSignals
-from bithalt.simulate import scenario_suite_canonical
+from bithalt.simulate import Scenario, Segment, scenario_suite_canonical
 from bithalt.trace_io import (
     ReplaySource,
     TraceMeta,
@@ -25,6 +29,7 @@ from bithalt.trace_io import (
     read_records,
     read_trace,
     read_trace_meta,
+    require_finite,
     write_records,
     write_text,
     write_trace,
@@ -574,6 +579,54 @@ class TestFromFields:
         obj = {**{f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)}, **change}
         with pytest.raises((TypeError, ValueError), match=f"^{error}$"):
             from_fields(EpisodeRecord, obj, actions=tuple)
+
+
+@dataclasses.dataclass(frozen=True)
+class _OptionalFloat:
+    """Declared in a module that does not defer annotations, so each field's type is a
+    typing object, not the string it is spelt as."""
+    x: Optional[float] = None
+
+    def __post_init__(self):
+        require_finite(self)
+
+
+class TestFloatFieldsAreFinite:
+    """One type rule: ``require_finite`` checks the fields that ``_field_plan`` resolves to
+    float, however their annotations are spelt, and a flag's type is that same type."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_an_optional_float_annotation_object_is_checked(self, value):
+        with pytest.raises(ConfigError, match=f"^x must be finite, got {value!r}$") as info:
+            _OptionalFloat(value)
+        assert info.value.field == "x"
+
+    def test_an_unset_optional_float_passes(self):
+        assert _OptionalFloat().x is None and _OptionalFloat(2.5).x == 2.5
+
+    @pytest.mark.parametrize("config,checked", [
+        (CalibratorConfig(), ("h_max", "w_entropy", "w_trace", "w_hidden", "temperature")),
+        (PolicyConfig(), ("theta_h", "theta_c", "theta_e")),
+        (Segment(4, 0.5, "t"), ("entropy", "hidden_rotation")),
+        (Scenario("s", (Segment(4, 0.5, "t"),), 1.0, 1.0), ("gold_answer", "emitted_answer")),
+        (TraceMeta("e", 1.0), ("gold_answer",)),
+    ], ids=["CalibratorConfig", "PolicyConfig", "Segment", "Scenario", "TraceMeta"])
+    def test_exactly_the_float_fields_are_checked(self, config, checked):
+        require_finite(config)
+        for f in dataclasses.fields(config):
+            bad = copy.copy(config)
+            object.__setattr__(bad, f.name, float("nan"))
+            if f.name in checked:
+                with pytest.raises(ConfigError, match=f"^{f.name} must be finite, got nan$"):
+                    require_finite(bad)
+            else:
+                require_finite(bad)
+
+    def test_a_flag_and_a_config_file_value_share_the_fields_type(self):
+        for key, (cls, name, _) in cli.CONFIG_FIELDS.items():
+            resolved = next(tp for field, _, _, _, tp in trace_io._field_plan(cls)
+                            if field == name)
+            assert type(cli.DEFAULTS[key]) is resolved, key
 
 
 class TestRecordFiles:
