@@ -6,14 +6,17 @@ traces. One runner scores both one example at a time: each is loaded once, run u
 every method x budget cell in one pass over a single stream (engine.run_episodes)
 and dropped, so a replay holds one trace's steps, and only the arrays of the step
 the pass is at (trace_io.read_trace). Cells whose last chunk is partial split off
-and finish over a fork of it. replay reads every header first; a body that fails to
-parse is reported when its turn comes and skipped in every cell. Both write only
-files; sweep runs either one, then report, which prints the summary.csv it writes. A
-replayed trace runs at the bit width in its header unless bits is set by a flag or
-the config file; if it is not, run_meta.json reads "bits": null. report reads
-records one file at a time, keeps each record's outcome row and scores the rows in
-metrics, loading no engine, calibrate or policy; a group whose every record errored
-gets no row, is named, and makes report exit 2.
+and finish over a fork of it. replay reads each trace, header and body, in one
+read_trace when its turn comes; a trace that fails to parse is reported then and
+skipped in every cell. A bit width's configs are built before its first episode, so
+a bad setting exits 1 before any episode runs, but if every trace fails to parse the
+run exits 2 (every trace file failed to parse) before the settings are checked.
+Both write only files; sweep runs either one, then report, which prints the
+summary.csv it writes. A replayed trace runs at the bit width in its header unless
+bits is set by a flag or the config file; if it is not, run_meta.json reads
+"bits": null. report reads records one file at a time, keeps each record's outcome
+row and scores the rows in metrics, loading no engine, calibrate or policy; a group
+whose every record errored gets no row, is named, and makes report exit 2.
 
 Config resolution is layered: built-in defaults <- the command's own defaults
 <- optional JSON config file (--config) <- explicit command-line flags, highest
@@ -38,17 +41,20 @@ import json
 import sys
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 from .errors import BithaltError, ConfigError, EmptyRunError, TraceParseError
-from .trace_io import (Method, ReplaySource, _coerce, decode, read_records, read_trace,
-                       read_trace_meta, write_records, write_text)
+from .trace_io import (Method, ReplaySource, TraceMeta, _coerce, decode, read_records,
+                       read_trace, write_records, write_text)
+
+if TYPE_CHECKING:
+    from .engine import TokenSource
 
 # Layers that one command runs, imported when it runs, so a process compiles only what it
 # runs. A command binds their names as globals, keeping any set already (perfbench/tracer.py
 # wraps them there); read earlier as attributes, one loads its layer (PEP 562).
-_LAZY = {".engine": ("EngineConfig", "CalibratorConfig", "PolicyConfig", "TokenSource",
-                     "run_episode", "run_episodes"),
+_LAZY = {".engine": ("EngineConfig", "CalibratorConfig", "PolicyConfig", "run_episode",
+                     "run_episodes"),
          ".simulate": ("SCENARIO_DIR", "ScenarioSource", "load_scenario_dir"),
          ".metrics": ("Outcome", "emit_summary_table", "format_summary_rows", "summarize_all")}
 
@@ -223,40 +229,32 @@ def build_engine_config(cfg: dict, method: str, budget: int, served_bits: int) -
         raise ConfigError(f"{keys[exc.field]} {exc.requirement}") from None
 
 
-class Example(NamedTuple):
-    """One row of the grid: how to load its source, and how to score it."""
-
-    load: Callable[[], TokenSource]
-    gold: float
-    example_id: str
-    model: str
-    served_bits: int
-
-
-def _run_grid(examples: Sequence[Example], cfg: dict, out_dir: Path, command: str,
-              **header) -> int:
-    """Run each example under every method x budget cell in one pass, dropping it before
-    the next one loads, then write each cell's records sorted by example id; print nothing,
-    as only report turns records into numbers. Configs are built first, so a bad value fails
-    before any episode. An example that fails to load is reported, skipped and counted."""
+def _run_grid(loads: Sequence[Callable[[], Tuple[TraceMeta, TokenSource]]], cfg: dict,
+              out_dir: Path, command: str, **header) -> int:
+    """Load each example (its header and source from one call), run it under every method x
+    budget cell in one pass at its header's bits unless bits is set, and drop it before the next
+    one loads; then write each cell's records sorted by example id, printing nothing. A bit
+    width's configs are built before its first episode, so a bad value fails before any episode
+    runs. A load that fails is reported at its turn, skipped and counted; if every load fails,
+    the run ends with EmptyRunError before any config is built."""
     cells = {(budget, method): [] for budget in cfg["budgets"] for method in cfg["methods"]}
-    keys = dict.fromkeys((method, budget, ex.served_bits)
-                         for budget, method in cells for ex in examples)
-    engine_cfgs = {key: build_engine_config(cfg, *key) for key in keys}
-    failed = 0
-    for ex in examples:
+    engine_cfgs, failed = {}, 0  # bits -> one EngineConfig per cell
+    for load in loads:
         try:
-            source = ex.load()
+            meta, source = load()
         except TraceParseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             failed += 1
             continue
-        cfgs = [engine_cfgs[method, budget, ex.served_bits] for budget, method in cells]
+        bits = meta.served_bits if cfg["bits"] is None else cfg["bits"]
+        if bits not in engine_cfgs:
+            engine_cfgs[bits] = [build_engine_config(cfg, m, b, bits) for b, m in cells]
         for records, record in zip(cells.values(), run_episodes(
-                source, cfgs, gold=ex.gold, example_id=ex.example_id, model=ex.model)):
+                source, engine_cfgs[bits], gold=meta.gold_answer,
+                example_id=meta.example_id, model=meta.model)):
             records.append(record)
         del source  # release this example's steps before the next one is parsed
-    if failed == len(examples):  # only a trace can fail to load
+    if failed == len(loads):  # only a trace can fail to load
         raise EmptyRunError("every trace file failed to parse")
     out_dir.mkdir(parents=True, exist_ok=True)
     for (budget, method), records in cells.items():
@@ -264,8 +262,8 @@ def _run_grid(examples: Sequence[Example], cfg: dict, out_dir: Path, command: st
         write_records(records, out_dir / f"records_{method}_b{budget}.jsonl",
                       metadata={"command": command, "method": method, "budget": budget,
                                 **header})
-    meta = {"command": command, "config": {k: cfg[k] for k in sorted(cfg, key=str)}}
-    write_text(out_dir / "run_meta.json", json.dumps(meta, indent=2) + "\n")
+    run_meta = {"command": command, "config": {k: cfg[k] for k in sorted(cfg, key=str)}}
+    write_text(out_dir / "run_meta.json", json.dumps(run_meta, indent=2) + "\n")
     return failed
 
 
@@ -276,9 +274,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scenarios = load_scenario_dir(directory)
     if not scenarios:  # an install without the package data lands here too
         raise TraceParseError(directory, "no scenario files found")
-    examples = [Example(partial(ScenarioSource, s),
-                        s.gold_answer, s.scenario_id, "sim", cfg["bits"]) for s in scenarios]
-    _run_grid(examples, cfg, Path(args.out), "simulate")
+
+    def load(s):  # the header's bit width goes unread: simulate always sets bits
+        return TraceMeta(s.scenario_id, s.gold_answer, "sim"), ScenarioSource(s)
+    _run_grid([partial(load, s) for s in scenarios], cfg, Path(args.out), "simulate")
     return 0
 
 
@@ -289,20 +288,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
     paths = sorted(trace_dir.glob("*.jsonl"))
     if not paths:
         raise TraceParseError(trace_dir, "no trace files found")
-    examples = []
-    for path in paths:
-        try:
-            meta = read_trace_meta(path)
-        except TraceParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            continue
-        examples.append(Example(lambda path=path: ReplaySource(read_trace(path)[1]),
-                                meta.gold_answer, meta.example_id, meta.model,
-                                meta.served_bits if cfg["bits"] is None else cfg["bits"]))
-    # Post-divergence chunks come from the producing run and are counterfactual
-    # under this controller.
-    failed = _run_grid(examples, cfg, Path(args.out), "replay", counterfactual_replay=True)
-    return 2 if failed or len(examples) < len(paths) else 0
+
+    def load(path):  # the header and the steps come from one read of the file
+        meta, steps = read_trace(path)
+        return meta, ReplaySource(steps)
+    # Post-divergence chunks are the producing run's: counterfactual under this controller.
+    failed = _run_grid([partial(load, path) for path in paths], cfg, Path(args.out),
+                       "replay", counterfactual_replay=True)
+    return 2 if failed else 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:

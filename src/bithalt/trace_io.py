@@ -262,12 +262,6 @@ class _TraceSteps(Sequence):
         return list(self) == other if isinstance(other, (list, _TraceSteps)) else NotImplemented
 
 
-def read_trace_meta(path) -> TraceMeta:
-    """A trace's header metadata; only the first line of the file is read."""
-    header = next(_read_jsonl(path, TRACE_SCHEMA))[1]
-    return parse_fields(path, 1, "header", TraceMeta, header)
-
-
 def read_trace(path) -> Tuple[TraceMeta, Sequence[StepSignals]]:
     """Parse and check a whole trace file into its header metadata and ordered steps;
     wrap the steps in a ReplaySource to feed them to the engine. A step's arrays are
@@ -310,10 +304,10 @@ def _atomic_file(path) -> Iterator[BinaryIO]:
         raise
 
 
-def write_text(path, data: Union[str, bytes]) -> None:
-    """Write ``data``, text as UTF-8, atomically to ``path``."""
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8, atomically to ``path``."""
     with _atomic_file(path) as f:
-        f.write(data.encode("utf-8") if isinstance(data, str) else data)
+        f.write(text.encode("utf-8"))
 
 
 def write_trace(meta: TraceMeta, steps: List[StepSignals], path) -> None:

@@ -175,6 +175,8 @@ class TestReplay:
         assert len(calls) == len(steps) - 1 + splits
 
     def test_one_engine_config_per_method_budget_and_bits(self, tmp_path, monkeypatch):
+        # Three traces at each of two header widths: a width's configs are built before its
+        # first episode, and not again for the traces after it.
         traces = tmp_path / "traces"
         traces.mkdir()
         steps = [StepSignals(chunk_text="#### 42\n", tokens_in_chunk=8, entropy=0.5, eos=True)]

@@ -606,9 +606,9 @@ class TestGridSharing:
             loads.append((len(refs), sum(ref() is not None for ref in refs)))
             return load()
 
-        def grid(examples, *args, **kwargs):
-            return real_grid([ex._replace(load=partial(load_after_the_last_is_freed, ex.load))
-                              for ex in examples], *args, **kwargs)
+        def grid(real_loads, *args, **kwargs):
+            return real_grid([partial(load_after_the_last_is_freed, load)
+                              for load in real_loads], *args, **kwargs)
         monkeypatch.setattr(cli, "_run_grid", grid)
         assert cli.main(["simulate", "--budgets", "200,512", "--out",
                          str(tmp_path / "out")]) == 0

@@ -1,8 +1,9 @@
 """Replay is example-major and step by step: each trace is checked whole, run
 under every cell and dropped before the next one is read, and a trace/v3 step's
 arrays are read from the file only when the pass reaches that step. So memory
-holds one step's arrays, a body that fails to parse is found mid-run, and a
-file changed after its check errors the cells still running on it."""
+holds one step's arrays, a header or body that fails to parse is found mid-run, a
+trace's header and steps come from the one read of it, and a file changed after its
+check errors the cells still running on it."""
 
 import os
 import shutil
@@ -82,9 +83,11 @@ def break_body(path, lineno=5):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_a_bad_body_mid_run_skips_that_trace_in_every_cell(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("lineno", [1, 5])  # the header, or a step
+def test_a_bad_body_mid_run_skips_that_trace_in_every_cell(tmp_path, monkeypatch, capsys,
+                                                            lineno):
     traces = write_text_traces(tmp_path / "traces", 3)
-    break_body(traces / "t1.jsonl")
+    break_body(traces / "t1.jsonl", lineno)
     events = []
     real_read, real_pass = cli.read_trace, cli.run_episodes
     monkeypatch.setattr(cli, "read_trace",
@@ -95,9 +98,9 @@ def test_a_bad_body_mid_run_skips_that_trace_in_every_cell(tmp_path, monkeypatch
     assert cli.main(["replay", "--traces", str(traces), "--budgets", "256,512",
                      "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {traces / 't1.jsonl'}:5: invalid JSON")
+    assert captured.err.startswith(f"error: {traces / 't1.jsonl'}:{lineno}: invalid JSON")
     assert len(captured.err.splitlines()) == 1
-    # Found mid-run: t0 has run in all six cells before t1's body is parsed.
+    # Found mid-run: t0 has run in all six cells before t1 is parsed.
     assert events == [("parse", "t0"), *[("run", "t0")] * 6, ("parse", "t1"),
                       ("parse", "t2"), *[("run", "t2")] * 6]
     record_files = sorted(out.glob("records_*.jsonl"))
@@ -108,12 +111,29 @@ def test_a_bad_body_mid_run_skips_that_trace_in_every_cell(tmp_path, monkeypatch
     assert captured.out == ""  # only report prints, and replay does not run it
 
 
+def test_a_bad_setting_exits_1_before_any_episode_runs(tmp_path, monkeypatch, capsys):
+    traces = write_text_traces(tmp_path / "traces", 2)
+    break_body(traces / "t0.jsonl", lineno=1)
+    runs = []
+    monkeypatch.setattr(cli, "run_episodes", lambda *a, **kw: runs.append(a))
+    out = tmp_path / "out"
+    assert cli.main(["replay", "--traces", str(traces), "--chunk-size", "0",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    # t0's header error comes first, at its turn, then the setting's, before t1 runs.
+    assert err[0].startswith(f"error: {traces / 't0.jsonl'}:1: invalid JSON")
+    assert err[1:] == ["error: chunk_size must be >= 1"]
+    assert runs == [] and not out.exists()
+
+
 def test_every_trace_failing_writes_nothing_and_exits_2(tmp_path, capsys):
     traces = write_text_traces(tmp_path / "traces", 3)
     for i in range(3):
         break_body(traces / f"t{i}.jsonl", lineno=3 + i)
     out = tmp_path / "out"
-    assert cli.main(["replay", "--traces", str(traces), "--out", str(out)]) == 2
+    # No trace reaches a bit width, so the bad setting is never checked.
+    assert cli.main(["replay", "--traces", str(traces), "--chunk-size", "0",
+                     "--out", str(out)]) == 2
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert [line.split(": ")[1] for line in err[:3]] == [
@@ -159,3 +179,41 @@ def test_a_file_changed_under_replay_errors_the_running_cells(tmp_path, monkeypa
     for record in records:  # every cell was still running: each read steps 0-2
         assert (record.tokens_used, record.steps, record.stop_cause) == (48, 3, "eos")
         assert record.error == f"TraceParseError: {path}:5: file changed since it was read"
+
+
+def test_one_read_per_trace(tmp_path, monkeypatch):
+    traces = write_text_traces(tmp_path / "traces", 3)
+    reads = []
+    real = trace_io._read_jsonl
+    monkeypatch.setattr(trace_io, "_read_jsonl",
+                        lambda path, schema: reads.append(path.name) or real(path, schema))
+    assert cli.main(["replay", "--traces", str(traces), "--out", str(tmp_path / "out")]) == 0
+    assert reads == ["t0.jsonl", "t1.jsonl", "t2.jsonl"]
+
+
+def test_a_trace_replaced_mid_run_is_scored_against_its_new_header(tmp_path, monkeypatch):
+    # The header and the steps come from one read, so a trace rewritten before its turn
+    # is scored whole as it is then, never against a header read before the run.
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    thinking = [StepSignals(chunk_text=f"thinking {j}\n", tokens_in_chunk=16, entropy=3.0)
+                for j in range(3)]
+    for name in ("a", "b"):
+        write_trace(TraceMeta(example_id=name, gold_answer=42.0), thinking + [
+            StepSignals(chunk_text="#### 42\n", tokens_in_chunk=8, entropy=0.5, eos=True)],
+            traces / f"{name}.jsonl")
+    real_pass = cli.run_episodes
+
+    def rewrite_b_while_a_runs(source, cfgs, **kw):
+        if kw["example_id"] == "a":
+            write_trace(TraceMeta("b2", 7.0), thinking + [
+                StepSignals(chunk_text="#### 7\n", tokens_in_chunk=8, entropy=0.5, eos=True)],
+                traces / "b.jsonl")
+        return real_pass(source, cfgs, **kw)
+    monkeypatch.setattr(cli, "run_episodes", rewrite_b_while_a_runs)
+    out = tmp_path / "out"
+    assert cli.main(["replay", "--traces", str(traces), "--out", str(out)]) == 0
+    for method in Method:
+        a, b = read_records(out / f"records_{method.value}_b512.jsonl")[1]
+        assert a.example_id == "a" and a.correct is True
+        assert (b.example_id, b.gold_answer, b.correct) == ("b2", 7.0, True)

@@ -28,7 +28,6 @@ from bithalt.trace_io import (
     from_fields,
     read_records,
     read_trace,
-    read_trace_meta,
     require_finite,
     write_records,
     write_text,
@@ -274,10 +273,9 @@ class TestTraceV1:
             json.dumps({"schema": schema, "example_id": "old", "gold_answer": 1.0}),
             json.dumps({"step": 0, "chunk_text": "#### 1", "tokens": 4, "probs": [1.0],
                         "eos": True})]) + "\n")
-        for read in (read_trace, read_trace_meta):
-            with pytest.raises(UnsupportedSchemaError) as exc:
-                read(old)
-            assert str(exc.value) == f"{old}:1: unsupported schema {schema!r}"
+        with pytest.raises(UnsupportedSchemaError) as exc:
+            read_trace(old)
+        assert str(exc.value) == f"{old}:1: unsupported schema {schema!r}"
         out = tmp_path / "out"
         assert main(["replay", "--traces", str(traces), "--budgets", "256",
                      "--out", str(out)]) == 2
@@ -401,17 +399,8 @@ class TestTraceValidation:
             read_trace(path)
         assert exc.value.line == 5
 
-    def test_header_read_stops_at_the_first_line(self, tmp_path):
-        # The body is never read: a broken line after the header goes unnoticed.
-        path = self._write_lines(tmp_path, [self.header(), "{broken"])
-        with open(path, "ab") as f:
-            f.write(b"\xff\xfe\n")
-        assert read_trace_meta(path) == TraceMeta(example_id="e", gold_answer=1.0)
-        with pytest.raises(TraceParseError) as exc:
-            read_trace(path)
-        assert exc.value.line == 2
-
     def test_header_errors_match_the_full_read(self, tmp_path):
+        # read_trace, the one read of a trace, names line 1 for each header error.
         bad = [json.dumps({"schema": "trace/v3", "example_id": "e"}),  # no gold_answer
                json.dumps({"schema": "trace/v3", "example_id": "e", "gold_answer": 1.0,
                            "served_bits": 0}),
@@ -423,14 +412,12 @@ class TestTraceValidation:
                "[]"]
         for header in bad:
             path = self._write_lines(tmp_path, [header])
-            with pytest.raises(TraceParseError) as full:
+            with pytest.raises(TraceParseError) as exc:
                 read_trace(path)
-            with pytest.raises(type(full.value)) as meta_only:
-                read_trace_meta(path)
-            assert str(meta_only.value) == str(full.value)
+            assert str(exc.value).startswith(f"{path}:1: ")
         path.write_bytes(b"")
         with pytest.raises(TraceParseError, match="empty file"):
-            read_trace_meta(path)
+            read_trace(path)
 
     def test_replayed_trace_drives_engine(self, tmp_path):
         steps = [
