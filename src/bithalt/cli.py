@@ -14,8 +14,8 @@ run exits 2 (every trace file failed to parse) before the settings are checked.
 Both write only files; sweep runs either one, then report, which prints the
 summary.csv it writes. A replayed trace runs at the bit width in its header unless
 bits is set by a flag or the config file; if it is not, run_meta.json reads
-"bits": null. report reads records one file at a time, keeps each record's outcome
-row and scores the rows in metrics, loading no engine, calibrate or policy; a group
+"bits": null. report checks each record as it reaches it, keeps its outcome row
+and scores the rows in metrics, loading no engine, calibrate or policy; a group
 whose every record errored gets no row, is named, and makes report exit 2.
 
 Config resolution is layered: built-in defaults <- the command's own defaults
@@ -306,7 +306,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     record_files = sorted(records_dir.glob("records_*.jsonl"))
     if not record_files:
         raise EmptyRunError(f"no record files under {records_dir}")
-    # Only one file's records are alive at a time: each leaves its outcome row.
+    # One record is alive at a time: each streams past and leaves its outcome row.
     rows = [Outcome.of(record) for path in record_files for record in read_records(path)[1]]
     if not rows:
         raise EmptyRunError(f"record files under {records_dir} hold no records")

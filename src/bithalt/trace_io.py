@@ -50,10 +50,10 @@ from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
-from itertools import chain
+from operator import attrgetter
 from pathlib import Path
-from typing import (TYPE_CHECKING, BinaryIO, Iterator, List, Optional, Tuple, Union, get_args,
-                    get_origin, get_type_hints)
+from typing import (TYPE_CHECKING, BinaryIO, Iterable, Iterator, List, Optional, Tuple, Union,
+                    get_args, get_origin, get_type_hints)
 
 from .errors import ConfigError, TraceParseError, UnsupportedSchemaError
 
@@ -391,7 +391,7 @@ def is_early_halt(stop_cause: str, tokens_used: int, budget: int) -> bool:
     return stop_cause not in _RUN_OUT and tokens_used < budget
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpisodeRecord:
     """One scored episode; a record file holds one per line, fields in this order."""
     example_id: str
@@ -409,6 +409,10 @@ class EpisodeRecord:
     early_halt: bool
     model: str = ""
     error: Optional[str] = None
+
+
+# A record's values in field order, its slots' order (asdict would deep-copy its actions).
+_record_values = attrgetter(*EpisodeRecord.__slots__)
 
 
 def _action(a, r, t) -> Tuple[str, str, int]:
@@ -449,22 +453,24 @@ def _agreeing(path, line: int, record: EpisodeRecord) -> EpisodeRecord:
     return record
 
 
-def write_records(records: List[EpisodeRecord], path, metadata: Optional[dict] = None) -> None:
-    """One record per line after a schema header, written one line at a time; reread
-    yields equal records."""
+def write_records(records: Iterable[EpisodeRecord], path, metadata: Optional[dict] = None) -> None:
+    """One record per line after a schema header, written one line at a time as ``records``
+    yields them; reread yields equal records."""
     header = {"schema": RECORD_SCHEMA}
     if metadata:
         header.update(metadata)
     with _atomic_file(path) as f:
-        # A record's __dict__ holds its fields in order (asdict would deep-copy each actions tuple).
-        for obj in chain([header], map(vars, records)):
-            f.write(_encode(obj).encode() + b"\n")
+        f.write(_encode(header).encode() + b"\n")
+        for values in map(_record_values, records):
+            f.write(_encode(dict(zip(EpisodeRecord.__slots__, values))).encode() + b"\n")
 
 
-def read_records(path) -> Tuple[dict, List[EpisodeRecord]]:
+def read_records(path) -> Tuple[dict, Iterator[EpisodeRecord]]:
+    """A record file's header, read and checked now, and an iterator that parses and checks each
+    record as it reaches its line; the file closes when the iterator ends or is dropped."""
     lines = _read_jsonl(path, RECORD_SCHEMA)
     header = next(lines)[1]
     names = {"method": lambda v: Method(v).value, "stop_cause": lambda v: StopCause(v).value}
-    return header, [_agreeing(path, lineno, parse_fields(
+    return header, (_agreeing(path, lineno, parse_fields(
         path, lineno, "record", EpisodeRecord, obj, actions=_actions, **names))
-        for lineno, obj, _ in lines]
+        for lineno, obj, _ in lines)

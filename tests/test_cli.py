@@ -105,7 +105,7 @@ class TestSimulate:
         out = tmp_path / "out"
         assert run_cli("simulate", "--scenarios", str(SCENARIO_DIR), "--methods", "bitcal",
                        "--out", str(out)) == 0
-        _, records = read_records(out / "records_bitcal_b512.jsonl")
+        records = list(read_records(out / "records_bitcal_b512.jsonl")[1])
         assert len(records) == 6
 
     def test_bad_scenario_file_is_data_error(self, tmp_path, capsys):
@@ -197,7 +197,8 @@ class TestReplay:
         out = tmp_path / "out"
         assert run_cli("replay", "--traces", str(traces), "--methods", "bitcal",
                        "--out", str(out)) == 0
-        header, records = read_records(out / "records_bitcal_b512.jsonl")
+        header, body = read_records(out / "records_bitcal_b512.jsonl")
+        records = list(body)
         assert len(records) == 3
         assert header["counterfactual_replay"] is True
         assert [r.example_id for r in records] == sorted(r.example_id for r in records)
@@ -210,7 +211,7 @@ class TestReplay:
                        "--out", str(out))
         assert code == 2
         assert "zz-broken" in capsys.readouterr().err
-        _, records = read_records(out / "records_fixed_b512.jsonl")
+        records = list(read_records(out / "records_fixed_b512.jsonl")[1])
         assert len(records) == 2
 
     def test_invalid_utf8_in_a_trace_skips_it_and_exits_2(self, tmp_path, capsys):
@@ -254,8 +255,8 @@ class TestReplay:
                            "--out", str(tmp_path / name), *extra) == 0
         records = {name: tmp_path / name / "records_bitcal_b512.jsonl" for name in runs}
         assert records["config"].read_bytes() == records["flag"].read_bytes()
-        assert read_records(records["config"])[1][0].tokens_used == 160
-        assert read_records(records["header"])[1][0].tokens_used == 192
+        assert list(read_records(records["config"])[1])[0].tokens_used == 160
+        assert list(read_records(records["header"])[1])[0].tokens_used == 192
 
     def test_unset_bits_runs_each_trace_at_its_header_bits(self, tmp_path):
         # bitcal stops marker-then-revision at 192 tokens at 4 bits, 176 at 8
@@ -323,6 +324,20 @@ class TestReport:
         assert f"error: {path}:5: invalid UTF-8" in capsys.readouterr().err
         assert not (tmp_path / "summary.csv").exists()
 
+    def test_a_record_file_cut_short_is_data_error(self, tmp_path, capsys):
+        # The whole adaptive file and the bitcal file's first records are folded into
+        # rows before the cut last line is reached; none of them reaches a table.
+        write_records([sample_record(i, method="adaptive") for i in range(3)],
+                      tmp_path / "records_adaptive_b512.jsonl")
+        path = tmp_path / "records_bitcal_b512.jsonl"
+        write_records([sample_record(i) for i in range(3)], path)
+        os.truncate(path, path.stat().st_size - 10)
+        assert run_cli("report", "--out", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}:4: invalid JSON")
+        assert captured.out == ""
+        assert not (tmp_path / "summary.csv").exists()
+
     def test_a_string_bool_in_a_record_is_data_error(self, tmp_path, capsys):
         # bool("false") is True, so a coercing reader scores these four wrong
         # records as 100% accurate.
@@ -344,8 +359,8 @@ class TestReport:
         assert not (out / "summary.csv").exists()
 
     def test_report_holds_one_file_of_records_at_a_time(self, tmp_path, capsys):
-        # Six files of long-text records: report keeps each file's records only while it
-        # reads them, and an outcome row of each, so its peak follows one file, not six.
+        # Six files of long-text records: report keeps each record only while it reads it,
+        # and an outcome row of each, so its peak stays under one file's, not six.
         text = "x" * 20_000 + " #### 42"
         for method in VALID_METHODS:
             for budget in (256, 512):

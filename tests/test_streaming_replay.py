@@ -3,7 +3,8 @@ under every cell and dropped before the next one is read, and a trace/v3 step's
 arrays are read from the file only when the pass reaches that step. So memory
 holds one step's arrays, a header or body that fails to parse is found mid-run, a
 trace's header and steps come from the one read of it, and a file changed after its
-check errors the cells still running on it."""
+check errors the cells still running on it. report streams records the same way:
+it holds one record and the outcome rows, not a record file."""
 
 import os
 import shutil
@@ -14,7 +15,9 @@ import pytest
 from bithalt import cli, trace_io
 from bithalt.engine import EngineConfig, Method, run_episodes
 from bithalt.signals import StepSignals
-from bithalt.trace_io import ReplaySource, TraceMeta, read_records, read_trace, write_trace
+from bithalt.trace_io import (ReplaySource, TraceMeta, read_records, read_trace, write_records,
+                              write_trace)
+from test_trace_io import sample_record
 
 VOCAB = 16384  # 128 KiB of float64 per step's probs
 STEPS = 8
@@ -33,10 +36,11 @@ def write_probs_traces(directory, n, length=STEPS):
     return directory
 
 
-def peak_replay_bytes(traces, out):
+def peak_bytes(command, flag, inputs, out):
+    """The traced peak of ``bithalt <command> <flag> <inputs> --out <out>``, which must exit 0."""
     tracemalloc.start()
     try:
-        assert cli.main(["replay", "--traces", str(traces), "--out", str(out)]) == 0
+        assert cli.main([command, flag, str(inputs), "--out", str(out)]) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -50,8 +54,8 @@ def test_peak_memory_does_not_grow_with_the_corpus(tmp_path):
         shutil.copy(eight / name, two / name)
     # The warm-up loads numpy and fills every cache outside the measurement.
     assert cli.main(["replay", "--traces", str(two), "--out", str(tmp_path / "warm")]) == 0
-    peak_two = peak_replay_bytes(two, tmp_path / "o2")
-    peak_eight = peak_replay_bytes(eight, tmp_path / "o8")
+    peak_two = peak_bytes("replay", "--traces", two, tmp_path / "o2")
+    peak_eight = peak_bytes("replay", "--traces", eight, tmp_path / "o8")
     # Holding every trace's steps would take about 1 MiB more per trace.
     assert peak_eight <= 1.25 * peak_two, (peak_two, peak_eight)
 
@@ -60,10 +64,31 @@ def test_peak_memory_does_not_grow_with_the_trace(tmp_path):
     short = write_probs_traces(tmp_path / "short", 1)
     long = write_probs_traces(tmp_path / "long", 1, length=4 * STEPS)
     assert cli.main(["replay", "--traces", str(short), "--out", str(tmp_path / "warm")]) == 0
-    peak_short = peak_replay_bytes(short, tmp_path / "o8")
-    peak_long = peak_replay_bytes(long, tmp_path / "o32")
+    peak_short = peak_bytes("replay", "--traces", short, tmp_path / "o8")
+    peak_long = peak_bytes("replay", "--traces", long, tmp_path / "o32")
     # Holding a trace's arrays would take 128 KiB more per step: 3 MiB more here.
     assert peak_long <= 1.25 * peak_short, (peak_short, peak_long)
+
+
+def write_k1_records(directory, n):
+    """A record file of ``n`` k=1-sized records: 300 actions and 9 KB of text each."""
+    directory.mkdir()
+    actions = (*[("continue", "floor", t) for t in range(1, 300)], ("stop", "tail_stop", 300))
+    write_records([sample_record(i, tokens_used=300, steps=300, actions=actions,
+                                 generated_text="x" * 9_000 + " #### 42") for i in range(n)],
+                  directory / "records_bitcal_b512.jsonl")
+    return directory
+
+
+def test_report_memory_does_not_grow_with_the_record_file(tmp_path, capsys):
+    eight = write_k1_records(tmp_path / "eight", 8)
+    thirty_two = write_k1_records(tmp_path / "thirty_two", 32)
+    # The warm-up loads the metrics layer and fills every cache outside the measurement.
+    assert cli.main(["report", "--records", str(eight), "--out", str(tmp_path / "warm")]) == 0
+    peak_eight = peak_bytes("report", "--records", eight, tmp_path / "o8")
+    peak_thirty_two = peak_bytes("report", "--records", thirty_two, tmp_path / "o32")
+    # Holding the file's records would take about 65 KB more per record: 1.6 MB more here.
+    assert peak_thirty_two <= 1.25 * peak_eight, (peak_eight, peak_thirty_two)
 
 
 def write_text_traces(directory, n):

@@ -241,7 +241,8 @@ class TestTraceV1:
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
         # fixed reads to eos, adaptive stops on the marker, and bitcal's tail
         # reaches the NaN hidden entry.
-        by_method = {read_records(p)[1][0].method: read_records(p)[1][0] for p in golden}
+        by_method = {list(read_records(p)[1])[0].method: list(read_records(p)[1])[0]
+                     for p in golden}
         assert by_method["fixed"].error is None and by_method["adaptive"].error is None
         assert "non-finite" in by_method["bitcal"].error
 
@@ -383,7 +384,7 @@ class TestTraceValidation:
             read = read_trace
         else:
             write_records([sample_record(i) for i in range(3)], path)
-            read = read_records
+            read = read_whole_records
         expected = read(path)
         header, *body = path.read_text(encoding="utf-8").splitlines()
         path.write_text("\n".join([header, "", *body[:2], "  \t", *body[2:], ""]) + "\n",
@@ -478,10 +479,11 @@ class TestMalformedHidden:
         traces.mkdir()
         write_trace(TraceMeta(example_id="big", gold_answer=42.0), self.CASES["overflow"][0],
                     traces / "big.jsonl")
+        out = tmp_path / "out"
         assert main(["replay", "--traces", str(traces), "--budgets", "512",
-                     "--out", str(tmp_path / "out")]) == 0
-        errors = {m.value: read_records(tmp_path / "out" / f"records_{m.value}_b512.jsonl")[1][0]
-                  .error for m in Method}
+                     "--out", str(out)]) == 0
+        errors = {m.value: list(read_records(out / f"records_{m.value}_b512.jsonl")[1])[0].error
+                  for m in Method}
         assert errors == {"fixed": None, **dict.fromkeys(
             ("adaptive", "bitcal"), "InvalidInputError: hidden vector's squared norm overflows "
             "float64")}
@@ -495,6 +497,12 @@ class TestMalformedHidden:
         for method in Method:
             rec = run_episode(ReplaySource(got), EngineConfig(method, 512), 42.0, "eos")
             assert (rec.steps, rec.tokens_used, rec.error, rec.correct) == (10, 152, None, True)
+
+
+def read_whole_records(path):
+    """``read_records`` with its body read to the end."""
+    header, body = read_records(path)
+    return header, list(body)
 
 
 def sample_record(i=0, **overrides):
@@ -621,8 +629,7 @@ class TestRecordFiles:
         path = tmp_path / "r.jsonl"
         write_records([], path)
         assert len(path.read_text().splitlines()) == 1
-        _, records = read_records(path)
-        assert records == []
+        assert list(read_records(path)[1]) == []
 
     def test_line_separators_inside_strings_stay_in_their_line(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -633,7 +640,7 @@ class TestRecordFiles:
         lines[1] = json.dumps(json.loads(lines[1]), ensure_ascii=False)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert "\u2028" in path.read_text(encoding="utf-8")
-        assert read_records(path)[1] == recs
+        assert list(read_records(path)[1]) == recs
 
     def test_invalid_utf8_is_a_parse_error_naming_its_line(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -641,7 +648,7 @@ class TestRecordFiles:
         with open(path, "ab") as f:
             f.write(b"\xff\xfe\n")
         with pytest.raises(TraceParseError, match=r":5: invalid UTF-8") as exc:
-            read_records(path)
+            list(read_records(path)[1])
         assert exc.value.line == 5
 
     def test_actions_refuse_a_fractional_token_count(self, tmp_path):
@@ -652,7 +659,34 @@ class TestRecordFiles:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(TraceParseError,
                            match=r":2: invalid record: actions must be an integer, got 192.5"):
-            read_records(path)
+            list(read_records(path)[1])
+
+    def test_a_bad_middle_line_raises_only_when_reached(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        write_records([sample_record(i) for i in range(3)], path)
+        lines = path.read_text().splitlines()
+        lines[2] = "{broken"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        header, records = read_records(path)
+        assert header == {"schema": "records/v1"}
+        assert next(records) == sample_record(0)
+        with pytest.raises(TraceParseError, match=r":3: invalid JSON") as exc:
+            next(records)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("taken", [0, 1, None])  # none, the first record, or to the end
+    def test_a_dropped_or_finished_iterator_closes_its_file(self, tmp_path, monkeypatch, taken):
+        path = tmp_path / "r.jsonl"
+        write_records([sample_record(i) for i in range(3)], path)
+        opened = []
+        monkeypatch.setattr(trace_io, "open", lambda *a: opened.append(open(*a)) or opened[-1],
+                            raising=False)
+        _, records = read_records(path)
+        got = list(records) if taken is None else [next(records) for _ in range(taken)]
+        assert got == [sample_record(i) for i in range(3 if taken is None else taken)]
+        assert len(opened) == 1 and opened[0].closed is (taken is None)
+        del records
+        assert opened[0].closed
 
     def test_line_count(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -669,8 +703,7 @@ class TestRecordFiles:
             sample_record(2, error="RuntimeError: boom", correct=False),
         ]
         write_records(records, path)
-        _, got = read_records(path)
-        assert got == records
+        assert list(read_records(path)[1]) == records
 
     def test_metadata_lands_in_header(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -682,7 +715,7 @@ class TestRecordFiles:
         path = tmp_path / "r.jsonl"
         value = 1.2345678912345
         write_records([sample_record(0, predicted_answer=value, gold_answer=value)], path)
-        _, got = read_records(path)
+        got = list(read_records(path)[1])
         assert abs(got[0].predicted_answer - value) < 1e-9
         assert got[0].predicted_answer == value  # repr round-trip is exact
 
@@ -716,8 +749,7 @@ class TestRecordFiles:
                             predicted_answer=predicted, generated_text=text,
                             correct=correct)
         write_records([rec], path)
-        _, got = read_records(path)
-        assert got == [rec]
+        assert list(read_records(path)[1]) == [rec]
 
 
 class TestAtomicWrite:
