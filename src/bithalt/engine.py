@@ -192,6 +192,7 @@ def run_episodes(
                 low = min(cfgs[i].budget for i in live)
                 groups = [(cal, run) for cal, cells in calibrators.items()
                           if (run := [i for i in cells if i in live])]
+            step = None  # frees the last step's arrays before the next step's are read
             try:
                 step = source.next_chunk(request)
             except (BithaltError, OSError) as exc:  # source failure: keep the episodes, flag them

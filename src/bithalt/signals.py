@@ -176,23 +176,26 @@ def entropy(distribution: Sequence[float]) -> float:
     """Shannon entropy in nats of a probability vector.
 
     Zero-probability entries contribute zero. Raises
-    InvalidDistributionError on negative entries or a sum off from 1 by
-    more than DIST_SUM_TOL.
+    InvalidDistributionError on non-finite entries, then on negative ones, then
+    on a sum (an overflowing one included) off from 1 by more than DIST_SUM_TOL.
+    The checks read the min and max, which propagate NaN, so a vector with no
+    zero entry costs one whole-vector temporary: the log's.
     """
     import numpy as np
 
     p = np.asarray(distribution, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise InvalidDistributionError("distribution must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(p)):
+    low, high = p.min(), p.max()
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise InvalidDistributionError("distribution contains non-finite entries")
-    if np.any(p < 0):
+    if low < 0:
         raise InvalidDistributionError("distribution contains negative entries")
-    total = float(p.sum())
+    with np.errstate(over="ignore"):  # an overflowing sum is a bad sum, not a warning
+        total = float(p.sum())
     if abs(total - 1.0) > DIST_SUM_TOL:
         raise InvalidDistributionError(f"distribution sums to {total}, not 1")
-    positive = p > 0
-    nz = p if positive.all() else p[positive]  # no compacted copy when no entry is zero
+    nz = p if low > 0 else p[p > 0]  # no compacted copy when no entry is zero
     terms = np.log(nz)
     terms *= nz  # into the log's buffer: one whole-vector temporary, not two
     return float(-np.sum(terms))

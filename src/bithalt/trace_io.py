@@ -249,12 +249,11 @@ class _TraceSteps(Sequence):
                 raise TraceParseError(self._path, "file changed since it was read", line=lineno)
             for name, (offset, count) in spans.items():
                 f.seek(offset)
-                spans[name] = values = array("d")
-                try:
-                    values.fromfile(f, count)
-                except EOFError:
+                # Read into the array itself: no bytes copy of it is held beside it.
+                spans[name] = values = array("d", [0.0]) * count
+                if f.readinto(values) != count * values.itemsize:
                     raise TraceParseError(self._path, f"array of {count} float64s cut short "
-                                          "since the file was read", line=lineno) from None
+                                          "since the file was read", line=lineno)
                 _little_endian(values)
         return replace(step, **spans)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -314,6 +315,37 @@ class TestPassErrors:
         cfgs = [engine_cfg("bitcal"), engine_cfg("fixed", **other)]
         with pytest.raises(ConfigError, match="share chunk_size and marker"):
             run_episodes(StepListSource(self.STEPS), cfgs, 1.0, "e")
+
+
+class FreshStepSource:
+    """Hands out a new step, with a distribution and a hidden vector, at each pull, and
+    notes at each pull whether the step it handed out last is still alive."""
+
+    def __init__(self, steps):
+        self._left, self._last, self.alive = steps, None, []
+
+    def next_chunk(self, max_tokens):
+        if self._last is not None:
+            self.alive.append(self._last() is not None)
+        if not self._left:
+            return None
+        self._left -= 1
+        step = StepSignals(f"thinking step {self._left}\n", 16, distribution=np.full(64, 1 / 64),
+                           hidden=np.array([1.0, float(self._left)]))
+        self._last = weakref.ref(step)
+        return step
+
+
+class TestStepRelease:
+    @pytest.mark.parametrize("methods", [[m] for m in Method] + [list(Method)],
+                             ids=["fixed", "adaptive", "bitcal", "all"])
+    def test_a_pass_frees_each_step_before_it_reads_the_next(self, methods):
+        # A replay holds one step's arrays only if the pass has dropped the step it
+        # finished by the time the source reads the next one.
+        source = FreshStepSource(12)
+        records = run_episodes(source, [engine_cfg(m, budget=256) for m in methods], 1.0, "e")
+        assert all(r.error is None for r in records)
+        assert source.alive and not any(source.alive), source.alive
 
 
 class TestEngineConfig:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 import weakref
 from array import array
 from pathlib import Path
@@ -55,10 +56,20 @@ class TestEntropy:
         ([[0.5, 0.5]], "non-empty 1-d vector"),
         ([float("nan"), 1.0], "non-finite entries"),
         ([float("inf"), 0.0], "non-finite entries"),
+        # Non-finite is checked before negative, whatever the other entries.
+        ([float("-inf"), 1.0], "non-finite entries"),
+        ([float("nan"), -1.0, 2.0], "non-finite entries"),
+        ([float("inf"), float("-inf")], "non-finite entries"),
+        ([-0.5, 1.5], "negative entries"),
+        ([1e308, 1e308], "sums to inf, not 1"),
     ])
     def test_malformed_vector_rejected(self, distribution, message):
-        with pytest.raises(InvalidDistributionError, match=message):
-            entropy(distribution)
+        # Under -W error a numpy warning, such as the sum's overflow, would escape the
+        # engine's error handling as a traceback.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDistributionError, match=message):
+                entropy(distribution)
 
     @given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2, max_size=30))
     def test_permutation_invariant(self, weights):

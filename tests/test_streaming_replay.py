@@ -1,10 +1,12 @@
 """Replay is example-major and step by step: each trace is checked whole, run
 under every cell and dropped before the next one is read, and a trace/v3 step's
-arrays are read from the file only when the pass reaches that step. So memory
-holds one step's arrays, a header or body that fails to parse is found mid-run, a
-trace's header and steps come from the one read of it, and a file changed after its
-check errors the cells still running on it. report streams records the same way:
-it holds one record and the outcome rows, not a record file."""
+arrays are read from the file only when the pass reaches that step, and dropped
+before the next step is read. So memory holds one step's arrays (its distribution
+plus entropy's log of it, about 2.5 MB per step at a 152,064-entry vocabulary), a
+header or body that fails to parse is found mid-run, a trace's header and steps
+come from the one read of it, and a file changed after its check errors the cells
+still running on it. report streams records the same way: it holds one record and
+the outcome rows, not a record file."""
 
 import os
 import shutil
@@ -23,9 +25,9 @@ VOCAB = 16384  # 128 KiB of float64 per step's probs
 STEPS = 8
 
 
-def write_probs_traces(directory, n, length=STEPS):
+def write_probs_traces(directory, n, length=STEPS, vocab=VOCAB):
     directory.mkdir()
-    probs = [1.0 / VOCAB] * VOCAB
+    probs = [1.0 / vocab] * vocab
     for i in range(n):
         steps = [StepSignals(chunk_text=f"thinking {i} {j}\n", tokens_in_chunk=16,
                              distribution=probs) for j in range(length - 1)]
@@ -68,6 +70,35 @@ def test_peak_memory_does_not_grow_with_the_trace(tmp_path):
     peak_long = peak_bytes("replay", "--traces", long, tmp_path / "o32")
     # Holding a trace's arrays would take 128 KiB more per step: 3 MiB more here.
     assert peak_long <= 1.25 * peak_short, (peak_short, peak_long)
+
+
+def test_replay_memory_per_vocabulary_entry(tmp_path):
+    small_vocab, big_vocab = 16384, 131072
+    small = write_probs_traces(tmp_path / "small", 1, length=6, vocab=small_vocab)
+    big = write_probs_traces(tmp_path / "big", 1, length=6, vocab=big_vocab)
+    assert cli.main(["replay", "--traces", str(small), "--out", str(tmp_path / "warm")]) == 0
+    peak_small = peak_bytes("replay", "--traces", small, tmp_path / "os")
+    peak_big = peak_bytes("replay", "--traces", big, tmp_path / "ob")
+    # float64 vectors of the vocabulary's length held at the peak: the step's distribution
+    # and entropy's log make 2; the step before it, or a mask per check, would add more.
+    arrays = (peak_big - peak_small) / ((big_vocab - small_vocab) * 8)
+    assert arrays <= 2.25, arrays
+
+
+def test_a_step_read_holds_no_copy_of_its_arrays(tmp_path):
+    vocab = 131072
+    traces = write_probs_traces(tmp_path / "traces", 1, length=2, vocab=vocab)
+    _, steps = read_trace(traces / "t0.jsonl")
+    assert steps[0].eos is False  # the warm-up: one read of a step with arrays
+    tracemalloc.start()
+    try:
+        step = steps[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(step.distribution) == vocab
+    # The distribution itself is 1 MiB; a bytes copy of it held while it fills would double that.
+    assert peak <= 1.25 * vocab * 8, peak
 
 
 def write_k1_records(directory, n):
